@@ -27,7 +27,7 @@ from .contour_frequency import (ConvergenceError, compare)
 from .oscillatory_integrals import (DEFAULT_SCHEDULE, DivergenceSuspectedError,
                                     ScheduleError, TRIG_NAMES,
                                     eval_E_bruteforce, eval_bruteforce,
-                                    eval_trig, reconciled_constants)
+                                    eval_trig)
 from .tensor_assembly import eta, eta_consistency
 from .point_dipole import DipoleSpec, QuadratureError, mass_shift as dipole_mass_shift
 from .point_dipole import (spectral_integral_quadrature,
@@ -56,7 +56,11 @@ class RunReport:
 
     def add(self, name: str, value: float, error: float = 0.0,
             method: str = "closed_form", **extra) -> None:
-        row = {"name": name, "value": float(value), "error": float(error),
+        value, error = float(value), float(error)
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise FloatingPointError(
+                f"{name} is not finite: {value!r} (err {error!r})")
+        row = {"name": name, "value": value, "error": error,
                "method": method}
         row.update(extra)
         self.results.append(row)
@@ -65,7 +69,7 @@ class RunReport:
         payload = {"command": self.command, "inputs": self.inputs,
                    "results": self.results, "warnings": self.warnings,
                    "version": self.version}
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -101,7 +105,10 @@ def _parse_vec3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers, got {text!r}")
-    return np.array([float(p) for p in parts])
+    vec = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"vector components must be finite, got {text!r}")
+    return vec
 
 
 def _parse_schedule(text: str) -> tuple[float, ...]:
@@ -111,7 +118,7 @@ def _parse_schedule(text: str) -> tuple[float, ...]:
 def _resolve_material(spec: str) -> tuple[MaterialSpec, str]:
     from pathlib import Path
     p = Path(spec)
-    if p.exists():
+    if p.is_file():
         return material_from_json(p), str(p)
     preset = preset_path(spec)
     return material_from_json(preset), str(preset)
@@ -120,11 +127,6 @@ def _resolve_material(spec: str) -> tuple[MaterialSpec, str]:
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance where the subcommand checks one")
-    parser.add_argument("--eps-schedule", type=_parse_schedule, default=None,
-                        metavar="E1,E2,...",
-                        help="regulator schedule for quadrature constants")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,6 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="radial constants by both routes")
     _common_flags(p)
+    p.add_argument("--eps-schedule", type=_parse_schedule,
+                   default=DEFAULT_SCHEDULE, metavar="E1,E2,...",
+                   help="regulator schedule for the quadrature route "
+                        "(at least three values)")
 
     p = sub.add_parser("eta", help="the eta constant and its consistency check")
     _common_flags(p)
@@ -142,6 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freq-check",
                        help="frequency contour closed forms vs numeric oracle")
     _common_flags(p)
+    p.add_argument("--tol", type=float, default=1e-5,
+                   help="largest accepted relative deviation")
     p.add_argument("--pairs", type=int, default=20,
                    help="number of random wavenumber pairs")
     p.add_argument("--seed", type=int, default=FREQ_CHECK_SEED)
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_constants(args) -> tuple[RunReport, int]:
-    schedule = args.eps_schedule or DEFAULT_SCHEDULE
+    schedule = args.eps_schedule
     report = RunReport("constants", {"eps_schedule": list(schedule)})
     trig = {}
     for name in TRIG_NAMES:
@@ -226,8 +234,8 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
     brute["E"] = res_e.value
     report.add("E", res_e.value, res_e.error_estimate, res_e.method,
                regulator_schedule=list(res_e.regulator_schedule))
-    eta_val = eta(schedule)
-    report.add("eta", eta_val, 0.0, "regulated_quadrature")
+    eta_val = eta()
+    report.add("eta", eta_val, 0.0, "exact")
 
     for name in ("I0", "I1", "A", "C"):
         if math.copysign(1.0, trig[name]) != math.copysign(1.0, brute[name]):
@@ -255,18 +263,16 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
 
 
 def _cmd_eta(args) -> tuple[RunReport, int]:
-    schedule = args.eps_schedule or DEFAULT_SCHEDULE
-    rep = eta_consistency(schedule=schedule)
-    report = RunReport("eta", {"eps_schedule": list(schedule),
-                               "eta_reference": rep.eta_reference})
-    report.add("eta", rep.eta_quadrature, 0.0, "regulated_quadrature")
+    rep = eta_consistency()
+    report = RunReport("eta", {"eta_reference": rep.eta_reference})
+    report.add("eta", rep.eta_quadrature, 0.0, "exact")
     report.add("eta_reference", rep.eta_reference, 0.0, "reference")
     report.add("D_implied", rep.d_implied, 0.0, "reference")
-    report.add("D_quadrature", rep.d_quadrature, 0.0, "regulated_quadrature")
+    report.add("D_quadrature", rep.d_quadrature, 0.0, "exact")
     report.add("D_ratio", rep.ratio, 0.0, "derived")
     report.warnings.append(
         f"D implied by the reference eta ({rep.d_implied:.2f}) differs from "
-        f"the quadrature value ({rep.d_quadrature:.4f}) by a factor "
+        f"the computed value ({rep.d_quadrature:.4f}) by a factor "
         f"{rep.ratio:.0f}; the reference eta does not pin D")
     if rep.eta_quadrature < 0:
         report.warnings.append(
@@ -275,12 +281,15 @@ def _cmd_eta(args) -> tuple[RunReport, int]:
 
 
 def _cmd_freq_check(args) -> tuple[RunReport, int]:
-    tol = args.tol if args.tol is not None else 1e-5
+    if args.pairs < 0:
+        raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     rng = np.random.default_rng(args.seed)
     pairs = [(1.0, 1.0), (2.0, 1.0), (0.1, 10.0)]
     pairs += [tuple(10.0 ** rng.uniform(-1.0, 1.0, 2)) for _ in range(args.pairs)]
     report = RunReport("freq-check", {"pairs": len(pairs), "seed": args.seed,
-                                      "epsilon": args.epsilon, "tol": tol})
+                                      "epsilon": args.epsilon, "tol": args.tol})
     worst = 0.0
     for k, kp in pairs:
         for kind in ("transverse", "one_longitudinal"):
@@ -292,9 +301,9 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
                        closed_form_imag=res.closed_form.imag,
                        rel_error=res.rel_error)
     report.add("worst_rel_error", worst, 0.0, "derived")
-    if worst > tol:
+    if worst > args.tol:
         report.warnings.append(
-            f"oracle deviates from closed form by {worst:.2e} (> {tol:.0e})")
+            f"oracle deviates from closed form by {worst:.2e} (> {args.tol:.0e})")
         return report, EXIT_NUMERICAL
     return report, EXIT_OK
 
@@ -306,7 +315,7 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
     hbar_omega0_ev = (CONSTANTS.hbar_si * spec.omega0 / CONSTANTS.ev_in_joule)
     if getattr(args, "hbar_omega0_eV") is not None:
         given = args.hbar_omega0_eV
-        if abs(given - hbar_omega0_ev) > 1e-6 * abs(hbar_omega0_ev):
+        if not abs(given - hbar_omega0_ev) <= 1e-6 * abs(hbar_omega0_ev):
             raise ValueError(
                 f"--hbar-omega0-eV = {given} is inconsistent with the value "
                 f"{hbar_omega0_ev:.9g} eV derived from --alpha0/--gamma")
@@ -362,6 +371,11 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
         pred = magneto_chiral(sphere, args.b)
         inputs["b_tesla"] = list(map(float, args.b))
     elif args.model == "feigel":
+        for flag, val in (("--lambda-cut-nm", args.lambda_cut_nm),
+                          ("--mu", args.mu)):
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{flag} must be positive and finite, "
+                                 f"got {val!r}")
         chi_scale = (args.chi_s0 if args.chi_s0 is not None
                      else material.me_coupling)
         rho = args.rho if args.rho is not None else material.mass_density
@@ -408,14 +422,16 @@ def run(argv=None) -> int:
     handler = _HANDLERS[args.subcommand]
     try:
         report, code = handler(args)
+        output = report.render(args.format)
     except (ValueError, ScheduleError, MissingCoefficientError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConvergenceError, QuadratureError, DivergenceSuspectedError) as exc:
+    except (ConvergenceError, QuadratureError, DivergenceSuspectedError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(report.render(args.format))
+    print(output)
     return code
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .tensor_assembly import _EPS3
 from .units_materials import CONSTANTS
 
 __all__ = [
@@ -141,19 +142,10 @@ def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
     for i in range(3):
         for j in range(3):
             for l in range(3):
-                # eps_ijl via the antisymmetric generator pattern
-                m[i, j] += _levi(i, j, l) * beta[l]
+                m[i, j] += _EPS3[i, j, l] * beta[l]
     amp = _t0_kappa(spec, kappa)
     correction = (-1j * _phi(k) @ m.T + 1j * m @ _phi(kp)) / kappa
     return amp * (np.eye(3) + correction)
-
-
-def _levi(i: int, j: int, k: int) -> float:
-    if (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        return 1.0
-    if (i, j, k) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        return -1.0
-    return 0.0
 
 
 def p_rad_spectral(spec: DipoleSpec, omega: float, v) -> np.ndarray:

@@ -44,8 +44,6 @@ __all__ = [
     "replay",
 ]
 
-MODELS = ("first_born", "me_sphere", "moving_sphere", "magneto_chiral")
-
 _PERTURBATIVE_NOTE = ("dielectric contrast |epsilon-1| > 0.5: closed form "
                       "extrapolated beyond its perturbative window; "
                       "order-of-magnitude only")

@@ -157,16 +157,16 @@ def regularized_K(a: float) -> float:
     return -math.pi**2 / (12.0 * a)
 
 
-def eta(schedule=None, constants: dict | None = None) -> float:
+def eta(constants: dict | None = None) -> float:
     """The pure number governing the sphere momentum:
 
         eta = (I0 - I1 + C/3 - A/3 + D/3 - E/2) / (192 pi^2)
 
-    evaluated with the reconciled constant set (brute-force signs, trig
-    magnitudes).  Pass `constants` to evaluate the same combination for any
-    explicit set.
+    evaluated with the exact constant table (reconciled_constants), which
+    gives -29/(1152 pi).  Pass `constants` to evaluate the same combination
+    for any explicit set.
     """
-    c = reconciled_constants(schedule) if constants is None else constants
+    c = reconciled_constants() if constants is None else constants
     numerator = (c["I0"] - c["I1"] + c["C"] / 3.0 - c["A"] / 3.0
                  + c["D"] / 3.0 - c["E"] / 2.0)
     return numerator / (192.0 * math.pi**2)
@@ -178,9 +178,11 @@ class EtaConsistencyReport:
 
     d_implied is the D value that would make the reference eta exact given the
     reference magnitudes of the other constants taken at face value;
-    d_quadrature is the directly computed value.  Their ratio is the headline
-    number: order unity would mean the published eta pins D; the actual result
-    is a factor ~150, so it does not.
+    d_quadrature is the computed value, 3 pi/16 from the exact constant table
+    (which the regulated quadrature confirms), and eta_quadrature the computed
+    eta.  The field names are kept because the CLI report rows carry them.
+    The ratio is the headline number: order unity would mean the published
+    eta pins D; the actual result is a factor ~150, so it does not.
     """
 
     eta_reference: float
@@ -191,26 +193,25 @@ class EtaConsistencyReport:
     eta_quadrature: float
 
 
-def eta_consistency(eta_value: float = REFERENCE_ETA,
-                    schedule=None) -> EtaConsistencyReport:
+def eta_consistency(eta_value: float = REFERENCE_ETA) -> EtaConsistencyReport:
     """Solve the eta formula for D using reference face values and compare.
 
     D_implied = 3 (eta * 192 pi^2 - (I0 - I1 + C/3 - A/3 - E/2)), with the
     other constants at their reference magnitudes (signs as printed), compared
-    against the quadrature value of D.  Diagnostic only — never raises on
-    disagreement.
+    against the computed D of the exact constant table.  Diagnostic only —
+    never raises on disagreement.
     """
     r = REFERENCE_MAGNITUDES
     partial = (r["I0"] - r["I1"] + r["C"] / 3.0 - r["A"] / 3.0 - r["E"] / 2.0)
     d_implied = 3.0 * (eta_value * 192.0 * math.pi**2 - partial)
-    d_quadrature = reconciled_constants(schedule)["D"]
+    d_quadrature = reconciled_constants()["D"]
     return EtaConsistencyReport(
         eta_reference=eta_value,
         d_implied=d_implied,
         d_quadrature=d_quadrature,
         discrepancy=d_implied - d_quadrature,
         ratio=d_implied / d_quadrature,
-        eta_quadrature=eta(schedule),
+        eta_quadrature=eta(),
     )
 
 
@@ -224,7 +225,6 @@ def _contraction_difference(tensor: np.ndarray) -> np.ndarray:
 
 
 def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
-                         schedule=None,
                          constants: dict | None = None) -> BornMomentumBreakdown:
     """Radiated zero-point momentum of the sphere via the full tensor path.
 
@@ -242,7 +242,7 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
         raise PerturbativeDomainError(
             f"|epsilon - 1| = {abs(eps_r - 1.0):.3g} exceeds 0.5; the "
             "second-order expansion is not trustworthy there")
-    c = reconciled_constants(schedule) if constants is None else constants
+    c = reconciled_constants() if constants is None else constants
     K = regularized_K(sphere.radius)
     contrast = eps_r - 1.0
     hbar = CONSTANTS.hbar_si
@@ -296,14 +296,13 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
 
 
 def closed_form_p_rad(sphere: SphereSpec, chi: ChiTensor,
-                      schedule=None, eta_value: float | None = None
-                      ) -> np.ndarray:
+                      eta_value: float | None = None) -> np.ndarray:
     """P_rad = -eta (hbar/a) (epsilon - 1) w, the collapsed form of the tensor
     path (SI kg m/s).  Identical to second_born_momentum().total when the same
     constant set feeds both; exposed separately so order-of-magnitude
     predictions can extrapolate it outside the strict perturbative window.
     """
-    ev = eta(schedule) if eta_value is None else eta_value
+    ev = eta() if eta_value is None else eta_value
     w = axial_vector(chi.matrix)
     contrast = sphere.material.epsilon - 1.0
     return -ev * (CONSTANTS.hbar_si / sphere.radius) * contrast * w

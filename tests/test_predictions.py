@@ -149,6 +149,10 @@ def test_moving_sphere_at_rest_and_scaling():
     double_a = SphereSpec(radius=2e-6, material=sphere.material)
     assert moving_sphere(double_a, (1, 0, 0)).mass_shift == \
         0.5 * moving_sphere(sphere, (1, 0, 0)).mass_shift
+    # first order in v/c0: the model refuses |v|/c0 >= 0.01
+    moving_sphere(sphere, (0.009 * CONSTANTS.c0_si, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        moving_sphere(sphere, (0.02 * CONSTANTS.c0_si, 0.0, 0.0))
 
 
 # --- magneto-chiral ---------------------------------------------------------

@@ -105,8 +105,8 @@ def test_chi_kind_invariants_enforced():
 
 def test_eta_value():
     value = eta()
-    # assembled from exact trig magnitudes, this collapses to -29/(1152 pi)
-    assert value == pytest.approx(-29.0 / (1152.0 * math.pi), rel=1e-4)
+    # assembled from the exact constant table, this collapses to -29/(1152 pi)
+    assert value == -29.0 / (1152.0 * math.pi)
     # magnitude within 5% of the literature reference value 0.007909
     assert abs(value) == pytest.approx(0.007909, rel=0.05)
     assert value < 0.0
@@ -115,7 +115,7 @@ def test_eta_value():
 def test_eta_consistency_reports_d_discrepancy():
     rep = eta_consistency()
     assert rep.eta_reference == 0.007909
-    assert rep.d_quadrature == pytest.approx(3.0 * math.pi / 16.0, rel=1e-3)
+    assert rep.d_quadrature == 3.0 * math.pi / 16.0
     # the D value implied by the reference eta is two orders away from the
     # quadrature value: the reference eta does not pin D
     assert rep.d_implied == pytest.approx(87.6, rel=0.05)

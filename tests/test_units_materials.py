@@ -106,13 +106,6 @@ def test_field_config_rejects_bad_vectors():
         FieldConfig(b0=(1.0, float("nan"), 0.0))
 
 
-def test_field_config_velocity_bound():
-    ok = FieldConfig(velocity=(0.009 * CONSTANTS.c0_si, 0.0, 0.0))
-    assert np.linalg.norm(ok.velocity) < CONSTANTS.c0_si
-    with pytest.raises(ValueError):
-        FieldConfig(velocity=(0.02 * CONSTANTS.c0_si, 0.0, 0.0))
-
-
 def test_material_json_round_trip(tmp_path):
     mat = MaterialSpec(epsilon=1.7, mass_density=1234.5, me_coupling=1e-5,
                        verdet_v0=2e-26, chirality_g=3e-4)
@@ -146,3 +139,14 @@ def test_bundled_presets():
     assert generic.me_coupling == 0.0
     with pytest.raises(FileNotFoundError):
         preset_path("unobtanium")
+
+
+def test_preset_path_accepts_only_bare_names(tmp_path):
+    # a name with a directory part must not lead the lookup elsewhere, and
+    # the error lists the bundled presets, not the files of that directory
+    (tmp_path / "outside.json").write_text("{}")
+    for name in (str(tmp_path / "outside"), "../presets/fegao3",
+                 "/nonexistent"):
+        with pytest.raises(FileNotFoundError,
+                           match=r"\['fegao3', 'generic_dielectric'\]"):
+            preset_path(name)
