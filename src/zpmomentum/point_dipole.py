@@ -219,7 +219,7 @@ def spectral_integral_quadrature(spec: DipoleSpec,
     err_acc = 0.0
     for lo, hi, pts in segments:
         val, err = quad(integrand, lo, hi, points=pts,
-                        epsabs=1e-14, epsrel=1e-11, limit=800)
+                        epsabs=0.0, epsrel=1e-11, limit=800)
         total += val
         err_acc += err
     if err_acc > rel_tol * abs(total):

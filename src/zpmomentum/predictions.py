@@ -152,8 +152,6 @@ def me_sphere_velocity(sphere: SphereSpec, fields: FieldConfig,
     e_hat = e0 / np.linalg.norm(e0)
     b_hat = b0 / np.linalg.norm(b0)
     mass = sphere.mass()
-    if mass <= 0.0:
-        raise ValueError("sphere mass must be positive")
     ev, notes = _eta_and_notes(eta_value)
     if abs(sphere.material.epsilon - 1.0) > 0.5:
         notes.append(_PERTURBATIVE_NOTE)

@@ -142,6 +142,13 @@ class SphereSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
+        try:
+            mass = self.mass()
+        except OverflowError:  # radius**3 beyond the float range
+            mass = math.inf
+        if not (math.isfinite(mass) and mass > 0):
+            raise ValueError(
+                f"sphere mass must be positive and finite, got {mass!r} kg")
 
     @property
     def volume(self) -> float:

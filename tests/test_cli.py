@@ -212,13 +212,18 @@ def test_magneto_chiral_cli_requires_coefficients(capsys):
     assert "verdet" in err
 
 
-def test_magneto_chiral_cli_carries_caveat(tmp_path, capsys):
+def _magneto_chiral_material(tmp_path):
     mat = {"epsilon": 1.5, "mass_density_kg_m3": 1000.0,
            "verdet_v0": 1e-26, "chirality_g": 1e-4}
     path = tmp_path / "mc.json"
     path.write_text(json.dumps(mat))
+    return str(path)
+
+
+def test_magneto_chiral_cli_carries_caveat(tmp_path, capsys):
     report = run_json(capsys, ["predict", "magneto-chiral", "--material",
-                               str(path), "--a-um", "1", "--b", "0,0,1"])
+                               _magneto_chiral_material(tmp_path),
+                               "--a-um", "1", "--b", "0,0,1"])
     assert "macroscopic_model_probably_wrong" in report["warnings"]
 
 
@@ -243,11 +248,19 @@ def _reject_constant(token):
     (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "0"], EXIT_INPUT),
     (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "inf"],
      EXIT_INPUT),
-    # the sphere's mass underflows to zero, so its velocity is infinite
+    # the sphere's mass underflows to zero or overflows
     (["predict", "moving-sphere", "--a-um", "1e-300", "--v", "1,0,0"],
-     EXIT_NUMERICAL),
+     EXIT_INPUT),
+    (["predict", "me-sphere", "--a-um", "1e200"], EXIT_INPUT),
+    (["predict", "feigel", "--a-um", "1e-300", "--lambda-cut-nm", "100"],
+     EXIT_INPUT),
+    (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
+      "1e-300", "--b", "0,0,1"], EXIT_INPUT),
 ])
-def test_hostile_inputs_keep_exit_code_contract(capsys, argv, expected):
+def test_hostile_inputs_keep_exit_code_contract(capsys, recwarn, tmp_path,
+                                                argv, expected):
+    argv = [_magneto_chiral_material(tmp_path) if a == "MC_MATERIAL" else a
+            for a in argv]
     try:
         code = run(argv + ["--format", "json"])
     except SystemExit as exc:  # argparse rejects the value itself
@@ -260,6 +273,7 @@ def test_hostile_inputs_keep_exit_code_contract(capsys, argv, expected):
     assert ("error:" in err) if expected == EXIT_INPUT else \
         ("numerical failure:" in err)
     assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-3"],

@@ -104,6 +104,53 @@ def test_e_defining_kernel_matches_trig_piece_sum():
     assert brute.value == pytest.approx(trig_sum, rel=0.05)
 
 
+# --- the coupled-sum kernel -------------------------------------------------
+
+def _regulated_grid(eps):
+    """The production panel nodes and their damped weights at one eps."""
+    nodes, wts = osc._panel_nodes(osc.PMAX_FACTOR / eps)
+    return nodes, wts * np.exp(-eps * nodes)
+
+
+def _pairwise_pass(eps):
+    """The nine pieces of _regulated_pass(eps) by the direct sum over every
+    node pair, 1024 rows of the coupling matrix at a time."""
+    nodes, damp = _regulated_grid(eps)
+    bessel = {m: sph_bessel_j(m, nodes) for m in (0, 1, 2)}
+    sums = dict.fromkeys(osc._PIECES, 0.0)
+    for lo in range(0, len(nodes), 1024):
+        rows = slice(lo, lo + 1024)
+        coupling = 1.0 / (nodes[rows, None] + nodes[None, :])
+        for name, (a, m, b, n, d, c) in osc._PIECES.items():
+            u = nodes[rows]**a * bessel[m][rows] * damp[rows] * c
+            v = nodes**b * bessel[n] * damp
+            sums[name] += u @ coupling**d @ v
+    return sums
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coupled_sums_reproduce_the_coupling(d):
+    """Unit columns pick single node pairs, at both ends and in the middle of
+    the finest default grid; the exponential sum must return 1/(p_i+p_j)^d."""
+    nodes, _ = _regulated_grid(DEFAULT_SCHEDULE[-1])
+    last, mid = len(nodes) - 1, len(nodes) // 2
+    i, j = np.array([(0, 0), (0, mid), (0, last), (mid, mid), (mid, last),
+                     (last, last)]).T
+    U = np.zeros((len(nodes), len(i)))
+    V = np.zeros_like(U)
+    U[i, np.arange(len(i))] = 1.0
+    V[j, np.arange(len(j))] = 1.0
+    np.testing.assert_allclose(osc._coupled_sums(nodes, U, V, d),
+                               (nodes[i] + nodes[j]) ** -float(d),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_regulated_pass_matches_pairwise_sum():
+    pairwise = _pairwise_pass(0.1)
+    for name, value in osc._regulated_pass(0.1).items():
+        assert value == pytest.approx(pairwise[name], rel=1e-10), name
+
+
 # --- where the E gap lives ---------------------------------------------------
 #
 # Radial kernels c p^a j_m(p) q^b j_n(q) / (p+q), as (c, a, m, b, n); the
@@ -116,25 +163,6 @@ E_PIECE_KERNELS = {
 E_ISOTROPIC_KERNEL = (3.0, 2, 1, 2, 1)  # isotropic part of the same integrand
 
 
-def _regulated_grid(eps):
-    """The production panel nodes and their damped weights at one eps."""
-    nodes, wts = osc._panel_nodes(osc.PMAX_FACTOR / eps)
-    return nodes, wts * np.exp(-eps * nodes)
-
-
-def _coupled_sum(nodes, u, v):
-    """sum_ij u_i v_j / (p_i + p_j), computed apart from the production pass.
-
-    1/x = Int exp(s - x e^s) ds, summed by the trapezoid rule in s (step 1/4,
-    error ~1e-16 for x in [2 p_min, 2 p_max]), turns the double sum into
-    O(N) work per s-node.
-    """
-    t = np.exp(np.arange(math.log(1e-16 / (2.0 * nodes[-1])),
-                         math.log(20.0 / nodes[0]), 0.25))
-    decay = np.exp(-np.outer(t, nodes))
-    return 0.25 * float(np.sum(t * (decay @ u) * (decay @ v)))
-
-
 def _kernel_bruteforce(kernel):
     c, a, m, b, n = kernel
     raw = []
@@ -142,7 +170,7 @@ def _kernel_bruteforce(kernel):
         nodes, damp = _regulated_grid(eps)
         u = nodes**a * sph_bessel_j(m, nodes) * damp
         v = nodes**b * sph_bessel_j(n, nodes) * damp
-        raw.append(c * _coupled_sum(nodes, u, v))
+        raw.append(c * osc._coupled_sums(nodes, u, v, 1))
     return osc._richardson(DEFAULT_SCHEDULE, raw)
 
 
@@ -155,12 +183,6 @@ def test_e_gap_is_carried_by_e1():
     checked at eps = 0.1 by direct quadrature over both polar angles of the
     6-D integrand, with n along z.
     """
-    # the separable sum reproduces the production pass on a shared kernel
-    nodes, damp = _regulated_grid(0.1)
-    x1 = nodes**3 * sph_bessel_j(1, nodes) * damp
-    assert _coupled_sum(nodes, x1, x1) == pytest.approx(
-        osc._regulated_pass(0.1)["I1_1"], rel=1e-10)
-
     for name, kernel in E_PIECE_KERNELS.items():
         assert _kernel_bruteforce(kernel) == pytest.approx(
             eval_trig(name).value, rel=1e-6), name
@@ -172,12 +194,13 @@ def test_e_gap_is_carried_by_e1():
         trig["E1"] - isotropic, rel=1e-6)
 
     # <k^_i k^_j e^{ik.z}> is diagonal: (1 - mu^2)/2 twice, mu^2 once
+    nodes, damp = _regulated_grid(0.1)
     mu, w = np.polynomial.legendre.leggauss(400)
     phase = np.cos(np.outer(nodes, mu)) * (0.5 * w)
     transverse = nodes**3 * (phase @ (0.5 * (1.0 - mu**2))) * damp
     along = nodes**3 * (phase @ mu**2) * damp
-    direct = (2.0 * _coupled_sum(nodes, transverse, transverse)
-              + _coupled_sum(nodes, along, along))
+    direct = (2.0 * osc._coupled_sums(nodes, transverse, transverse, 1)
+              + osc._coupled_sums(nodes, along, along, 1))
     reduced = osc._regulated_pass(0.1)
     assert direct == pytest.approx(reduced["E_0"] + reduced["E_2"], rel=1e-10)
 
@@ -208,16 +231,6 @@ def test_schedule_validation():
         eval_bruteforce("I0", schedule=(0.3, 0.1))    # out of (0, 0.2]
     with pytest.raises(ScheduleError):
         eval_bruteforce("I0", schedule=(0.1, 0.0))
-
-
-def test_prefactor_scales_result_exactly():
-    base = eval_bruteforce("I0")
-    doubled = eval_bruteforce("I0", prefactor=2.0)
-    assert doubled.value == 2.0 * base.value
-    assert doubled.error_estimate == 2.0 * base.error_estimate
-    e_base = eval_E_bruteforce()
-    e_doubled = eval_E_bruteforce(prefactor=2.0)
-    assert e_doubled.value == 2.0 * e_base.value
 
 
 def test_drop_one_stability_below_1_percent():

@@ -13,6 +13,8 @@ from zpmomentum.point_dipole import (DipoleSpec, QuadratureError, mass_shift,
 from zpmomentum.units_materials import CONSTANTS
 
 NARROW = DipoleSpec(alpha=1.0, alpha0=1.0, gamma=1e-4)
+# alpha 1e-30 m^3, alpha0 5e-31 m^3, gamma 1e-12 m: |J| is about 4e-17 cm^2
+ATOMIC = DipoleSpec(alpha=1e-24, alpha0=5e-25, gamma=1e-10)
 
 
 def random_narrow_spec(rng):
@@ -129,8 +131,7 @@ def test_p_rad_spectral_is_along_velocity():
 
 
 def test_spectral_integral_quadrature_matches_exact(rng):
-    for _ in range(5):
-        spec = random_narrow_spec(rng)
+    for spec in [random_narrow_spec(rng) for _ in range(5)] + [ATOMIC]:
         j_quad = spectral_integral_quadrature(spec)
         j_exact = spectral_integral_exact(spec)
         assert j_quad == pytest.approx(j_exact, rel=1e-6)

@@ -80,6 +80,10 @@ def test_sphere_geometry():
         SphereSpec(radius=0.0, material=mat)
     with pytest.raises(ValueError):
         SphereSpec(radius=-1e-6, material=mat)
+    with pytest.raises(ValueError, match="mass"):
+        SphereSpec(radius=1e-300, material=mat)  # radius**3 underflows to 0
+    with pytest.raises(ValueError, match="mass"):
+        SphereSpec(radius=1e200, material=mat)   # radius**3 overflows
 
 
 vec3 = st.lists(st.floats(min_value=-1e3, max_value=1e3,
