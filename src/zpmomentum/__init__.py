@@ -10,15 +10,13 @@ __version__ = "0.1.0"
 
 from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
                               PhysicalConstants, SphereSpec,
-                              material_from_json, material_to_json,
-                              preset_path)
-from .special_functions import sph_bessel_j, sphere_form_factor
+                              material_from_json, preset_path)
+from .special_functions import sph_bessel_j
 from .contour_frequency import (FreqIntegralResult, compare, freq_closed_form,
                                 freq_oracle)
 from .oscillatory_integrals import (DEFAULT_SCHEDULE, IntegralResult,
-                                    eval_E_bruteforce, eval_bruteforce,
-                                    eval_trig, reconciled_constants,
-                                    solve_D1_D3)
+                                    eval_bruteforce, eval_trig,
+                                    reconciled_constants, solve_D1_D3)
 from .tensor_assembly import (ChiTensor, axial_vector, closed_form_p_rad, eta,
                               eta_consistency, regularized_K,
                               second_born_momentum)
@@ -33,11 +31,11 @@ from .predictions import (Prediction, empty_vacuum_momentum, first_born,
 __all__ = [
     "__version__",
     "CONSTANTS", "PhysicalConstants", "MaterialSpec", "SphereSpec",
-    "FieldConfig", "material_from_json", "material_to_json", "preset_path",
-    "sph_bessel_j", "sphere_form_factor",
+    "FieldConfig", "material_from_json", "preset_path",
+    "sph_bessel_j",
     "FreqIntegralResult", "freq_closed_form", "freq_oracle", "compare",
     "DEFAULT_SCHEDULE", "IntegralResult", "eval_trig", "eval_bruteforce",
-    "eval_E_bruteforce", "reconciled_constants", "solve_D1_D3",
+    "reconciled_constants", "solve_D1_D3",
     "ChiTensor", "axial_vector", "regularized_K", "eta", "eta_consistency",
     "second_born_momentum", "closed_form_p_rad",
     "DipoleSpec", "t0", "t_matrix", "p_rad_spectral", "p_rad_total",

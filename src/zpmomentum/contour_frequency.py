@@ -30,8 +30,6 @@ __all__ = [
     "KINDS",
     "FreqIntegralResult",
     "ConvergenceError",
-    "freq_integral_transverse",
-    "freq_integral_one_longitudinal",
     "freq_closed_form",
     "freq_oracle",
     "compare",
@@ -69,31 +67,21 @@ def _validate(kind: str, k: float, kp: float) -> None:
         raise ValueError(f"wavenumbers must be positive, got k={k!r}, kp={kp!r}")
 
 
-def freq_integral_transverse(k: float, kp: float) -> complex:
-    """Closed form of the omega^4 integral: -(i pi / 4) (k + 2 kp) / (k + kp)^2.
-
-    Homogeneous of degree -1 in (k, kp) and purely imaginary.
-    """
-    _validate("transverse", k, kp)
-    return -0.25j * math.pi * (k + 2.0 * kp) / (k + kp) ** 2
-
-
-def freq_integral_one_longitudinal(k: float, kp: float) -> complex:
-    """Closed form of the omega^2 integral: +(i pi / 4) / (k (k + kp)^2).
-
-    Homogeneous of degree -3 in (k, kp) and purely imaginary.  The squared
-    denominator carries k; the single denominator carries kp.
-    """
-    _validate("one_longitudinal", k, kp)
-    return 0.25j * math.pi / (k * (k + kp) ** 2)
-
-
 def freq_closed_form(kind: str, k: float, kp: float) -> complex:
-    """Dispatch to the closed form for the given kind."""
+    """Closed form of the frequency integral of the given kind.
+
+    transverse:        -(i pi / 4) (k + 2 kp) / (k + kp)^2, the omega^4
+                       integral, homogeneous of degree -1 in (k, kp);
+    one_longitudinal:  +(i pi / 4) / (k (k + kp)^2), the omega^2 integral,
+                       homogeneous of degree -3.  The squared denominator
+                       carries k; the single denominator carries kp.
+
+    Both are purely imaginary.
+    """
     _validate(kind, k, kp)
     if kind == "transverse":
-        return freq_integral_transverse(k, kp)
-    return freq_integral_one_longitudinal(k, kp)
+        return -0.25j * math.pi * (k + 2.0 * kp) / (k + kp) ** 2
+    return 0.25j * math.pi / (k * (k + kp) ** 2)
 
 
 def _quad_cplx(func, lo, hi, pts=None) -> tuple[complex, float]:
@@ -171,12 +159,9 @@ def _regulated_single(kind: str, k: float, kp: float, eps_scaled: float
     total += v
     errtot += err
     # decaying tail: integrand ~ u^(pw-6) out here
-    vr, er = quad(lambda u: f(u).real, upper, np.inf, epsabs=1e-14, epsrel=1e-12,
-                  limit=400)
-    vi, ei = quad(lambda u: f(u).imag, upper, np.inf, epsabs=1e-14, epsrel=1e-12,
-                  limit=400)
-    total += complex(vr, vi)
-    errtot += er + ei
+    v, err = _quad_cplx(f, upper, np.inf)
+    total += v
+    errtot += err
     return prefac * total, abs(prefac) * errtot
 
 

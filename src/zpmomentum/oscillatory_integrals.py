@@ -11,8 +11,9 @@ Two routes are implemented and kept strictly separate:
 * eval_trig: closed-form polar-coordinate reductions to elementary 1-D
   trigonometric integrals on [0, pi/2], evaluated by adaptive quadrature.
   These exist for I0, I1, A, C and for the three pieces E1, E2, E3 of E.
-* eval_bruteforce / eval_E_bruteforce: direct regulated double quadrature of
-  the defining (p, q) kernels with Richardson extrapolation in the regulator.
+* eval_bruteforce: direct regulated double quadrature of the defining (p, q)
+  kernels of all six constants, with Richardson extrapolation in the
+  regulator.
 
 The two routes share no algebra, so their agreement (disagreement) is a real
 cross-check.  The constant set used downstream, reconciled_constants(), is a
@@ -37,10 +38,8 @@ __all__ = [
     "DivergenceSuspectedError",
     "DEFAULT_SCHEDULE",
     "TRIG_NAMES",
-    "BRUTEFORCE_NAMES",
     "eval_trig",
     "eval_bruteforce",
-    "eval_E_bruteforce",
     "solve_D1_D3",
     "reconciled_constants",
 ]
@@ -53,7 +52,6 @@ DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
 PMAX_FACTOR = 50.0  # radial cutoff P_max = PMAX_FACTOR / eps
 
 TRIG_NAMES = ("I0", "I1", "A", "C", "E1", "E2", "E3")
-BRUTEFORCE_NAMES = ("I0", "I1", "A", "C", "D")
 
 
 class ScheduleError(ValueError):
@@ -261,42 +259,17 @@ def _validate_schedule(schedule) -> tuple[float, ...]:
     return sched
 
 
-def _bruteforce(name: str, parts: tuple[str, ...],
-                schedule) -> IntegralResult:
-    sched = _validate_schedule(schedule)
-    raw = [sum(_regulated_pass(e)[p] for p in parts) for e in sched]
-    full = _richardson(sched, raw)
-    residual = abs(full - _richardson(sched[:-1], raw[:-1]))
-    err = max(residual, abs(full - _richardson(sched[1:], raw[1:])))
-    if residual > 0.05 * abs(full):
-        raise DivergenceSuspectedError(
-            f"extrapolation for {name} is unstable: dropping the smallest "
-            f"regulator moves the result by {residual:.3e} "
-            f"({residual / abs(full):.1%} of {full:.6e})")
-    return IntegralResult(name=name, value=full, error_estimate=err,
-                          method="regulated_quadrature",
-                          regulator_schedule=sched)
-
-
 def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
-    """Regulated double quadrature of a defining radial kernel (I0, I1, A, C, D).
+    """Regulated double quadrature of a defining radial kernel
+    (I0, I1, A, C, D or E).
 
     Integrates the kernel times e^{-eps(p+q)} over [0, 50/eps]^2 for each eps
     in the (strictly descending) schedule and Richardson-extrapolates to
     eps = 0.  Raises DivergenceSuspectedError when the extrapolation residual
     exceeds 5% of the value.
-    """
-    if name not in BRUTEFORCE_NAMES:
-        raise ValueError(
-            f"no radial kernel named {name!r}; available: {BRUTEFORCE_NAMES}")
-    return _bruteforce(name, _ASSEMBLY[name], schedule)
 
-
-def eval_E_bruteforce(schedule=DEFAULT_SCHEDULE) -> IntegralResult:
-    """Regulated quadrature of the phase-type kernel E.
-
-    The defining object is a 6-D integral over two dimensionless wavevectors
-    with a relative phase factor,
+    E is the phase-type kernel.  Its defining object is a 6-D integral over
+    two dimensionless wavevectors with a relative phase factor,
 
         E = (4 pi)^-2 Int d^3p d^3q  p q (p^.q^)^2 e^{i (p - q).n} / (p + q),
 
@@ -322,10 +295,26 @@ def eval_E_bruteforce(schedule=DEFAULT_SCHEDULE) -> IntegralResult:
     3 p^3 q^3 j1(p) j1(q) / (p+q) = 21 pi/8: the isotropic part without its
     1/(pq).  That term alone carries the 3 pi/4 between E1 + E2 + E3 = 49 pi/8
     and this route.  The package keeps the trig sum downstream (CHANGES.md).
-
-    Schedule handling and divergence detection match eval_bruteforce.
     """
-    return _bruteforce("E", _ASSEMBLY["E"], schedule)
+    try:
+        parts = _ASSEMBLY[name]
+    except KeyError:
+        raise ValueError(
+            f"no radial kernel named {name!r}; "
+            f"available: {tuple(_ASSEMBLY)}") from None
+    sched = _validate_schedule(schedule)
+    raw = [sum(_regulated_pass(e)[p] for p in parts) for e in sched]
+    full = _richardson(sched, raw)
+    residual = abs(full - _richardson(sched[:-1], raw[:-1]))
+    err = max(residual, abs(full - _richardson(sched[1:], raw[1:])))
+    if residual > 0.05 * abs(full):
+        raise DivergenceSuspectedError(
+            f"extrapolation for {name} is unstable: dropping the smallest "
+            f"regulator moves the result by {residual:.3e} "
+            f"({residual / abs(full):.1%} of {full:.6e})")
+    return IntegralResult(name=name, value=full, error_estimate=err,
+                          method="regulated_quadrature",
+                          regulator_schedule=sched)
 
 
 def solve_D1_D3(D: float, E: float) -> tuple[float, float]:
@@ -349,7 +338,7 @@ _EXACT_CONSTANTS: dict[str, float] = {
     # and the regulated quadrature agrees to about 2e-8.
     "D": 3.0 * math.pi / 16.0,
     # E: the trig piece sum E1 + E2 + E3 = (21 - 35 + 63) pi/8.  The defining
-    # kernel gives 43 pi/8; the gap is E1 (see eval_E_bruteforce).
+    # kernel gives 43 pi/8; the gap is E1 (see eval_bruteforce).
     "E": 49.0 * math.pi / 8.0,
 }
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .tensor_assembly import _EPS3
+from .tensor_assembly import _eps_dot
 from .units_materials import CONSTANTS
 
 __all__ = [
@@ -109,14 +109,6 @@ def t0(spec: DipoleSpec, omega: float) -> complex:
     return _t0_kappa(spec, omega / CONSTANTS.c0_gaussian)
 
 
-def _phi(p: np.ndarray) -> np.ndarray:
-    """The momentum rotation generator (phi_p)_{nm} = i eps_{nml} p_l."""
-    px, py, pz = p
-    return 1j * np.array([[0.0, pz, -py],
-                          [-pz, 0.0, px],
-                          [py, -px, 0.0]])
-
-
 def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
     """Summed 3x3 t-matrix of the moving dipole, first order in v/c0.
 
@@ -126,7 +118,8 @@ def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
 
         T = t0 [ 1 + (1/kappa) (-i phi_k M^T + i M phi_kp) ]
 
-    — linear in v, equal to t0 * identity at rest.  For kp = k the correction
+    with the momentum rotation generator (phi_p)_nm = i eps_nml p_l.  T is
+    linear in v, equal to t0 * identity at rest.  For kp = k the correction
     is the symmetric traceless-for-orthogonal-v matrix
     -(t0/kappa)[k v + v k - 2 (k.v) 1].
     """
@@ -138,13 +131,10 @@ def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
     if np.linalg.norm(beta) >= 0.01:
         raise ValueError("|v|/c0 must stay below 0.01")
     kappa = omega / CONSTANTS.c0_gaussian
-    m = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            for l in range(3):
-                m[i, j] += _EPS3[i, j, l] * beta[l]
+    m = _eps_dot(beta)
     amp = _t0_kappa(spec, kappa)
-    correction = (-1j * _phi(k) @ m.T + 1j * m @ _phi(kp)) / kappa
+    phi_k, phi_kp = 1j * _eps_dot(k), 1j * _eps_dot(kp)
+    correction = (-1j * phi_k @ m.T + 1j * m @ phi_kp) / kappa
     return amp * (np.eye(3) + correction)
 
 

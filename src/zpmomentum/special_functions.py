@@ -1,20 +1,16 @@
-"""Spherical Bessel functions of low order and the sphere form factor.
+"""Spherical Bessel functions of low order.
 
-The vacuum-mode integrands only ever need j0, j1, j2 and the closed-form
-Fourier transform of a uniform ball.  These are written out explicitly (with
-small-argument series) rather than routed through the generic special-function
-machinery: the integration engine evaluates them on millions of quadrature
-nodes and the closed forms vectorize cleanly.
+The vacuum-mode integrands only ever need j0, j1 and j2.  These are written
+out explicitly (with small-argument series) rather than routed through the
+generic special-function machinery: the integration engine evaluates them on
+millions of quadrature nodes and the closed forms vectorize cleanly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["sph_bessel_j", "FormFactorArgs", "sphere_form_factor", "SERIES_CROSSOVER"]
+__all__ = ["sph_bessel_j", "SERIES_CROSSOVER"]
 
 # Below this |x| the closed forms lose digits to cancellation: j2 subtracts
 # terms of size ~3/x^2 to produce a result of size x^2/15, so its relative
@@ -22,16 +18,6 @@ __all__ = ["sph_bessel_j", "FormFactorArgs", "sphere_form_factor", "SERIES_CROSS
 # 0.5 keeps the closed forms comfortably accurate, and the truncated series
 # are converged to ~1e-16 relative over the whole series branch.
 SERIES_CROSSOVER = 0.5
-
-
-def _j0_series(x2: np.ndarray) -> np.ndarray:
-    # sin(x)/x = sum_k (-1)^k x^(2k) / (2k+1)!
-    out = np.ones_like(x2)
-    term = np.ones_like(x2)
-    for k in range(1, 9):
-        term = term * (-x2) / ((2 * k) * (2 * k + 1))
-        out = out + term
-    return out
 
 
 def _jn_series(n: int, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -65,8 +51,7 @@ def sph_bessel_j(n: int, x) -> np.ndarray | float:
 
     xs = x_arr[small]
     if xs.size:
-        x2 = xs * xs
-        out[small] = _j0_series(x2) if n == 0 else _jn_series(n, xs, x2)
+        out[small] = _jn_series(n, xs, xs * xs)
 
     xl = x_arr[~small]
     if xl.size:
@@ -80,35 +65,3 @@ def sph_bessel_j(n: int, x) -> np.ndarray | float:
 
     return float(out[0]) if scalar else out
 
-
-@dataclass(frozen=True)
-class FormFactorArgs:
-    """Arguments of the uniform-ball form factor: momentum q >= 0, radius a > 0."""
-
-    q: float
-    a: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.q) and self.q >= 0):
-            raise ValueError(f"q must be >= 0, got {self.q!r}")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"a must be > 0, got {self.a!r}")
-
-
-def sphere_form_factor(args: FormFactorArgs) -> float:
-    """Fourier transform of the indicator of a ball of radius a.
-
-    theta(q) = 4 pi (sin(qa) - qa cos(qa)) / q^3, with the q -> 0 limit equal
-    to the ball volume 4 pi a^3 / 3.  Equivalently 4 pi a^3 j1(qa)/(qa).
-    """
-    q, a = args.q, args.a
-    z = q * a
-    if z < SERIES_CROSSOVER:
-        z2 = z * z
-        # (sin z - z cos z) / z^3 * 3 expanded around z = 0
-        series = 1.0 - z2 / 10.0 * (
-            1.0 - z2 / 28.0 * (1.0 - z2 / 54.0 * (
-                1.0 - z2 / 88.0 * (1.0 - z2 / 130.0 * (1.0 - z2 / 180.0))))
-        )
-        return 4.0 * math.pi * a**3 / 3.0 * series
-    return 4.0 * math.pi * (math.sin(z) - z * math.cos(z)) / q**3

@@ -32,7 +32,6 @@ __all__ = [
     "EtaConsistencyReport",
     "PerturbativeDomainError",
     "REFERENCE_ETA",
-    "levi_civita",
     "axial_vector",
     "regularized_K",
     "eta",
@@ -54,28 +53,27 @@ class PerturbativeDomainError(ValueError):
     """Dielectric contrast too large for the second-order Born treatment."""
 
 
-def levi_civita() -> np.ndarray:
-    """The rank-3 alternating tensor as an explicit 3x3x3 array."""
-    eps = np.zeros((3, 3, 3))
-    for (i, j, k), sign in (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-                            ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0)):
-        eps[i, j, k] = sign
-    return eps
+# The rank-3 alternating tensor eps_ijk.
+_EPS3 = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+                  [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                  [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 
 
-_EPS3 = levi_civita()
+def _eps_dot(v) -> np.ndarray:
+    """The matrix eps_ijk v_k.  Adding 0.0 turns every -0.0 into +0.0, so
+    the entries match a sum accumulated from +0.0."""
+    x, y, z = v
+    return np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]]) + 0.0
 
 
 def axial_vector(matrix: np.ndarray) -> np.ndarray:
     """w_i = sum_{n,m} eps_{inm} M_{mn}: the axial vector of (the antisymmetric
-    part of) a 3x3 matrix.  Vanishes identically for symmetric M."""
+    part of) a 3x3 matrix.  Each component is a difference of transposed
+    entries, so it vanishes exactly for symmetric M; adding 0.0 turns a
+    -0.0 into +0.0, as in _eps_dot."""
     m = np.asarray(matrix, dtype=float)
-    w = np.zeros(3)
-    for i in range(3):
-        for n in range(3):
-            for mm in range(3):
-                w[i] += _EPS3[i, n, mm] * m[mm, n]
-    return w
+    return np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0],
+                     m[1, 0] - m[0, 1]]) + 0.0
 
 
 @dataclass(frozen=True)
@@ -117,12 +115,7 @@ class ChiTensor:
     def moving_medium(cls, epsilon: float, velocity_si) -> "ChiTensor":
         """chi_ij = (1 - epsilon) eps_ijk v_k / c0 for a medium moving at v (m/s)."""
         v = np.asarray(velocity_si, dtype=float) / CONSTANTS.c0_si
-        m = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    m[i, j] += (1.0 - epsilon) * _EPS3[i, j, k] * v[k]
-        return cls(matrix=m, kind="moving_medium")
+        return cls(matrix=_eps_dot((1.0 - epsilon) * v), kind="moving_medium")
 
     @classmethod
     def chiral(cls, g: float) -> "ChiTensor":

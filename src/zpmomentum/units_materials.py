@@ -1,9 +1,9 @@
-"""Physical constants, SI/Gaussian unit conversion, and input specifications.
+"""Physical constants, SI-to-Gaussian unit conversion, and input specifications.
 
 Internally the numerical core works in Gaussian (CGS) units, usually with
 lengths in centimeters; all boundary values (CLI flags, material files,
 reported results) are SI.  This module holds the constant values, a
-table-driven converter between the two systems, and the validated dataclasses
+table-driven SI-to-Gaussian converter, and the validated dataclasses
 describing materials, spheres and external field configurations.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +21,10 @@ __all__ = [
     "CONSTANTS",
     "UnknownDimensionError",
     "to_gaussian",
-    "from_gaussian",
-    "gaussian_unit",
-    "si_unit",
     "MaterialSpec",
     "SphereSpec",
     "FieldConfig",
-    "s0_vector",
     "material_from_json",
-    "material_to_json",
     "preset_path",
 ]
 
@@ -53,54 +48,34 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
-# dimension tag -> (multiplicative factor SI -> Gaussian, SI unit, Gaussian unit)
-_CONVERSIONS: dict[str, tuple[float, str, str]] = {
-    "length": (1e2, "m", "cm"),
-    "mass": (1e3, "kg", "g"),
-    "time": (1.0, "s", "s"),
-    "frequency": (1.0, "1/s", "1/s"),
-    "velocity": (1e2, "m/s", "cm/s"),
-    "momentum": (1e5, "kg m/s", "g cm/s"),
-    "energy": (1e7, "J", "erg"),
-    "action": (1e7, "J s", "erg s"),
-    "force": (1e5, "N", "dyn"),
-    "mass_density": (1e-3, "kg/m^3", "g/cm^3"),
-    "wavenumber": (1e-2, "1/m", "1/cm"),
-    "volume": (1e6, "m^3", "cm^3"),
-    "magnetic_field": (1e4, "T", "G"),
+# dimension tag -> multiplicative factor SI -> Gaussian
+_CONVERSIONS: dict[str, float] = {
+    "length": 1e2,           # m -> cm
+    "mass": 1e3,             # kg -> g
+    "time": 1.0,             # s
+    "frequency": 1.0,        # 1/s
+    "velocity": 1e2,         # m/s -> cm/s
+    "momentum": 1e5,         # kg m/s -> g cm/s
+    "energy": 1e7,           # J -> erg
+    "action": 1e7,           # J s -> erg s
+    "force": 1e5,            # N -> dyn
+    "mass_density": 1e-3,    # kg/m^3 -> g/cm^3
+    "wavenumber": 1e-2,      # 1/m -> 1/cm
+    "volume": 1e6,           # m^3 -> cm^3
+    "magnetic_field": 1e4,   # T -> G
 }
 
 
-def _lookup(dimension: str) -> tuple[float, str, str]:
+def to_gaussian(value: float, dimension: str) -> float:
+    """Convert an SI value to Gaussian units.  E.g. 1 'length' (m) -> 100 (cm)."""
     try:
-        return _CONVERSIONS[dimension]
+        factor = _CONVERSIONS[dimension]
     except KeyError:
         known = ", ".join(sorted(_CONVERSIONS))
         raise UnknownDimensionError(
             f"unknown dimension {dimension!r}; known dimensions: {known}"
         ) from None
-
-
-def to_gaussian(value: float, dimension: str) -> float:
-    """Convert an SI value to Gaussian units.  E.g. 1 'length' (m) -> 100 (cm)."""
-    factor, _, _ = _lookup(dimension)
     return value * factor
-
-
-def from_gaussian(value: float, dimension: str) -> float:
-    """Inverse of :func:`to_gaussian`; round-trips are exact up to float arithmetic."""
-    factor, _, _ = _lookup(dimension)
-    return value / factor
-
-
-def si_unit(dimension: str) -> str:
-    """Display label of the SI unit for a dimension tag."""
-    return _lookup(dimension)[1]
-
-
-def gaussian_unit(dimension: str) -> str:
-    """Display label of the Gaussian unit for a dimension tag."""
-    return _lookup(dimension)[2]
 
 
 @dataclass(frozen=True)
@@ -185,11 +160,6 @@ class FieldConfig:
         object.__setattr__(self, "b0", _as_vec3(self.b0, "b0"))
 
 
-def s0_vector(fields: FieldConfig) -> np.ndarray:
-    """Poynting-like direction set by the static fields: e0 x b0 (SI units)."""
-    return np.cross(fields.e0, fields.b0)
-
-
 # --- material file IO ------------------------------------------------------
 
 _JSON_KEYS = {
@@ -218,13 +188,6 @@ def material_from_json(path: str | Path) -> MaterialSpec:
         raise ValueError(f"material file {path} is missing required keys: {missing}")
     kwargs = {attr: float(raw[key]) for key, attr in _JSON_KEYS.items() if key in raw}
     return MaterialSpec(**kwargs)
-
-
-def material_to_json(material: MaterialSpec, path: str | Path) -> None:
-    """Write a material description using the same schema material_from_json reads."""
-    data = asdict(material)
-    out = {key: data[attr] for key, attr in _JSON_KEYS.items()}
-    Path(path).write_text(json.dumps(out, indent=2) + "\n")
 
 
 def preset_path(name: str) -> Path:

@@ -1,5 +1,6 @@
 """Command-line interface: reports, formats, schemas, exit codes."""
 
+import contextlib
 import csv
 import importlib
 import io
@@ -8,10 +9,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import zpmomentum
 from zpmomentum import oscillatory_integrals as osc
@@ -256,6 +259,15 @@ def _reject_constant(token):
      EXIT_INPUT),
     (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
       "1e-300", "--b", "0,0,1"], EXIT_INPUT),
+    # float overflow, division by zero and an overflowing norm
+    (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
+      "1e107", "--b", "0,0,1"], EXIT_NUMERICAL),
+    (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "1e-80"],
+     EXIT_NUMERICAL),
+    (["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma", "1e-300"],
+     EXIT_NUMERICAL),
+    (["predict", "me-sphere", "--a-um", "1", "--e0-dir=1,0,0",
+      "--b0-dir=1e300,1e300,0"], EXIT_NUMERICAL),
 ])
 def test_hostile_inputs_keep_exit_code_contract(capsys, recwarn, tmp_path,
                                                 argv, expected):
@@ -274,6 +286,108 @@ def test_hostile_inputs_keep_exit_code_contract(capsys, recwarn, tmp_path,
         ("numerical failure:" in err)
     assert "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# --- the exit-code contract on generated argv --------------------------------
+
+HOSTILE_NUMBERS = ("nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e300",
+                   "-1e300", "1e-300", "1e-80", "1e107", "1", "0.5", "abc", "")
+number = st.sampled_from(HOSTILE_NUMBERS)
+vector = st.one_of(st.lists(number, min_size=1, max_size=4).map(",".join),
+                   st.sampled_from(["1,0,0", "0,1,0", "-1,0,0", ",,", "1,0,"]))
+material = st.sampled_from(["fegao3", "generic_dielectric", "MC_MATERIAL",
+                            "/", "../x", "/nonexistent.json", "no_such"])
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"{name}={v}"])
+
+
+def _optional(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _sphere_argv(model, *extra):
+    return _argv(st.just(["predict", model]), _flag("--material", material),
+                 _flag("--a-um", number), *extra)
+
+
+def _invalid_freq_check(argv):
+    # argv whose validation fails before any oracle call
+    opts = dict(a[2:].split("=", 1) for a in argv[1:])
+    try:
+        pairs = int(opts["pairs"])
+        tol = float(opts["tol"])
+        epsilon = float(opts["epsilon"])
+    except ValueError:
+        return True
+    return pairs < 0 or not (0.0 < tol < float("inf")) or \
+        not (0.0 < epsilon <= 0.1)
+
+
+CLI_ARGV = st.one_of(
+    _sphere_argv("me-sphere", _optional("--e0-dir", vector),
+                 _optional("--b0-dir", vector)),
+    _sphere_argv("moving-sphere", _flag("--v", vector)),
+    _sphere_argv("magneto-chiral", _flag("--b", vector)),
+    _sphere_argv("feigel", _flag("--lambda-cut-nm", number),
+                 _optional("--chi-s0", number), _optional("--rho", number),
+                 _optional("--mu", number),
+                 _optional("--mode", st.sampled_from(["cutoff",
+                                                      "dimensional"]))),
+    _argv(st.just(["dipole"]), _flag("--alpha", number),
+          _flag("--alpha0", number), _flag("--gamma", number),
+          _optional("--hbar-omega0-eV", number)),
+    _argv(st.just(["freq-check"]),
+          _flag("--pairs", st.sampled_from(["-3", "-1", "0", "2", "nan",
+                                            "1e107"])),
+          _flag("--tol", number), _flag("--epsilon", number)
+          ).filter(_invalid_freq_check),
+    _argv(st.just(["constants"]), _optional("--eps-schedule", st.sampled_from(
+        ["0.3,0.1,0.05", "0.05,0.1,0.2", "0.1,0.05", "nan,0.1,0.05",
+         "0.1,0.05,0", "0.1,0.05,-0.025", "inf,0.1,0.05", "0.1,0.1,0.05",
+         "1e300", "a,b,c", ""]))),
+    st.sampled_from([["eta"], ["empty-vacuum"]]),
+)
+
+
+@pytest.fixture(scope="module")
+def mc_material(tmp_path_factory):
+    return _magneto_chiral_material(tmp_path_factory.mktemp("material"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=CLI_ARGV)
+@example(argv=["predict", "magneto-chiral", "--material", "MC_MATERIAL",
+               "--a-um", "1e107", "--b", "0,0,1"])
+@example(argv=["predict", "feigel", "--a-um", "1", "--lambda-cut-nm",
+               "1e-80"])
+@example(argv=["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma",
+               "1e-300"])
+@example(argv=["predict", "me-sphere", "--a-um", "1", "--e0-dir=1,0,0",
+               "--b0-dir=1e300,1e300,0"])
+def test_every_argv_keeps_exit_code_contract(mc_material, argv):
+    argv = [a.replace("MC_MATERIAL", mc_material) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = run(argv + ["--format", "json"])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if out.getvalue():
+        jsonschema.validate(
+            json.loads(out.getvalue(), parse_constant=_reject_constant),
+            SCHEMA)
+    if code == EXIT_NUMERICAL:
+        assert err.getvalue().startswith("numerical failure:")
 
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-3"],

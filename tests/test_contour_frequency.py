@@ -7,18 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zpmomentum.contour_frequency import (KINDS, ConvergenceError, compare,
-                                          freq_closed_form,
-                                          freq_integral_one_longitudinal,
-                                          freq_integral_transverse,
-                                          freq_oracle)
+                                          freq_closed_form, freq_oracle)
 
 
 def test_closed_form_spot_values():
     # transverse: -(i pi/4)(k + 2k')/(k + k')^2
-    assert freq_integral_transverse(1.0, 1.0) == pytest.approx(
+    assert freq_closed_form("transverse", 1.0, 1.0) == pytest.approx(
         -0.75j * math.pi / 4.0, rel=1e-15)
     # one longitudinal: +(i pi/4) / (k (k + k')^2)
-    assert freq_integral_one_longitudinal(1.0, 1.0) == pytest.approx(
+    assert freq_closed_form("one_longitudinal", 1.0, 1.0) == pytest.approx(
         1j * math.pi / 16.0, rel=1e-15)
     assert freq_closed_form("transverse", 2.0, 1.0) == pytest.approx(
         -1j * math.pi * 4.0 / (4.0 * 9.0), rel=1e-15)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zpmomentum import oscillatory_integrals as osc
-from zpmomentum.oscillatory_integrals import (BRUTEFORCE_NAMES,
-                                              DEFAULT_SCHEDULE,
+from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE,
                                               ScheduleError, TRIG_NAMES,
-                                              eval_E_bruteforce,
                                               eval_bruteforce, eval_trig,
                                               reconciled_constants,
                                               solve_D1_D3)
 from zpmomentum.special_functions import sph_bessel_j
+
+KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
 
 # Independently derived closed forms of the seven trig reductions (each is an
 # elementary integral of products of sines and cosines on [0, pi/2]).
@@ -31,7 +31,7 @@ TRIG_CLOSED_FORMS = {
 # Values printed in the literature reference (E2's sign is printed; I0, I1, A,
 # C are compared in magnitude because the printed signs are not
 # self-consistent — see CHANGES.md; the E pieces are analysed in the
-# eval_E_bruteforce docstring).
+# eval_bruteforce docstring).
 PRINTED_MAGNITUDES = {
     "I0": 0.589, "I1": 4.123, "A": 1.374, "C": 1.767,
     "E1": 8.246, "E2": 13.744, "E3": 24.74,
@@ -95,11 +95,11 @@ def test_e_defining_kernel_matches_trig_piece_sum():
     16.886, which is 12.2% away — outside the contracted 5% agreement band.
     The two routes share no algebra, so this failure is evidence that the
     printed piece list and the displayed defining kernel disagree with each
-    other; the analysis lives in the eval_E_bruteforce docstring and in
+    other; the analysis lives in the eval_bruteforce docstring and in
     CHANGES.md, and test_e_gap_is_carried_by_e1 pins it.  The test states
     the contracted expectation honestly rather than widening the tolerance.
     """
-    brute = eval_E_bruteforce()
+    brute = eval_bruteforce("E")
     trig_sum = sum(eval_trig(n).value for n in ("E1", "E2", "E3"))
     assert brute.value == pytest.approx(trig_sum, rel=0.05)
 
@@ -154,7 +154,7 @@ def test_regulated_pass_matches_pairwise_sum():
 # --- where the E gap lives ---------------------------------------------------
 #
 # Radial kernels c p^a j_m(p) q^b j_n(q) / (p+q), as (c, a, m, b, n); the
-# derivation is in the eval_E_bruteforce docstring.
+# derivation is in the eval_bruteforce docstring.
 E_PIECE_KERNELS = {
     "E1": (3.0, 3, 1, 3, 1),   # twice I1's kernel, what _trig_E1 reduces
     "E2": (-2.0, 2, 1, 3, 2),  # mixed part of the defining integrand
@@ -190,7 +190,7 @@ def test_e_gap_is_carried_by_e1():
     assert isotropic == pytest.approx(15.0 * math.pi / 8.0, rel=1e-6)
 
     trig = {n: eval_trig(n).value for n in ("E1", "E2", "E3")}
-    assert sum(trig.values()) - eval_E_bruteforce().value == pytest.approx(
+    assert sum(trig.values()) - eval_bruteforce("E").value == pytest.approx(
         trig["E1"] - isotropic, rel=1e-6)
 
     # <k^_i k^_j e^{ik.z}> is diagonal: (1 - mu^2)/2 twice, mu^2 once
@@ -206,14 +206,12 @@ def test_e_gap_is_carried_by_e1():
 
 
 def test_e_bruteforce_extrapolation_is_internally_stable():
-    res = eval_E_bruteforce()
+    res = eval_bruteforce("E")
     assert res.error_estimate < 0.05 * abs(res.value)
     assert res.value == pytest.approx(43.0 * math.pi / 8.0, rel=1e-3)
 
 
 def test_bruteforce_unknown_name_raises():
-    with pytest.raises(ValueError):
-        eval_bruteforce("E")  # E goes through eval_E_bruteforce
     with pytest.raises(ValueError):
         eval_bruteforce("I2")
 
@@ -222,7 +220,7 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         eval_bruteforce("I0", schedule=(0.1,))        # single point
     with pytest.raises(ScheduleError):
-        eval_E_bruteforce(schedule=(0.05,))
+        eval_bruteforce("E", schedule=(0.05,))
     with pytest.raises(ScheduleError):
         eval_bruteforce("D", schedule=(0.1, 0.05))    # nothing to check against
     with pytest.raises(ScheduleError):
@@ -234,7 +232,7 @@ def test_schedule_validation():
 
 
 def test_drop_one_stability_below_1_percent():
-    for name in BRUTEFORCE_NAMES:
+    for name in KERNEL_NAMES:
         full = eval_bruteforce(name).value
         dropped = eval_bruteforce(name, schedule=DEFAULT_SCHEDULE[:-1]).value
         assert abs(full - dropped) < 0.01 * abs(full), name
@@ -277,8 +275,7 @@ def test_constant_table_matches_both_routes():
     for name in ("I0", "I1", "A", "C", "E"):
         assert table[name] == pytest.approx(trig[name], rel=1e-10), name
 
-    brute = {name: eval_bruteforce(name) for name in BRUTEFORCE_NAMES}
-    brute["E"] = eval_E_bruteforce()
+    brute = {name: eval_bruteforce(name) for name in KERNEL_NAMES}
     assert abs(table["D"] - brute["D"].value) <= brute["D"].error_estimate
     for name, res in brute.items():
         assert math.copysign(1.0, table[name]) == \

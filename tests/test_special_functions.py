@@ -1,14 +1,11 @@
-"""Spherical Bessel functions and the uniform-ball form factor."""
-
-import math
+"""Spherical Bessel functions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import spherical_jn
 
-from zpmomentum.special_functions import (SERIES_CROSSOVER, FormFactorArgs,
-                                          sph_bessel_j, sphere_form_factor)
+from zpmomentum.special_functions import SERIES_CROSSOVER, sph_bessel_j
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -54,55 +51,3 @@ def test_unsupported_order_raises():
     with pytest.raises(ValueError):
         sph_bessel_j(3, 1.0)
 
-
-def test_form_factor_small_q_limit_is_volume():
-    a = 2.5
-    volume = 4.0 * math.pi * a**3 / 3.0
-    assert sphere_form_factor(FormFactorArgs(0.0, a)) == pytest.approx(
-        volume, rel=1e-14)
-    assert sphere_form_factor(FormFactorArgs(1e-9, a)) == pytest.approx(
-        volume, rel=1e-14)
-
-
-def test_form_factor_closed_form_value():
-    # 4 pi (sin z - z cos z)/q^3 at z = q a
-    q, a = 3.0, 1.2
-    z = q * a
-    expected = 4.0 * math.pi * (math.sin(z) - z * math.cos(z)) / q**3
-    assert sphere_form_factor(FormFactorArgs(q, a)) == expected
-
-
-def test_form_factor_first_zero():
-    # zeros sit where tan z = z; the first is z ~ 4.4934
-    z_star = 4.493409457909064
-    a = 1.0
-    val = sphere_form_factor(FormFactorArgs(z_star, a))
-    scale = 4.0 * math.pi * a**3 / 3.0
-    assert abs(val) <= 1e-12 * scale
-
-
-@given(q=st.floats(min_value=1e-8, max_value=1e3),
-       a=st.floats(min_value=1e-3, max_value=1e3))
-def test_form_factor_scaling_relation(q, a):
-    # theta(q; a) = a^3 theta(q a; 1)
-    lhs = sphere_form_factor(FormFactorArgs(q, a))
-    rhs = a**3 * sphere_form_factor(FormFactorArgs(q * a, 1.0))
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-18 * a**3)
-
-
-def test_form_factor_branches_accurate_at_crossover():
-    # both branches against an independent evaluation: 4 pi a^3 j1(z)/z
-    a = 1.0
-    for q in (SERIES_CROSSOVER * (1 - 1e-9), SERIES_CROSSOVER * (1 + 1e-9)):
-        ref = 4.0 * math.pi * a**3 * spherical_jn(1, q * a) / (q * a)
-        assert sphere_form_factor(FormFactorArgs(q, a)) == pytest.approx(
-            ref, rel=1e-13)
-
-
-def test_form_factor_argument_validation():
-    with pytest.raises(ValueError):
-        FormFactorArgs(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        FormFactorArgs(1.0, 0.0)
-    with pytest.raises(ValueError):
-        FormFactorArgs(float("nan"), 1.0)

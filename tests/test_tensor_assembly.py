@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zpmomentum.tensor_assembly import (ChiTensor, PerturbativeDomainError,
-                                        axial_vector, closed_form_p_rad, eta,
-                                        eta_consistency, levi_civita,
-                                        regularized_K, second_born_momentum)
+from zpmomentum.tensor_assembly import (_EPS3, ChiTensor,
+                                        PerturbativeDomainError, axial_vector,
+                                        closed_form_p_rad, eta,
+                                        eta_consistency, regularized_K,
+                                        second_born_momentum)
 from zpmomentum.units_materials import CONSTANTS, MaterialSpec, SphereSpec
 
 
@@ -40,7 +41,7 @@ def test_regularized_K_rejects_nonpositive_radius():
 
 
 def test_levi_civita_tensor():
-    eps = levi_civita()
+    eps = _EPS3
     assert eps.shape == (3, 3, 3)
     assert eps[0, 1, 2] == 1.0
     for i, j, k in itertools.product(range(3), repeat=3):
@@ -64,6 +65,26 @@ def test_axial_vector_of_symmetric_matrix_is_exactly_zero(vals):
     assert np.array_equal(axial_vector(sym), np.zeros(3))
 
 
+def test_eps_contractions_match_index_loops_bitwise(rng):
+    # The closed expressions keep the bits of index-loop sums started at
+    # +0.0, signed zeros included: the CLI prints 0.0, never -0.0, there.
+    matrices = [np.array(z).reshape(3, 3)
+                for z in itertools.product([0.0, -0.0], repeat=9)]
+    matrices += [np.where(rng.random((3, 3)) < 0.5,
+                          rng.choice([0.0, -0.0], size=(3, 3)),
+                          rng.normal(size=(3, 3))) for _ in range(200)]
+    for m in matrices:
+        v = m[0] / CONSTANTS.c0_si
+        w = np.zeros(3)
+        chi = np.zeros((3, 3))
+        for i, j, k in itertools.product(range(3), repeat=3):
+            w[i] += _EPS3[i, j, k] * m[k, j]
+            chi[i, j] += (1.0 - 1.4) * _EPS3[i, j, k] * v[k]
+        assert axial_vector(m).tobytes() == w.tobytes()
+        assert ChiTensor.moving_medium(1.4, m[0]).matrix.tobytes() == \
+            chi.tobytes()
+
+
 # --- ChiTensor kinds --------------------------------------------------------
 
 def test_chi_magneto_electric_is_antisymmetric():
@@ -77,8 +98,7 @@ def test_chi_moving_medium_structure():
     v = np.array([10.0, -20.0, 5.0])
     eps_r = 1.4
     chi = ChiTensor.moving_medium(eps_r, v)
-    eps3 = levi_civita()
-    expected = np.einsum("ijk,k->ij", (1.0 - eps_r) * eps3, v / CONSTANTS.c0_si)
+    expected = np.einsum("ijk,k->ij", (1.0 - eps_r) * _EPS3, v / CONSTANTS.c0_si)
     assert np.allclose(chi.matrix, expected, rtol=1e-14, atol=0.0)
     assert chi.kind == "moving_medium"
 

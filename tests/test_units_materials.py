@@ -3,28 +3,12 @@
 import json
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
                                         SphereSpec, UnknownDimensionError,
-                                        from_gaussian, gaussian_unit,
-                                        material_from_json, material_to_json,
-                                        preset_path, s0_vector, si_unit,
+                                        material_from_json, preset_path,
                                         to_gaussian)
-
-DIMENSIONS = ("length", "mass", "time", "frequency", "velocity", "momentum",
-              "energy", "action", "force", "mass_density", "wavenumber",
-              "volume", "magnetic_field")
-
-
-@given(value=st.floats(min_value=1e-30, max_value=1e30,
-                       allow_nan=False, allow_infinity=False),
-       dimension=st.sampled_from(DIMENSIONS))
-def test_conversion_round_trip(value, dimension):
-    back = from_gaussian(to_gaussian(value, dimension), dimension)
-    assert abs(back - value) <= 1e-12 * abs(value)
 
 
 def test_known_conversion_factors():
@@ -49,14 +33,7 @@ def test_unknown_dimension_raises():
     with pytest.raises(UnknownDimensionError):
         to_gaussian(1.0, "charge")
     with pytest.raises(UnknownDimensionError):
-        from_gaussian(1.0, "")
-
-
-def test_unit_labels():
-    assert si_unit("momentum") == "kg m/s"
-    assert gaussian_unit("momentum") == "g cm/s"
-    assert si_unit("magnetic_field") == "T"
-    assert gaussian_unit("magnetic_field") == "G"
+        to_gaussian(1.0, "")
 
 
 def test_material_validation():
@@ -86,23 +63,6 @@ def test_sphere_geometry():
         SphereSpec(radius=1e200, material=mat)   # radius**3 overflows
 
 
-vec3 = st.lists(st.floats(min_value=-1e3, max_value=1e3,
-                          allow_nan=False, allow_infinity=False),
-                min_size=3, max_size=3)
-
-
-@given(e=vec3, b=vec3)
-def test_s0_vector_antisymmetric_under_field_exchange(e, b):
-    fwd = s0_vector(FieldConfig(e0=e, b0=b))
-    rev = s0_vector(FieldConfig(e0=b, b0=e))
-    assert np.array_equal(fwd, -rev)
-
-
-def test_s0_vector_is_cross_product():
-    fields = FieldConfig(e0=(1.0, 0.0, 0.0), b0=(0.0, 1.0, 0.0))
-    assert np.array_equal(s0_vector(fields), np.array([0.0, 0.0, 1.0]))
-
-
 def test_field_config_rejects_bad_vectors():
     with pytest.raises(ValueError):
         FieldConfig(e0=(1.0, 2.0))
@@ -114,7 +74,9 @@ def test_material_json_round_trip(tmp_path):
     mat = MaterialSpec(epsilon=1.7, mass_density=1234.5, me_coupling=1e-5,
                        verdet_v0=2e-26, chirality_g=3e-4)
     path = tmp_path / "mat.json"
-    material_to_json(mat, path)
+    path.write_text(json.dumps({"epsilon": 1.7, "mass_density_kg_m3": 1234.5,
+                                "me_coupling": 1e-5, "verdet_v0": 2e-26,
+                                "chirality_g": 3e-4}))
     assert material_from_json(path) == mat
 
 
