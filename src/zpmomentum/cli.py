@@ -287,7 +287,8 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
         raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     rng = np.random.default_rng(args.seed)
     pairs = [(1.0, 1.0), (2.0, 1.0), (0.1, 10.0)]
-    pairs += [tuple(10.0 ** rng.uniform(-1.0, 1.0, 2)) for _ in range(args.pairs)]
+    pairs += [tuple(map(float, 10.0 ** rng.uniform(-1.0, 1.0, 2)))
+              for _ in range(args.pairs)]
     report = RunReport("freq-check", {"pairs": len(pairs), "seed": args.seed,
                                       "epsilon": args.epsilon, "tol": args.tol})
     worst = 0.0

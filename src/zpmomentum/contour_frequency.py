@@ -11,20 +11,20 @@ module provides those closed forms plus an independent numerical oracle that
 evaluates the regulated integral at finite i-eta and extrapolates eta -> 0.
 
 The oracle exists to cross-check the closed forms, so it deliberately shares
-no algebra with them: it is plain adaptive quadrature on the real axis with
-symmetric windows around each near-pole, evaluated in a shifted variable so
-that u^2 - p^2 is computed without cancellation, followed by quadratic
-Richardson extrapolation in the regulator.
+no algebra with them: it is plain Gauss-Legendre quadrature on the real axis,
+on panels that double in width away from each near-pole, evaluated in a
+shifted variable so that u^2 - p^2 is computed without cancellation,
+followed by quadratic Richardson extrapolation in the regulator.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+
+from .special_functions import _graded_edges, _panel_quad
 
 __all__ = [
     "KINDS",
@@ -37,7 +37,6 @@ __all__ = [
 
 KINDS = ("transverse", "one_longitudinal")
 
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-12, limit=1000)
 # The oracle's own error estimate (quadrature + extrapolation) must stay below
 # this fraction of the result, else the evaluation is reported as failed.
 ORACLE_REL_TOL = 1e-5
@@ -84,26 +83,15 @@ def freq_closed_form(kind: str, k: float, kp: float) -> complex:
     return 0.25j * math.pi / (k * (k + kp) ** 2)
 
 
-def _quad_cplx(func, lo, hi, pts=None) -> tuple[complex, float]:
-    # The tolerances are deliberately tighter than double precision can always
-    # deliver; roundoff warnings are expected and the residual error is checked
-    # against the Richardson step downstream.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        vr, er = quad(lambda x: func(x).real, lo, hi, points=pts, **_QUAD_OPTS)
-        vi, ei = quad(lambda x: func(x).imag, lo, hi, points=pts, **_QUAD_OPTS)
-    return complex(vr, vi), er + ei
-
-
 def _regulated_single(kind: str, k: float, kp: float, eps_scaled: float
                       ) -> tuple[complex, float]:
     """One regulated evaluation at fixed (rescaled) regulator strength.
 
     Works in the rescaled variable u = omega / min(k, kp), which keeps the
-    pole locations O(1).  Near each pole p the integrand is evaluated in
-    x = u - p with u^2 - p^2 = x (x + 2p); the product form avoids the
-    catastrophic cancellation that u*u - p*p suffers in double precision
-    when p is large.  Returns (value, accumulated error estimate).
+    pole locations O(1).  The cuts 0, the midpoints between poles and upper
+    give each pole p its own stretch, integrated in x = u - p with
+    u^2 - p^2 = x (x + 2p): the product form avoids the cancellation that
+    u*u - p*p suffers when p is large.  Returns (value, error estimate).
     """
     pw = 4 if kind == "transverse" else 2
     s = min(k, kp)
@@ -126,42 +114,27 @@ def _regulated_single(kind: str, k: float, kp: float, eps_scaled: float
 
     poles = [a] if degenerate else sorted((a, b))
     upper = 10.0 * (a + b) + 10.0
-    total = 0j
-    errtot = 0.0
-    cursor = 0.0
-    for idx, p in enumerate(poles):
+    cuts = [0.0] + [(p + q) / 2.0 for p, q in zip(poles, poles[1:])] + [upper]
+    # decaying tail: integrand ~ u^(pw-6) out here, smooth in t = upper / u
+    total, errtot = _panel_quad(lambda t: f(upper / t) * upper / (t * t),
+                                (0.0, 1.0), 40)
+    for p, lo, hi in zip(poles, cuts, cuts[1:]):
         w = e / (2.0 * p)  # half-width at half-maximum of the regulated pole
-        lo_gap = p - cursor
-        hi_gap = ((poles[idx + 1] - p) / 2.0) if idx + 1 < len(poles) else upper - p
-        half = min(1e4 * w, 0.9 * lo_gap, 0.9 * hi_gap)
-        if half < 10.0 * w:
-            # the symmetric window around this pole cannot clear its neighbour:
-            # the poles are distinct but closer than the regulated width resolves
-            gap = 2.0 * min(lo_gap, hi_gap)
+        if 0.9 * min(p - lo, hi - p) < 10.0 * w:
+            # the stretch around this pole cannot clear its neighbour: the
+            # poles are distinct but closer than the regulated width resolves
+            gap = 2.0 * min(p - lo, hi - p)
             raise ConvergenceError(
                 f"rescaled poles {poles} are separated by {gap:.3e}, closer "
                 f"than the regulator epsilon={e:g} resolves; reduce epsilon "
                 f"below ~{0.05 * gap * p:.1e} or pass exactly equal "
                 "wavenumbers for the degenerate path")
-        if p - half > cursor:
-            v, err = _quad_cplx(f, cursor, p - half)
-            total += v
-            errtot += err
-        # break hints at decade multiples of the pole width guide the adaptive
-        # subdivision from the narrow core out to the window edge
-        hints = sorted({sgn * w * 10.0**m for sgn in (-1, 1)
-                        for m in range(0, 5) if w * 10.0**m < half} | {0.0})
-        v, err = _quad_cplx(lambda x, pp=p: f_near(pp, x), -half, half, pts=hints)
+        # a central panel w wide instead of w/8 misses the degenerate triple
+        # pole: the error estimate of (1, 1) rises past ORACLE_REL_TOL
+        v, err = _panel_quad(lambda x, pp=p: f_near(pp, x),
+                             _graded_edges(lo - p, hi - p, w / 8.0), 40)
         total += v
         errtot += err
-        cursor = p + half
-    v, err = _quad_cplx(f, cursor, upper)
-    total += v
-    errtot += err
-    # decaying tail: integrand ~ u^(pw-6) out here
-    v, err = _quad_cplx(f, upper, np.inf)
-    total += v
-    errtot += err
     return prefac * total, abs(prefac) * errtot
 
 
@@ -175,7 +148,10 @@ def freq_oracle(kind: str, k: float, kp: float, epsilon: float = 1e-3) -> comple
 
     Validated domain: wavenumber ratios up to ~100 (ValueError beyond), and
     either exactly equal wavenumbers or pole separations the regulator can
-    resolve (ConvergenceError for distinct-but-closer pairs).
+    resolve (ConvergenceError for distinct-but-closer pairs).  On the
+    freq-check pairs (the default seed and seeds 1-8) every resolved pair
+    converges for epsilon from 3e-5 to 1e-2; below 3e-5 rounding at the
+    degenerate triple pole pushes the error estimate past ORACLE_REL_TOL.
     """
     _validate(kind, k, kp)
     if not (0.0 < epsilon <= 0.1):
@@ -193,9 +169,7 @@ def freq_oracle(kind: str, k: float, kp: float, epsilon: float = 1e-3) -> comple
         values.append(v)
         err_acc += err
     basis = np.column_stack([np.asarray(schedule) ** p for p in (0, 1, 2)])
-    re = np.linalg.solve(basis, [v.real for v in values])[0]
-    im = np.linalg.solve(basis, [v.imag for v in values])[0]
-    result = complex(re, im)
+    result = complex(np.linalg.solve(basis, values)[0])
     scale = abs(result)
     if scale == 0.0 or err_acc / scale > ORACLE_REL_TOL:
         raise ConvergenceError(

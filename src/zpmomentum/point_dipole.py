@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from .special_functions import _graded_edges, _panel_quad
 from .tensor_assembly import _eps_dot
 from .units_materials import CONSTANTS
 
@@ -184,37 +184,26 @@ def spectral_integral_quadrature(spec: DipoleSpec,
     """J = int_0^inf Im(t0/kappa^2) dkappa by direct quadrature, in cm^2.
 
     Compactifies with kappa = kappa0 tan(theta) — the integrand decays as
-    1/kappa^2, so the tail becomes polynomial — and carves out an explicit
-    window around theta = pi/4 sized by the resonance width so the adaptive
-    rule cannot step over a narrow peak.  Raises QuadratureError when the
-    accumulated error estimate exceeds rel_tol of the result.
+    1/kappa^2, so the tail becomes polynomial — and integrates over theta in
+    (0, pi/2) with 30 Gauss-Legendre points on panels that double in width
+    away from a central panel at theta = pi/4, 1e-3 damping_ratio wide on
+    each side, so a narrow resonance peak is resolved.  Raises
+    QuadratureError when the error estimate exceeds rel_tol of the result.
     """
     k0 = spec.kappa0
 
-    def integrand(theta: float) -> float:
-        kappa = k0 * math.tan(theta)
-        jac = k0 / math.cos(theta) ** 2
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        kappa = k0 * np.tan(theta)
         amp = _t0_kappa(spec, kappa)
-        return (amp / (kappa * kappa)).imag * jac
+        return (amp / (kappa * kappa)).imag * k0 / np.cos(theta) ** 2
 
-    x = spec.damping_ratio
-    half = min(0.2, max(500.0 * x, 1e-3))
     quarter = 0.25 * math.pi
-    segments = [
-        (1e-12, quarter - half, None),
-        (quarter - half, quarter + half, (quarter,)),
-        (quarter + half, 0.5 * math.pi - 1e-12, None),
-    ]
-    total = 0.0
-    err_acc = 0.0
-    for lo, hi, pts in segments:
-        val, err = quad(integrand, lo, hi, points=pts,
-                        epsabs=0.0, epsrel=1e-11, limit=800)
-        total += val
-        err_acc += err
-    if err_acc > rel_tol * abs(total):
+    edges = quarter + _graded_edges(-quarter, quarter,
+                                    1e-3 * spec.damping_ratio)
+    total, err = _panel_quad(integrand, edges, 30)
+    if err > rel_tol * abs(total):
         raise QuadratureError(
-            f"spectral integral did not converge: residual {err_acc:.2e} "
+            f"spectral integral did not converge: residual {err:.2e} "
             f"vs |value| {abs(total):.2e}")
     return total
 

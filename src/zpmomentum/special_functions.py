@@ -1,4 +1,5 @@
-"""Spherical Bessel functions of low order.
+"""Spherical Bessel functions of low order, and the package's one quadrature
+rule: fixed Gauss-Legendre points on each panel of a set of edges.
 
 The vacuum-mode integrands only ever need j0, j1 and j2.  These are written
 out explicitly (with small-argument series) rather than routed through the
@@ -7,6 +8,9 @@ millions of quadrature nodes and the closed forms vectorize cleanly.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,3 +69,34 @@ def sph_bessel_j(n: int, x) -> np.ndarray | float:
 
     return float(out[0]) if scalar else out
 
+
+_legendre_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+def _gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on each panel between edges."""
+    x, w = _legendre_rule(n)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
+
+
+def _panel_quad(f, edges, n: int):
+    """Integral of the vectorised (real or complex) f by n points per panel,
+    and as its error estimate the distance from the n/2-point value."""
+    values = []
+    for m in (n, n // 2):
+        nodes, weights = _gauss_panels(edges, m)
+        values.append((weights @ f(nodes)).item())
+    return values[0], abs(values[0] - values[1])
+
+
+def _graded_edges(lo: float, hi: float, inner: float) -> np.ndarray:
+    """Panel edges on [lo, hi], lo < 0 < hi: a central panel [-inner, inner]
+    and panels that double in width away from it, cut at lo and hi."""
+    def outward(end):
+        count = max(1, math.ceil(math.log2(end / inner)))
+        steps = inner * 2.0 ** np.arange(count)
+        return np.append(steps[steps < end], end)
+    return np.concatenate([-outward(-lo)[::-1], outward(hi)])

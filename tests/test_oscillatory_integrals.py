@@ -226,9 +226,15 @@ def test_schedule_validation():
     with pytest.raises(ScheduleError):
         eval_bruteforce("I0", schedule=(0.05, 0.1))   # ascending
     with pytest.raises(ScheduleError):
-        eval_bruteforce("I0", schedule=(0.3, 0.1))    # out of (0, 0.2]
+        eval_bruteforce("I0", schedule=(0.3, 0.1))    # above 0.2
     with pytest.raises(ScheduleError):
         eval_bruteforce("I0", schedule=(0.1, 0.0))
+    # below the floor a pass would need about 5e8 nodes for eps = 1e-6, so
+    # the validation is called alone, without a pass behind it
+    with pytest.raises(ScheduleError, match="regulator"):
+        osc._validate_schedule((0.1, 0.05, 1e-6))
+    floor = DEFAULT_SCHEDULE[-1] / 4.0
+    assert osc._validate_schedule((0.1, 0.05, floor))[-1] == floor
 
 
 def test_drop_one_stability_below_1_percent():
