@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
                               PhysicalConstants, SphereSpec,
                               material_from_json, preset_path)
-from .special_functions import sph_bessel_j
+from .special_functions import ConvergenceError, sph_bessel_j
 from .contour_frequency import (FreqIntegralResult, compare, freq_closed_form,
                                 freq_oracle)
 from .oscillatory_integrals import (DEFAULT_SCHEDULE, IntegralResult,
@@ -32,7 +32,7 @@ __all__ = [
     "__version__",
     "CONSTANTS", "PhysicalConstants", "MaterialSpec", "SphereSpec",
     "FieldConfig", "material_from_json", "preset_path",
-    "sph_bessel_j",
+    "sph_bessel_j", "ConvergenceError",
     "FreqIntegralResult", "freq_closed_form", "freq_oracle", "compare",
     "DEFAULT_SCHEDULE", "IntegralResult", "eval_trig", "eval_bruteforce",
     "reconciled_constants", "solve_D1_D3",

@@ -3,10 +3,11 @@
 Every subcommand assembles a RunReport (command, resolved inputs, result rows,
 warnings, version) and renders it as text, JSON, or CSV.  Result rows always
 carry name/value/error/method so the CSV stays rectangular; JSON adds
-row-specific extras.  Exit codes: 0 success, 2 input error, 3 numerical
-failure (no convergence, or a float overflow, division by zero or invalid
-operation).  All physical inputs are SI at this boundary; conversion
-to the internal Gaussian system happens behind the API calls.
+row-specific extras.  Exit codes: 0 success, 2 input error (any ValueError
+or FileNotFoundError), 3 numerical failure (any ArithmeticError: no
+convergence, or a float overflow, division by zero or invalid operation).
+All physical inputs are SI at this boundary; conversion to the internal
+Gaussian system happens behind the API calls.
 """
 
 from __future__ import annotations
@@ -24,18 +25,15 @@ import numpy as np
 from . import __version__
 from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec, SphereSpec,
                               material_from_json, preset_path, to_gaussian)
-from .contour_frequency import (ConvergenceError, compare)
-from .oscillatory_integrals import (DEFAULT_SCHEDULE, DivergenceSuspectedError,
-                                    ScheduleError, TRIG_NAMES,
+from .contour_frequency import ORACLE_EPSILON_RANGE, compare
+from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                     eval_bruteforce, eval_trig)
-from .tensor_assembly import eta, eta_consistency
-from .point_dipole import DipoleSpec, QuadratureError, mass_shift as dipole_mass_shift
-from .point_dipole import (spectral_integral_quadrature,
+from .tensor_assembly import ChiTensor, eta, eta_consistency
+from .point_dipole import (DipoleSpec, mass_shift as dipole_mass_shift,
+                           spectral_integral_quadrature,
                            spectral_integral_target)
-from .predictions import (MissingCoefficientError, empty_vacuum_momentum,
-                          first_born, magneto_chiral, me_sphere_velocity,
-                          moving_sphere)
-from .tensor_assembly import ChiTensor
+from .predictions import (empty_vacuum_momentum, first_born, magneto_chiral,
+                          me_sphere_velocity, moving_sphere)
 
 FREQ_CHECK_SEED = 20260823  # fixed: reports must be deterministic run to run
 
@@ -52,7 +50,6 @@ class RunReport:
     inputs: dict
     results: list[dict] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    version: str = __version__
 
     def add(self, name: str, value: float, error: float = 0.0,
             method: str = "closed_form", **extra) -> None:
@@ -68,7 +65,7 @@ class RunReport:
     def to_json(self) -> str:
         payload = {"command": self.command, "inputs": self.inputs,
                    "results": self.results, "warnings": self.warnings,
-                   "version": self.version}
+                   "version": __version__}
         return json.dumps(payload, indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
@@ -81,7 +78,7 @@ class RunReport:
         return buf.getvalue().rstrip("\n")
 
     def to_text(self) -> str:
-        lines = [f"command: {self.command}", f"version: {self.version}"]
+        lines = [f"command: {self.command}", f"version: {__version__}"]
         for key, val in self.inputs.items():
             lines.append(f"input {key} = {val}")
         width = max((len(r["name"]) for r in self.results), default=0)
@@ -285,6 +282,10 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
         raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
+    lo, hi = ORACLE_EPSILON_RANGE
+    if not (lo <= args.epsilon <= hi):
+        raise ValueError(f"--epsilon must lie in [{lo:g}, {hi:g}], "
+                         f"got {args.epsilon!r}")
     rng = np.random.default_rng(args.seed)
     pairs = [(1.0, 1.0), (2.0, 1.0), (0.1, 10.0)]
     pairs += [tuple(map(float, 10.0 ** rng.uniform(-1.0, 1.0, 2)))
@@ -428,12 +429,10 @@ def run(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             report, code = handler(args)
             output = report.render(args.format)
-    except (ValueError, ScheduleError, MissingCoefficientError,
-            FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConvergenceError, QuadratureError, DivergenceSuspectedError,
-            ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(output)

@@ -30,12 +30,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_functions import _gauss_panels, _panel_quad, sph_bessel_j
+from .special_functions import (ConvergenceError, _gauss_panels, _panel_quad,
+                                _richardson, sph_bessel_j)
 
 __all__ = [
     "IntegralResult",
-    "ScheduleError",
-    "DivergenceSuspectedError",
     "DEFAULT_SCHEDULE",
     "TRIG_NAMES",
     "eval_trig",
@@ -50,19 +49,15 @@ __all__ = [
 # drop-one change below 0.02% for about 0.3 s of total cost.
 DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
 PMAX_FACTOR = 50.0  # radial cutoff P_max = PMAX_FACTOR / eps
+# Richardson powers: the regulated values empirically approach their limit
+# through an odd series eps, eps^3, eps^5, ...; fitting even powers as well
+# wastes schedule points and degrades the extrapolation by orders of magnitude.
+_ODD_POWERS = (0, 1, 3, 5, 7)
 # Smallest accepted regulator.  A pass's node count and memory grow like
 # 1/eps: `constants` peaks at 116 MiB RSS by default, 330 MiB at this floor.
 _EPS_FLOOR = DEFAULT_SCHEDULE[-1] / 4.0
 
 TRIG_NAMES = ("I0", "I1", "A", "C", "E1", "E2", "E3")
-
-
-class ScheduleError(ValueError):
-    """Regulator schedule is unusable (wrong range, not descending, too short)."""
-
-
-class DivergenceSuspectedError(RuntimeError):
-    """Extrapolation residual too large: the regulated limit looks unstable."""
 
 
 @dataclass(frozen=True)
@@ -233,29 +228,17 @@ def _regulated_pass(eps: float) -> dict[str, float]:
     return out
 
 
-def _richardson(schedule: tuple[float, ...], values: list[float]) -> float:
-    """Extrapolate to eps = 0 assuming a constant plus odd powers of eps.
-
-    The regulated values empirically approach their limit through an odd
-    series eps, eps^3, eps^5, ...; fitting even powers as well wastes
-    schedule points and degrades the extrapolation by orders of magnitude.
-    """
-    powers = (0, 1, 3, 5, 7)[: len(schedule)]
-    basis = np.column_stack([np.asarray(schedule) ** p for p in powers])
-    return float(np.linalg.solve(basis, np.asarray(values))[0])
-
-
 def _validate_schedule(schedule) -> tuple[float, ...]:
     sched = tuple(float(e) for e in schedule)
     if len(sched) < 3:
-        raise ScheduleError(
+        raise ValueError(
             "at least three regulator values are needed to extrapolate and "
             f"check the extrapolation; got {sched}")
     if any(not (_EPS_FLOOR <= e <= 0.2) for e in sched):
-        raise ScheduleError(
+        raise ValueError(
             f"regulator values must lie in [{_EPS_FLOOR}, 0.2]: {sched}")
     if any(b >= a for a, b in zip(sched, sched[1:])):
-        raise ScheduleError(f"regulator values must be strictly descending: {sched}")
+        raise ValueError(f"regulator values must be strictly descending: {sched}")
     return sched
 
 
@@ -265,7 +248,7 @@ def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
 
     Integrates the kernel times e^{-eps(p+q)} over [0, 50/eps]^2 for each eps
     in the (strictly descending) schedule and Richardson-extrapolates to
-    eps = 0.  Raises DivergenceSuspectedError when the extrapolation residual
+    eps = 0.  Raises ConvergenceError when the extrapolation residual
     exceeds 5% of the value.
 
     E is the phase-type kernel.  Its defining object is a 6-D integral over
@@ -304,11 +287,13 @@ def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
             f"available: {tuple(_ASSEMBLY)}") from None
     sched = _validate_schedule(schedule)
     raw = [sum(_regulated_pass(e)[p] for p in parts) for e in sched]
-    full = _richardson(sched, raw)
-    residual = abs(full - _richardson(sched[:-1], raw[:-1]))
-    err = max(residual, abs(full - _richardson(sched[1:], raw[1:])))
+    full, no_last, no_first = (
+        _richardson(sched[part], raw[part], _ODD_POWERS)
+        for part in (slice(None), slice(-1), slice(1, None)))
+    residual = abs(full - no_last)
+    err = max(residual, abs(full - no_first))
     if residual > 0.05 * abs(full):
-        raise DivergenceSuspectedError(
+        raise ConvergenceError(
             f"extrapolation for {name} is unstable: dropping the smallest "
             f"regulator moves the result by {residual:.3e} "
             f"({residual / abs(full):.1%} of {full:.6e})")

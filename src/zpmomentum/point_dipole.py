@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import _graded_edges, _panel_quad
+from .special_functions import ConvergenceError, _graded_edges, _panel_quad
 from .tensor_assembly import _eps_dot
 from .units_materials import CONSTANTS
 
 __all__ = [
     "DipoleSpec",
-    "QuadratureError",
     "t0",
     "t_matrix",
     "p_rad_spectral",
@@ -44,10 +43,6 @@ __all__ = [
 ]
 
 _GAUSS_TO_SI_MOMENTUM = 1e-5  # g cm/s -> kg m/s
-
-
-class QuadratureError(RuntimeError):
-    """Frequency quadrature failed to converge to the required accuracy."""
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ def spectral_integral_quadrature(spec: DipoleSpec,
     (0, pi/2) with 30 Gauss-Legendre points on panels that double in width
     away from a central panel at theta = pi/4, 1e-3 damping_ratio wide on
     each side, so a narrow resonance peak is resolved.  Raises
-    QuadratureError when the error estimate exceeds rel_tol of the result.
+    ConvergenceError when the error estimate exceeds rel_tol of the result.
     """
     k0 = spec.kappa0
 
@@ -202,7 +197,7 @@ def spectral_integral_quadrature(spec: DipoleSpec,
                                     1e-3 * spec.damping_ratio)
     total, err = _panel_quad(integrand, edges, 30)
     if err > rel_tol * abs(total):
-        raise QuadratureError(
+        raise ConvergenceError(
             f"spectral integral did not converge: residual {err:.2e} "
             f"vs |value| {abs(total):.2e}")
     return total

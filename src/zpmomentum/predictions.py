@@ -35,7 +35,6 @@ from .tensor_assembly import (ChiTensor, axial_vector, closed_form_p_rad, eta)
 
 __all__ = [
     "Prediction",
-    "MissingCoefficientError",
     "first_born",
     "me_sphere_velocity",
     "moving_sphere",
@@ -51,10 +50,6 @@ _ETA_SIGN_NOTE = ("computed eta is negative while the literature reference "
                   "value is quoted positive; signs here follow the computed "
                   "contraction")
 MAGNETO_CHIRAL_COEFF = -0.005098
-
-
-class MissingCoefficientError(ValueError):
-    """The material lacks a coefficient this model needs."""
 
 
 @dataclass(frozen=True)
@@ -176,11 +171,13 @@ def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
                   ) -> Prediction:
     """Zero-point momentum radiated by a sphere moving at velocity v (m/s).
 
-    momentum = -2 eta (hbar/(a c0)) (epsilon-1)^2 v is the radiated field
-    momentum; its coefficient is reported as mass_shift because the pair
-    behaves exactly like a velocity-proportional momentum deficit.  With the
-    computed (negative) eta the shift comes out positive — a mass increase —
-    which contradicts the reference claim of a reduction; the digest says so.
+    The radiated field momentum is the second-order closed form for the
+    moving-medium coupling chi_ij = (1 - epsilon) eps_ijk v_k / c0, which
+    collapses to -2 eta (hbar/(a c0)) (epsilon-1)^2 v; that coefficient is
+    reported as mass_shift because the pair behaves exactly like a
+    velocity-proportional momentum deficit.  With the computed (negative)
+    eta the shift comes out positive — a mass increase — which contradicts
+    the reference claim of a reduction; the digest says so.
     """
     v_si = np.asarray(v, dtype=float)
     if np.linalg.norm(v_si) / CONSTANTS.c0_si >= 0.01:
@@ -194,7 +191,9 @@ def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
     if shift > 0:
         notes.append("mass_shift > 0 (increase); the reference sign "
                      "convention expects a reduction")
-    momentum = shift * v_si
+    chi = ChiTensor.moving_medium(sphere.material.epsilon, v_si)
+    # adding 0.0 turns a -0.0 component into +0.0, as in _eps_dot
+    momentum = closed_form_p_rad(sphere, chi, eta_value=ev) + 0.0
     inputs = {
         "radius": sphere.radius,
         "epsilon": sphere.material.epsilon,
@@ -220,7 +219,7 @@ def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
     """
     mat = sphere.material
     if mat.verdet_v0 == 0.0 or mat.chirality_g == 0.0:
-        raise MissingCoefficientError(
+        raise ValueError(
             "magneto_chiral requires verdet_v0 and chirality_g in the material")
     b_si = np.asarray(b_field, dtype=float)
     a_cm = sphere.radius * 1e2

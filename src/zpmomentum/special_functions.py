@@ -1,5 +1,6 @@
-"""Spherical Bessel functions of low order, and the package's one quadrature
-rule: fixed Gauss-Legendre points on each panel of a set of edges.
+"""Spherical Bessel functions of low order, and what the other modules share:
+the one quadrature rule (fixed Gauss-Legendre points on each panel of a set of
+edges), the one Richardson extrapolation and the one ConvergenceError.
 
 The vacuum-mode integrands only ever need j0, j1 and j2.  These are written
 out explicitly (with small-argument series) rather than routed through the
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["sph_bessel_j", "SERIES_CROSSOVER"]
+__all__ = ["sph_bessel_j", "SERIES_CROSSOVER", "ConvergenceError"]
 
 # Below this |x| the closed forms lose digits to cancellation: j2 subtracts
 # terms of size ~3/x^2 to produce a result of size x^2/15, so its relative
@@ -22,6 +23,10 @@ __all__ = ["sph_bessel_j", "SERIES_CROSSOVER"]
 # 0.5 keeps the closed forms comfortably accurate, and the truncated series
 # are converged to ~1e-16 relative over the whole series branch.
 SERIES_CROSSOVER = 0.5
+
+
+class ConvergenceError(ArithmeticError):
+    """A numerical evaluation did not reach its required accuracy."""
 
 
 def _jn_series(n: int, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -100,3 +105,11 @@ def _graded_edges(lo: float, hi: float, inner: float) -> np.ndarray:
         steps = inner * 2.0 ** np.arange(count)
         return np.append(steps[steps < end], end)
     return np.concatenate([-outward(-lo)[::-1], outward(hi)])
+
+
+def _richardson(schedule, values, powers) -> float | complex:
+    """Value at regulator 0 of c0 + sum_k c_k eps^powers[k] fitted exactly
+    through (schedule, values), one power per schedule point."""
+    basis = np.column_stack([np.asarray(schedule) ** p
+                             for p in powers[:len(schedule)]])
+    return np.linalg.solve(basis, np.asarray(values))[0].item()

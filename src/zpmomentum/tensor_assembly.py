@@ -30,7 +30,6 @@ __all__ = [
     "ChiTensor",
     "BornMomentumBreakdown",
     "EtaConsistencyReport",
-    "PerturbativeDomainError",
     "REFERENCE_ETA",
     "axial_vector",
     "regularized_K",
@@ -47,10 +46,6 @@ REFERENCE_MAGNITUDES = {"I0": 0.589, "I1": 4.123, "A": 1.374, "C": -1.767,
                         "E": 19.242}
 
 CHI_KINDS = ("magneto_electric", "moving_medium", "chiral", "general")
-
-
-class PerturbativeDomainError(ValueError):
-    """Dielectric contrast too large for the second-order Born treatment."""
 
 
 # The rank-3 alternating tensor eps_ijk.
@@ -208,15 +203,6 @@ def eta_consistency(eta_value: float = REFERENCE_ETA) -> EtaConsistencyReport:
     )
 
 
-def _contraction_difference(tensor: np.ndarray) -> np.ndarray:
-    """P_i-type contraction T_ijj - T_jij, written out as explicit sums."""
-    out = np.zeros(3)
-    for i in range(3):
-        for j in range(3):
-            out[i] += tensor[i, j, j] - tensor[j, i, j]
-    return out
-
-
 def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
                          constants: dict | None = None) -> BornMomentumBreakdown:
     """Radiated zero-point momentum of the sphere via the full tensor path.
@@ -227,12 +213,14 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
     The recoil momentum of the sphere itself is -total.
 
     Valid only in the weak-contrast regime |epsilon - 1| <= 0.5; outside it a
-    PerturbativeDomainError is raised.  Linear in chi and in (epsilon - 1),
-    and proportional to 1/a through K.
+    ValueError is raised.  Linear in chi and in (epsilon - 1), and
+    proportional to 1/a through K.  Each einsum multiplies chi entries only by
+    Levi-Civita and Kronecker entries (0 or +-1), so for symmetric chi the
+    transposed pairs cancel exactly and the total is exactly zero.
     """
     eps_r = sphere.material.epsilon
     if abs(eps_r - 1.0) > 0.5:
-        raise PerturbativeDomainError(
+        raise ValueError(
             f"|epsilon - 1| = {abs(eps_r - 1.0):.3g} exceeds 0.5; the "
             "second-order expansion is not trustworthy there")
     c = reconciled_constants() if constants is None else constants
@@ -245,39 +233,19 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
     a1 = D1 + (c["C"] - c["A"]) / 15.0
     a3 = D3 + (c["C"] - c["A"]) / 15.0
 
-    # transverse piece: coeff * (eps_jmi chi_lm + chi_jm eps_lmi)
+    # t[0] (transverse) and t[1] (one longitudinal) are each a term plus its
+    # j <-> l transpose: coeff0 (eps_jmi chi_lm + chi_jm eps_lmi) and
+    # coeff1 [a1 chi_mn (d_ij eps_nlm + d_il eps_njm) + a3 (eps_mli chi_jm + eps_mji chi_lm)]
     coeff0 = -K / (48.0 * math.pi**4) * contrast * (c["I0"] - c["I1"])
-    t0 = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for l in range(3):
-                s = 0.0
-                for mm in range(3):
-                    s += _EPS3[j, mm, i] * m[l, mm] + m[j, mm] * _EPS3[l, mm, i]
-                t0[i, j, l] = coeff0 * s
-
-    # one-longitudinal piece:
-    # coeff * [a1 chi_mn (d_ij eps_nlm + d_il eps_njm) + a3 (eps_mli chi_jm + eps_mji chi_lm)]
     coeff1 = K / (16.0 * math.pi**4) * contrast
-    t1 = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for l in range(3):
-                # The two term families are accumulated separately so that the
-                # transpose-paired summands within each family cancel exactly
-                # in floating point when chi is symmetric.
-                s1 = 0.0
-                s3 = 0.0
-                for mm in range(3):
-                    for n in range(3):
-                        s1 += m[mm, n] * ((i == j) * _EPS3[n, l, mm]
-                                          + (i == l) * _EPS3[n, j, mm])
-                    s3 += (_EPS3[mm, l, i] * m[j, mm]
-                           + _EPS3[mm, j, i] * m[l, mm])
-                t1[i, j, l] = coeff1 * (a1 * s1 + a3 * s3)
-
-    contrib_0 = hbar * _contraction_difference(t0)
-    contrib_1 = hbar * _contraction_difference(t1)
+    u = np.einsum("nlm,mn->l", _EPS3, m)
+    half = np.stack([coeff0 * np.einsum("jmi,lm->ijl", _EPS3, m),
+                     coeff1 * (a1 * np.einsum("ij,l->ijl", np.eye(3), u)
+                               + a3 * np.einsum("mli,jm->ijl", _EPS3, m))])
+    t = half + half.swapaxes(2, 3)
+    # the P_i-type contraction T_ijj - T_jij of each
+    contrib_0, contrib_1 = hbar * (np.einsum("kijj->ki", t)
+                                   - np.einsum("kjij->ki", t))
 
     # two-longitudinal piece arrives pre-contracted: -K E/(32 pi^4) (eps-1) w
     contrib_2 = hbar * (-K * c["E"] / (32.0 * math.pi**4) * contrast

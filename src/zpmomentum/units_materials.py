@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
-    "UnknownDimensionError",
     "to_gaussian",
     "MaterialSpec",
     "SphereSpec",
@@ -27,10 +26,6 @@ __all__ = [
     "material_from_json",
     "preset_path",
 ]
-
-
-class UnknownDimensionError(ValueError):
-    """Raised when a conversion is requested for an unsupported dimension tag."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ def to_gaussian(value: float, dimension: str) -> float:
         factor = _CONVERSIONS[dimension]
     except KeyError:
         known = ", ".join(sorted(_CONVERSIONS))
-        raise UnknownDimensionError(
+        raise ValueError(
             f"unknown dimension {dimension!r}; known dimensions: {known}"
         ) from None
     return value * factor
@@ -152,8 +147,8 @@ class FieldConfig:
     b0        static magnetic field, T
     """
 
-    e0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    b0: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    e0: np.ndarray
+    b0: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e0", _as_vec3(self.e0, "e0"))

@@ -130,6 +130,15 @@ def test_freq_check_close_poles_refusal_prints_plain_floats(capsys):
     assert code == EXIT_OK, err
 
 
+def test_freq_check_epsilon_outside_oracle_range_exits_2(capsys):
+    # below 2.2e-5 the (1, 1) pair that every run includes cannot converge,
+    # so such a regulator is an input error that names the flag and range
+    for eps in ("1e-300", "1e-6", "0.2"):
+        code, out, err = run_capture(capsys, ["freq-check", "--epsilon", eps])
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: --epsilon must lie in [1e-05, 0.1]")
+
+
 def test_dipole_example_mass_shift(capsys):
     report = run_json(capsys, ["dipole", "--alpha", "1", "--alpha0", "1",
                                "--gamma", "1"])

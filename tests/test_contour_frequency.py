@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zpmomentum.contour_frequency import (KINDS, ConvergenceError, compare,
-                                          freq_closed_form, freq_oracle)
+from zpmomentum.contour_frequency import (KINDS, compare, freq_closed_form,
+                                          freq_oracle)
+from zpmomentum.special_functions import ConvergenceError
 
 
 def test_closed_form_spot_values():

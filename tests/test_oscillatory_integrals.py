@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zpmomentum import oscillatory_integrals as osc
-from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE,
-                                              ScheduleError, TRIG_NAMES,
+from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               eval_bruteforce, eval_trig,
                                               reconciled_constants,
                                               solve_D1_D3)
-from zpmomentum.special_functions import sph_bessel_j
+from zpmomentum.special_functions import _richardson, sph_bessel_j
 
 KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
 
@@ -171,7 +170,7 @@ def _kernel_bruteforce(kernel):
         u = nodes**a * sph_bessel_j(m, nodes) * damp
         v = nodes**b * sph_bessel_j(n, nodes) * damp
         raw.append(c * osc._coupled_sums(nodes, u, v, 1))
-    return osc._richardson(DEFAULT_SCHEDULE, raw)
+    return _richardson(DEFAULT_SCHEDULE, raw, (0, 1, 3, 5, 7))
 
 
 def test_e_gap_is_carried_by_e1():
@@ -217,21 +216,27 @@ def test_bruteforce_unknown_name_raises():
 
 
 def test_schedule_validation():
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ValueError, match="at least three"):
         eval_bruteforce("I0", schedule=(0.1,))        # single point
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ValueError, match="at least three"):
         eval_bruteforce("E", schedule=(0.05,))
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ValueError, match="at least three"):
         eval_bruteforce("D", schedule=(0.1, 0.05))    # nothing to check against
-    with pytest.raises(ScheduleError):
+    # two points are too short before their order or range is looked at
+    with pytest.raises(ValueError, match="at least three"):
         eval_bruteforce("I0", schedule=(0.05, 0.1))   # ascending
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ValueError, match="at least three"):
         eval_bruteforce("I0", schedule=(0.3, 0.1))    # above 0.2
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ValueError, match="at least three"):
         eval_bruteforce("I0", schedule=(0.1, 0.0))
-    # below the floor a pass would need about 5e8 nodes for eps = 1e-6, so
-    # the validation is called alone, without a pass behind it
-    with pytest.raises(ScheduleError, match="regulator"):
+    # three points reach the order and range checks; below the floor a pass
+    # would need about 5e8 nodes for eps = 1e-6, so the validation is called
+    # alone, without a pass behind it
+    with pytest.raises(ValueError, match="strictly descending"):
+        osc._validate_schedule((0.05, 0.1, 0.025))
+    with pytest.raises(ValueError, match="must lie in"):
+        osc._validate_schedule((0.3, 0.1, 0.05))
+    with pytest.raises(ValueError, match="must lie in"):
         osc._validate_schedule((0.1, 0.05, 1e-6))
     floor = DEFAULT_SCHEDULE[-1] / 4.0
     assert osc._validate_schedule((0.1, 0.05, floor))[-1] == floor

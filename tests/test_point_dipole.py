@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from zpmomentum.point_dipole import (DipoleSpec, QuadratureError, mass_shift,
+from zpmomentum.point_dipole import (DipoleSpec, mass_shift,
                                      p_rad_spectral, p_rad_total,
                                      spectral_integral_exact,
                                      spectral_integral_quadrature,
                                      spectral_integral_target, t0, t_matrix)
+from zpmomentum.special_functions import ConvergenceError
 from zpmomentum.units_materials import CONSTANTS
 
 NARROW = DipoleSpec(alpha=1.0, alpha0=1.0, gamma=1e-4)
@@ -156,7 +157,7 @@ def test_spectral_integral_exact_rejects_overdamped():
 
 
 def test_quadrature_error_when_tolerance_unreachable():
-    with pytest.raises(QuadratureError):
+    with pytest.raises(ConvergenceError):
         spectral_integral_quadrature(NARROW, rel_tol=1e-16)
 
 

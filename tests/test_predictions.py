@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from zpmomentum.predictions import (MissingCoefficientError,
-                                    empty_vacuum_momentum, first_born,
+from zpmomentum.predictions import (empty_vacuum_momentum, first_born,
                                     magneto_chiral, me_sphere_velocity,
                                     moving_sphere, replay)
-from zpmomentum.tensor_assembly import ChiTensor
+from zpmomentum.tensor_assembly import ChiTensor, second_born_momentum
 from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
                                         SphereSpec, material_from_json,
                                         preset_path)
@@ -155,6 +154,22 @@ def test_moving_sphere_at_rest_and_scaling():
         moving_sphere(sphere, (0.02 * CONSTANTS.c0_si, 0.0, 0.0))
 
 
+def test_moving_sphere_matches_tensor_path(rng):
+    # the command's momentum against the independent route: the explicit
+    # second-order tensor contractions of the moving-medium coupling
+    for _ in range(50):
+        eps = 1.0 + float(rng.uniform(-0.5, 0.5))
+        sphere = SphereSpec(radius=float(10.0 ** rng.uniform(-8.0, -4.0)),
+                            material=MaterialSpec(epsilon=eps,
+                                                  mass_density=1000.0))
+        v = rng.normal(size=3) * 10.0 ** rng.uniform(0.0, 5.0)
+        pred = moving_sphere(sphere, v)
+        tensor = second_born_momentum(sphere,
+                                      ChiTensor.moving_medium(eps, v)).total
+        assert np.linalg.norm(pred.momentum - tensor) <= \
+            1e-6 * np.linalg.norm(tensor)
+
+
 # --- magneto-chiral ---------------------------------------------------------
 
 MC_MATERIAL = MaterialSpec(epsilon=1.5, mass_density=1000.0,
@@ -191,7 +206,7 @@ def test_magneto_chiral_field_and_radius_scaling():
 def test_magneto_chiral_requires_material_coefficients():
     bare = SphereSpec(radius=1e-6,
                       material=MaterialSpec(epsilon=1.5, mass_density=1000.0))
-    with pytest.raises(MissingCoefficientError):
+    with pytest.raises(ValueError, match="requires verdet_v0 and chirality_g"):
         magneto_chiral(bare, (0, 0, 1))
 
 

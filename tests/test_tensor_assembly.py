@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zpmomentum.tensor_assembly import (_EPS3, ChiTensor,
-                                        PerturbativeDomainError, axial_vector,
+from zpmomentum.oscillatory_integrals import (reconciled_constants,
+                                              solve_D1_D3)
+from zpmomentum.tensor_assembly import (_EPS3, ChiTensor, axial_vector,
                                         closed_form_p_rad, eta,
                                         eta_consistency, regularized_K,
                                         second_born_momentum)
@@ -170,6 +171,38 @@ def test_tensor_path_equals_closed_form_for_random_chi(rng):
         assert np.linalg.norm(breakdown.total - closed) <= 1e-6 * scale
 
 
+def test_einsum_contractions_match_index_loops(rng):
+    # reference: both mode-sum tensors summed entry by entry, then
+    # contracted as T_ijj - T_jij; the einsum form only reorders the sums
+    sphere = make_sphere()
+    c = reconciled_constants()
+    K = regularized_K(sphere.radius)
+    contrast = sphere.material.epsilon - 1.0
+    D1, D3 = solve_D1_D3(c["D"], c["E"])
+    a1 = D1 + (c["C"] - c["A"]) / 15.0
+    a3 = D3 + (c["C"] - c["A"]) / 15.0
+    coeff0 = -K / (48.0 * math.pi**4) * contrast * (c["I0"] - c["I1"])
+    coeff1 = K / (16.0 * math.pi**4) * contrast
+    eps, d = _EPS3, np.eye(3)
+    for _ in range(30):
+        m = rng.normal(size=(3, 3))
+        t0, t1 = np.zeros((3, 3, 3)), np.zeros((3, 3, 3))
+        for i, j, l, k in itertools.product(range(3), repeat=4):
+            t0[i, j, l] += coeff0 * (eps[j, k, i] * m[l, k]
+                                     + m[j, k] * eps[l, k, i])
+            t1[i, j, l] += coeff1 * a3 * (eps[k, l, i] * m[j, k]
+                                          + eps[k, j, i] * m[l, k])
+            for n in range(3):
+                t1[i, j, l] += coeff1 * a1 * m[k, n] * (
+                    d[i, j] * eps[n, l, k] + d[i, l] * eps[n, j, k])
+        b = second_born_momentum(sphere, ChiTensor(matrix=m))
+        for got, t in ((b.contrib_0, t0), (b.contrib_1, t1)):
+            want = CONSTANTS.hbar_si * np.array(
+                [sum(t[i, j, j] - t[j, i, j] for j in range(3))
+                 for i in range(3)])
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_symmetric_chi_gives_exactly_zero(rng):
     sphere = make_sphere()
     for _ in range(20):
@@ -210,7 +243,7 @@ def test_scaling_with_contrast_and_radius():
 
 def test_perturbative_domain_guard():
     chi = ChiTensor.magneto_electric((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1e-4)
-    with pytest.raises(PerturbativeDomainError):
+    with pytest.raises(ValueError, match="exceeds 0.5"):
         second_born_momentum(make_sphere(epsilon=1.6), chi)
     # the closed form is exposed without the guard for extrapolated estimates
     out = closed_form_p_rad(make_sphere(epsilon=2.0), chi)
