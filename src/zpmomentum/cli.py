@@ -53,7 +53,8 @@ class RunReport:
 
     def add(self, name: str, value: float, error: float = 0.0,
             method: str = "closed_form", **extra) -> None:
-        value, error = float(value), float(error)
+        # adding 0.0 turns -0.0 into 0.0, so no report prints a signed zero
+        value, error = float(value) + 0.0, float(error)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise FloatingPointError(
                 f"{name} is not finite: {value!r} (err {error!r})")
@@ -315,7 +316,7 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
                       alpha0=to_gaussian(args.alpha0, "volume"),
                       gamma=to_gaussian(args.gamma, "length"))
     hbar_omega0_ev = (CONSTANTS.hbar_si * spec.omega0 / CONSTANTS.ev_in_joule)
-    if getattr(args, "hbar_omega0_eV") is not None:
+    if args.hbar_omega0_eV is not None:
         given = args.hbar_omega0_eV
         if not abs(given - hbar_omega0_ev) <= 1e-6 * abs(hbar_omega0_ev):
             raise ValueError(
@@ -360,19 +361,8 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
     material, material_src = _resolve_material(args.material)
     radius = args.a_um * 1e-6
     inputs = {"material": material_src, "radius_m": radius}
-    if args.model == "me-sphere":
-        sphere = SphereSpec(radius=radius, material=material)
-        fields = FieldConfig(e0=args.e0_dir, b0=args.b0_dir)
-        pred = me_sphere_velocity(sphere, fields)
-    elif args.model == "moving-sphere":
-        sphere = SphereSpec(radius=radius, material=material)
-        pred = moving_sphere(sphere, args.v)
-        inputs["v_m_s"] = list(map(float, args.v))
-    elif args.model == "magneto-chiral":
-        sphere = SphereSpec(radius=radius, material=material)
-        pred = magneto_chiral(sphere, args.b)
-        inputs["b_tesla"] = list(map(float, args.b))
-    elif args.model == "feigel":
+    if args.model == "feigel":
+        # feigel's own flags are reported ahead of the sphere's radius and mass
         for flag, val in (("--lambda-cut-nm", args.lambda_cut_nm),
                           ("--mu", args.mu)):
             if not (math.isfinite(val) and val > 0):
@@ -381,9 +371,19 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
         chi_scale = (args.chi_s0 if args.chi_s0 is not None
                      else material.me_coupling)
         rho = args.rho if args.rho is not None else material.mass_density
-        mat = MaterialSpec(epsilon=material.epsilon, mass_density=rho,
-                           me_coupling=chi_scale)
-        sphere = SphereSpec(radius=radius, material=mat)
+        material = MaterialSpec(epsilon=material.epsilon, mass_density=rho,
+                                me_coupling=chi_scale)
+    sphere = SphereSpec(radius=radius, material=material)
+    if args.model == "me-sphere":
+        pred = me_sphere_velocity(sphere, FieldConfig(e0=args.e0_dir,
+                                                      b0=args.b0_dir))
+    elif args.model == "moving-sphere":
+        pred = moving_sphere(sphere, args.v)
+        inputs["v_m_s"] = list(map(float, args.v))
+    elif args.model == "magneto-chiral":
+        pred = magneto_chiral(sphere, args.b)
+        inputs["b_tesla"] = list(map(float, args.b))
+    else:  # feigel; argparse restricts the choices
         chi = ChiTensor.magneto_electric((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                          chi_scale)
         k_cut = 2.0 * math.pi / (args.lambda_cut_nm * 1e-9)
@@ -392,8 +392,6 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
                           mu=args.mu)
         inputs.update({"k_cut": k_cut, "chi_s0": chi_scale, "rho": rho,
                        "mu": args.mu, "mode": args.mode})
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown model {args.model!r}")
     report = RunReport(f"predict {args.model}", inputs)
     _prediction_rows(report, pred)
     return report, EXIT_OK

@@ -39,9 +39,10 @@ KINDS = ("transverse", "one_longitudinal")
 # this fraction of the result, else the evaluation is reported as failed.
 ORACLE_REL_TOL = 1e-5
 # The regulators `freq-check` accepts; freq_oracle itself takes (0, 0.1].
-# Below about 2.2e-5 rounding at the degenerate triple pole of the (1, 1) pair,
-# which every run includes, pushes its error estimate past ORACLE_REL_TOL.
-ORACLE_EPSILON_RANGE = (1e-5, 0.1)
+# Up to about 2.2e-5 rounding at the degenerate triple pole of the (1, 1) pair,
+# which every run includes, pushes its error estimate past ORACLE_REL_TOL; the
+# floor is the 3e-5 from which freq_oracle is documented to converge.
+ORACLE_EPSILON_RANGE = (3e-5, 0.1)
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,7 @@ def _trig_C(f):
 
 
 def _trig_E1(f):
-    return -24.0 * np.sin(f) ** 2 * np.cos(f) * (
-        1.5 * np.sin(2 * f) * np.sin(5 * f) + np.cos(3 * f))
+    return 2.0 * _trig_I1(f)
 
 
 def _trig_E2(f):

@@ -1,8 +1,9 @@
 """End-user predictions: momenta, velocities and mass shifts of small spheres.
 
-Five models are exposed, each returning a Prediction whose inputs_digest
-records every number that entered the evaluation (and can be replayed
-bit-exactly with replay()):
+Four sphere models return a Prediction: velocity is momentum over the
+sphere's mass, and the inputs_digest records the sphere's radius, epsilon and
+mass density, then the model's own inputs, the constants and the notes, so
+replay() rebuilds the Prediction bit-exactly.  The control case is a vector:
 
 * first_born        — lowest-order zero-point momentum of a cross-coupled
                       sphere: exactly zero under dimensional regularization,
@@ -20,7 +21,8 @@ bit-exactly with replay()):
 Sign conventions downstream of the constant eta are reported as computed; the
 digests note where the computed signs differ from the reference literature
 values (which quote eta > 0, while the reconciled constant set gives
-eta < 0).  All public inputs and outputs are SI.
+eta < 0).  Zeros keep their sign here; the CLI reports print them unsigned.
+All public inputs and outputs are SI.
 """
 
 from __future__ import annotations
@@ -70,9 +72,20 @@ class Prediction:
     inputs_digest: dict
 
 
-def _digest(model: str, inputs: dict, constants: dict, notes: list[str]) -> dict:
-    return {"model": model, "inputs": inputs, "constants": constants,
-            "notes": list(notes)}
+def _sphere_prediction(model: str, sphere: SphereSpec, momentum: np.ndarray,
+                       constants: dict, notes: list[str],
+                       mass_shift: float = 0.0, **inputs) -> Prediction:
+    """The Prediction every sphere model returns: velocity is momentum over
+    the sphere's mass, and the digest records the sphere's radius, epsilon
+    and mass density ahead of the model's own inputs."""
+    mat = sphere.material
+    inputs = {"radius": sphere.radius, "epsilon": mat.epsilon,
+              "mass_density": mat.mass_density, **inputs}
+    digest = {"model": model, "inputs": inputs, "constants": constants,
+              "notes": list(notes)}
+    return Prediction(model=model, momentum=momentum,
+                      velocity=momentum / sphere.mass(), mass_shift=mass_shift,
+                      inputs_digest=digest)
 
 
 def first_born(sphere: SphereSpec, chi: ChiTensor, mode: str = "dimensional",
@@ -90,7 +103,6 @@ def first_born(sphere: SphereSpec, chi: ChiTensor, mode: str = "dimensional",
     """
     if mode not in ("dimensional", "cutoff"):
         raise ValueError(f"mode must be 'dimensional' or 'cutoff', got {mode!r}")
-    mass = sphere.mass()
     notes: list[str] = []
     if mode == "dimensional":
         momentum = np.zeros(3)
@@ -106,25 +118,18 @@ def first_born(sphere: SphereSpec, chi: ChiTensor, mode: str = "dimensional",
                    * CONSTANTS.hbar_si * k_cut**4) * chi_s0
         momentum = density * sphere.volume
         k_cut_rec = float(k_cut)
-    inputs = {
-        "radius": sphere.radius,
-        "epsilon": sphere.material.epsilon,
-        "mass_density": sphere.material.mass_density,
-        "chi_matrix": chi.matrix.tolist(),
-        "chi_kind": chi.kind,
-        "mode": mode,
-        "k_cut": k_cut_rec,
-        "mu": mu,
-    }
-    consts = {"hbar_si": CONSTANTS.hbar_si}
-    return Prediction(model="first_born", momentum=momentum,
-                      velocity=momentum / mass, mass_shift=0.0,
-                      inputs_digest=_digest("first_born", inputs, consts, notes))
+    return _sphere_prediction(
+        "first_born", sphere, momentum, {"hbar_si": CONSTANTS.hbar_si}, notes,
+        chi_matrix=chi.matrix.tolist(), chi_kind=chi.kind, mode=mode,
+        k_cut=k_cut_rec, mu=mu)
 
 
-def _eta_and_notes(eta_value: float | None) -> tuple[float, list[str]]:
+def _eta_and_notes(sphere: SphereSpec, eta_value: float | None
+                   ) -> tuple[float, list[str]]:
     ev = eta() if eta_value is None else eta_value
     notes = [_ETA_SIGN_NOTE] if ev < 0 else []
+    if abs(sphere.material.epsilon - 1.0) > 0.5:
+        notes.append(_PERTURBATIVE_NOTE)
     return ev, notes
 
 
@@ -140,31 +145,20 @@ def me_sphere_velocity(sphere: SphereSpec, fields: FieldConfig,
     actual sign carried from the contraction and any discrepancy with the
     reference sign convention recorded in the digest notes.
     """
-    e0 = np.asarray(fields.e0, dtype=float)
-    b0 = np.asarray(fields.b0, dtype=float)
+    e0, b0 = fields.e0, fields.b0
     if np.linalg.norm(e0) == 0.0 or np.linalg.norm(b0) == 0.0:
         raise ValueError("me_sphere needs nonzero e0 and b0 orientations")
     e_hat = e0 / np.linalg.norm(e0)
     b_hat = b0 / np.linalg.norm(b0)
-    mass = sphere.mass()
-    ev, notes = _eta_and_notes(eta_value)
-    if abs(sphere.material.epsilon - 1.0) > 0.5:
-        notes.append(_PERTURBATIVE_NOTE)
+    ev, notes = _eta_and_notes(sphere, eta_value)
     chi = ChiTensor.magneto_electric(e_hat, b_hat, sphere.material.me_coupling)
     # sphere momentum is minus the radiated momentum
     momentum = -closed_form_p_rad(sphere, chi, eta_value=ev)
-    inputs = {
-        "radius": sphere.radius,
-        "epsilon": sphere.material.epsilon,
-        "mass_density": sphere.material.mass_density,
-        "me_coupling": sphere.material.me_coupling,
-        "e0": e0.tolist(),
-        "b0": b0.tolist(),
-    }
-    consts = {"eta": ev, "hbar_si": CONSTANTS.hbar_si}
-    return Prediction(model="me_sphere", momentum=momentum,
-                      velocity=momentum / mass, mass_shift=0.0,
-                      inputs_digest=_digest("me_sphere", inputs, consts, notes))
+    return _sphere_prediction(
+        "me_sphere", sphere, momentum,
+        {"eta": ev, "hbar_si": CONSTANTS.hbar_si}, notes,
+        me_coupling=sphere.material.me_coupling, e0=e0.tolist(),
+        b0=b0.tolist())
 
 
 def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
@@ -182,9 +176,7 @@ def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
     v_si = np.asarray(v, dtype=float)
     if np.linalg.norm(v_si) / CONSTANTS.c0_si >= 0.01:
         raise ValueError("|v|/c0 must stay below 0.01")
-    ev, notes = _eta_and_notes(eta_value)
-    if abs(sphere.material.epsilon - 1.0) > 0.5:
-        notes.append(_PERTURBATIVE_NOTE)
+    ev, notes = _eta_and_notes(sphere, eta_value)
     contrast = sphere.material.epsilon - 1.0
     shift = (-2.0 * ev * CONSTANTS.hbar_si
              / (sphere.radius * CONSTANTS.c0_si) * contrast**2)
@@ -192,18 +184,10 @@ def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
         notes.append("mass_shift > 0 (increase); the reference sign "
                      "convention expects a reduction")
     chi = ChiTensor.moving_medium(sphere.material.epsilon, v_si)
-    # adding 0.0 turns a -0.0 component into +0.0, as in _eps_dot
-    momentum = closed_form_p_rad(sphere, chi, eta_value=ev) + 0.0
-    inputs = {
-        "radius": sphere.radius,
-        "epsilon": sphere.material.epsilon,
-        "mass_density": sphere.material.mass_density,
-        "v": v_si.tolist(),
-    }
+    momentum = closed_form_p_rad(sphere, chi, eta_value=ev)
     consts = {"eta": ev, "hbar_si": CONSTANTS.hbar_si, "c0_si": CONSTANTS.c0_si}
-    return Prediction(model="moving_sphere", momentum=momentum,
-                      velocity=momentum / sphere.mass(), mass_shift=shift,
-                      inputs_digest=_digest("moving_sphere", inputs, consts, notes))
+    return _sphere_prediction("moving_sphere", sphere, momentum, consts, notes,
+                              mass_shift=shift, v=v_si.tolist())
 
 
 def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
@@ -228,23 +212,14 @@ def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
                       * mat.verdet_v0 * CONSTANTS.c0_gaussian**2
                       * mat.chirality_g / a_cm**3) * b_gauss
     momentum = momentum_gauss * 1e-5  # g cm/s -> kg m/s
-    notes = ["macroscopic_model_probably_wrong"]
-    inputs = {
-        "radius": sphere.radius,
-        "epsilon": mat.epsilon,
-        "mass_density": mat.mass_density,
-        "verdet_v0": mat.verdet_v0,
-        "chirality_g": mat.chirality_g,
-        "b_field": b_si.tolist(),
-    }
     consts = {"coefficient": MAGNETO_CHIRAL_COEFF,
               "hbar_gaussian": CONSTANTS.hbar_gaussian,
               "c0_gaussian": CONSTANTS.c0_gaussian,
               "macroscopic_model_probably_wrong": True}
-    return Prediction(model="magneto_chiral", momentum=momentum,
-                      velocity=momentum / sphere.mass(), mass_shift=0.0,
-                      inputs_digest=_digest("magneto_chiral", inputs, consts,
-                                            notes))
+    return _sphere_prediction(
+        "magneto_chiral", sphere, momentum, consts,
+        ["macroscopic_model_probably_wrong"], verdet_v0=mat.verdet_v0,
+        chirality_g=mat.chirality_g, b_field=b_si.tolist())
 
 
 def empty_vacuum_momentum() -> np.ndarray:

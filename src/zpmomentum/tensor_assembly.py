@@ -181,7 +181,7 @@ class EtaConsistencyReport:
     eta_quadrature: float
 
 
-def eta_consistency(eta_value: float = REFERENCE_ETA) -> EtaConsistencyReport:
+def eta_consistency() -> EtaConsistencyReport:
     """Solve the eta formula for D using reference face values and compare.
 
     D_implied = 3 (eta * 192 pi^2 - (I0 - I1 + C/3 - A/3 - E/2)), with the
@@ -191,10 +191,10 @@ def eta_consistency(eta_value: float = REFERENCE_ETA) -> EtaConsistencyReport:
     """
     r = REFERENCE_MAGNITUDES
     partial = (r["I0"] - r["I1"] + r["C"] / 3.0 - r["A"] / 3.0 - r["E"] / 2.0)
-    d_implied = 3.0 * (eta_value * 192.0 * math.pi**2 - partial)
+    d_implied = 3.0 * (REFERENCE_ETA * 192.0 * math.pi**2 - partial)
     d_quadrature = reconciled_constants()["D"]
     return EtaConsistencyReport(
-        eta_reference=eta_value,
+        eta_reference=REFERENCE_ETA,
         d_implied=d_implied,
         d_quadrature=d_quadrature,
         discrepancy=d_implied - d_quadrature,

@@ -5,6 +5,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -131,12 +132,13 @@ def test_freq_check_close_poles_refusal_prints_plain_floats(capsys):
 
 
 def test_freq_check_epsilon_outside_oracle_range_exits_2(capsys):
-    # below 2.2e-5 the (1, 1) pair that every run includes cannot converge,
-    # so such a regulator is an input error that names the flag and range
-    for eps in ("1e-300", "1e-6", "0.2"):
+    # up to about 2.2e-5 the (1, 1) pair that every run includes cannot
+    # converge, so such a regulator is an input error that names the flag
+    # and range
+    for eps in ("1e-300", "1e-6", "1e-5", "2.2e-5", "0.2"):
         code, out, err = run_capture(capsys, ["freq-check", "--epsilon", eps])
         assert code == EXIT_INPUT and out == ""
-        assert err.startswith("error: --epsilon must lie in [1e-05, 0.1]")
+        assert err.startswith("error: --epsilon must lie in [3e-05, 0.1]")
 
 
 def test_dipole_example_mass_shift(capsys):
@@ -378,6 +380,8 @@ def mc_material(tmp_path_factory):
                "1e-300"])
 @example(argv=["predict", "me-sphere", "--a-um", "1", "--e0-dir=1,0,0",
                "--b0-dir=1e300,1e300,0"])
+@example(argv=["predict", "me-sphere", "--material", "fegao3", "--a-um", "1"])
+@example(argv=["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "100"])
 def test_every_argv_keeps_exit_code_contract(mc_material, argv):
     argv = [a.replace("MC_MATERIAL", mc_material) for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -391,9 +395,11 @@ def test_every_argv_keeps_exit_code_contract(mc_material, argv):
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if out.getvalue():
-        jsonschema.validate(
-            json.loads(out.getvalue(), parse_constant=_reject_constant),
-            SCHEMA)
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(report, SCHEMA)
+        # every zero prints unsigned
+        assert not [row for row in report["results"] if row["value"] == 0.0
+                    and math.copysign(1.0, row["value"]) < 0]
     if code == EXIT_NUMERICAL:
         assert err.getvalue().startswith("numerical failure:")
 
