@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-schedule", type=_parse_schedule,
                    default=DEFAULT_SCHEDULE, metavar="E1,E2,...",
                    help="regulator schedule for the quadrature route "
-                        "(at least three values)")
+                        "(three to five values)")
 
     p = sub.add_parser("eta", help="the eta constant and its consistency check")
     _common_flags(p)
@@ -420,6 +420,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.subcommand]
+    command = f"{args.subcommand} {getattr(args, 'model', '')}".rstrip()
     try:
         # Overflow, division by zero and invalid operations in numpy raise
         # FloatingPointError here instead of warning and carrying inf or nan
@@ -431,7 +432,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(output)
     return code

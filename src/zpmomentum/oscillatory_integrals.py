@@ -54,7 +54,7 @@ PMAX_FACTOR = 50.0  # radial cutoff P_max = PMAX_FACTOR / eps
 # wastes schedule points and degrades the extrapolation by orders of magnitude.
 _ODD_POWERS = (0, 1, 3, 5, 7)
 # Smallest accepted regulator.  A pass's node count and memory grow like
-# 1/eps: `constants` peaks at 116 MiB RSS by default, 330 MiB at this floor.
+# 1/eps: `constants` peaks at 51 MiB RSS by default, 108 MiB at this floor.
 _EPS_FLOOR = DEFAULT_SCHEDULE[-1] / 4.0
 
 TRIG_NAMES = ("I0", "I1", "A", "C", "E1", "E2", "E3")
@@ -154,9 +154,10 @@ def eval_trig(name: str) -> IntegralResult:
 #     p^pe j_pb(p) * q^qe j_qb(q) / (p+q)^dp
 # after splitting (p+2q)/(p+q)^2 = 1/(p+q) + q/(p+q)^2.  The E kernel's
 # relative-angle integral is elementary and leaves (1/3) p^3 q^3 / (p+q)
-# [j0 j0 + 2 j2 j2].  One regulated pass evaluates all pieces on a shared
-# Gauss-Legendre grid, with the damped weights folded into per-piece vectors
-# and the (p+q) coupling summed as an exponential sum (_coupled_sums).
+# [j0 j0 + 2 j2 j2].  One regulated pass evaluates all nine pieces on a shared
+# Gauss-Legendre grid, with the damped weights folded into per-piece columns
+# and the (p+q) coupling of every column, d = 1 and d = 2 alike, summed in one
+# exponential sum over the grid's panels (_coupled_sums).
 
 # piece -> (p_exponent, p_bessel_order, q_exponent, q_bessel_order,
 #           denominator_power, coefficient)
@@ -187,44 +188,58 @@ _PANEL_POINTS = 8
 _LOG_STEP = 0.25
 
 
-def _panel_nodes(pmax: float) -> tuple[np.ndarray, np.ndarray]:
-    n_panels = int(math.ceil(pmax / _PANEL_WIDTH))
-    return _gauss_panels(np.linspace(0.0, pmax, n_panels + 1), _PANEL_POINTS)
+def _panel_edges(pmax: float) -> np.ndarray:
+    """Equal panels on [0, pmax], none wider than _PANEL_WIDTH."""
+    return np.linspace(0.0, pmax, int(math.ceil(pmax / _PANEL_WIDTH)) + 1)
 
 
-def _coupled_sums(nodes: np.ndarray, U: np.ndarray, V: np.ndarray,
-                  d: int) -> np.ndarray:
-    """sum_ij U_i V_j / (p_i + p_j)^d over the grid nodes p, per column.
+def _coupled_sums(edges: np.ndarray, U: np.ndarray, V: np.ndarray,
+                  d) -> np.ndarray:
+    """sum_ij U_ik V_jk / (p_i + p_j)^d_k over the panel grid, per column k.
 
+    U and V hold one row per node of _gauss_panels(edges, _PANEL_POINTS) and
+    one column per sum; d is one power for every column or one per column.
     The trapezoid rule in s for 1/x^d = Gamma(d)^-1 Int e^{d s - x e^s} ds
-    turns the double sum into O(N) work per s-node.  The s range covers every
-    x = p_i + p_j in [2 p_min, 2 p_max]: below it x e^s < 1e-16, above it
-    x e^s > 40.  Nodes must be ascending.
+    turns the double sum into sums of U and V against e^{-t p}, t = e^s.  The
+    s range covers every x = p_i + p_j in [2 p_min, 2 p_max]: below it
+    x e^s < 1e-16, above it x e^s > 40.  Each node is p = a + o, with a its
+    panel's left edge and o one of the offsets shared by the equal panels,
+    so e^{-t p} = e^{-t a} e^{-t o}: a matrix product over the panels, then a
+    contraction over the offsets, O(N/8 + 8) exponentials per s-node.  Both
+    factors lie in (0, 1], and one underflows only where e^{-t p} does.
+    Edges must be ascending and equally spaced.
     """
-    t = np.exp(np.arange(math.log(1e-16 / (2.0 * nodes[-1])),
-                         math.log(20.0 / nodes[0]), _LOG_STEP))
-    decay = np.outer(-t, nodes)
-    np.exp(decay, out=decay)
-    weights = _LOG_STEP / math.gamma(d) * t**d
-    return weights @ ((decay @ U) * (decay @ V))
+    offsets = _gauss_panels(edges[:2], _PANEL_POINTS)[0] - edges[0]
+    t = np.exp(np.arange(math.log(1e-16 / (2.0 * edges[-1])),
+                         math.log(20.0 / (edges[0] + offsets[0])), _LOG_STEP))
+    panel = np.outer(-t, edges[:-1])
+    np.exp(panel, out=panel)
+    local = np.exp(np.outer(-t, offsets))
+
+    def decayed(W):  # sum_i e^{-t p_i} W_ik, per t and column
+        by_offset = panel @ W.reshape(panel.shape[1], -1)
+        return np.einsum("tj,tjk->tk", local,
+                         by_offset.reshape(len(t), len(offsets), -1))
+
+    powers = np.broadcast_to(d, U.shape[1:])
+    weights = _LOG_STEP * t[:, None] ** powers / [math.gamma(k)
+                                                  for k in powers]
+    return np.einsum("tk,tk,tk->k", weights, decayed(U), decayed(V))
 
 
 @lru_cache(maxsize=16)
 def _regulated_pass(eps: float) -> dict[str, float]:
     """All nine kernel pieces integrated at one regulator strength."""
-    nodes, wts = _panel_nodes(PMAX_FACTOR / eps)
+    edges = _panel_edges(PMAX_FACTOR / eps)
+    nodes, wts = _gauss_panels(edges, _PANEL_POINTS)
     damp = wts * np.exp(-eps * nodes)
     bessel = {n: sph_bessel_j(n, nodes) for n in (0, 1, 2)}
-    out = {}
-    for d in (1, 2):
-        pieces = {name: piece for name, piece in _PIECES.items()
-                  if piece[4] == d}
-        U = np.column_stack([nodes**pe * bessel[pb] * damp * coeff
-                             for pe, pb, _, _, _, coeff in pieces.values()])
-        V = np.column_stack([nodes**qe * bessel[qb] * damp
-                             for _, _, qe, qb, _, _ in pieces.values()])
-        out.update(zip(pieces, _coupled_sums(nodes, U, V, d)))
-    return out
+    U = np.column_stack([nodes**pe * bessel[pb] * damp * coeff
+                         for pe, pb, _, _, _, coeff in _PIECES.values()])
+    V = np.column_stack([nodes**qe * bessel[qb] * damp
+                         for _, _, qe, qb, _, _ in _PIECES.values()])
+    powers = [piece[4] for piece in _PIECES.values()]
+    return dict(zip(_PIECES, _coupled_sums(edges, U, V, powers)))
 
 
 def _validate_schedule(schedule) -> tuple[float, ...]:
@@ -233,6 +248,10 @@ def _validate_schedule(schedule) -> tuple[float, ...]:
         raise ValueError(
             "at least three regulator values are needed to extrapolate and "
             f"check the extrapolation; got {sched}")
+    if len(sched) > len(_ODD_POWERS):
+        raise ValueError(
+            f"at most {len(_ODD_POWERS)} regulator values can be "
+            f"extrapolated, one per power {_ODD_POWERS}; got {len(sched)}")
     if any(not (_EPS_FLOOR <= e <= 0.2) for e in sched):
         raise ValueError(
             f"regulator values must lie in [{_EPS_FLOOR}, 0.2]: {sched}")

@@ -174,6 +174,12 @@ def test_invalid_schedule_exits_2(capsys):
                                             schedule])
         assert code == EXIT_INPUT
         assert "regulator" in err
+    # six values, one more than the Richardson powers
+    code, _, err = run_capture(capsys, [
+        "constants", "--eps-schedule",
+        "0.1,0.05,0.025,0.0125,0.00625,0.003125"])
+    assert code == EXIT_INPUT
+    assert "at most 5 regulator values" in err
 
 
 # --- predictions through the CLI -------------------------------------------
@@ -311,6 +317,19 @@ def test_hostile_inputs_keep_exit_code_contract(capsys, recwarn, tmp_path,
         ("numerical failure:" in err)
     assert "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "1e-80"],
+     "predict feigel"),
+    (["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma", "1e-300"],
+     "dipole"),
+])
+def test_numerical_failure_names_the_command(capsys, argv, command):
+    code, out, err = run_capture(capsys, argv)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith(f"numerical failure: {command}: ")
 
 
 # --- the exit-code contract on generated argv --------------------------------

@@ -1,6 +1,7 @@
 """Radial-mode constants: trig route, brute-force route, reconciliation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               eval_bruteforce, eval_trig,
                                               reconciled_constants,
                                               solve_D1_D3)
-from zpmomentum.special_functions import _richardson, sph_bessel_j
+from zpmomentum.special_functions import (_gauss_panels, _richardson,
+                                          sph_bessel_j)
 
 KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
 
@@ -106,15 +108,17 @@ def test_e_defining_kernel_matches_trig_piece_sum():
 # --- the coupled-sum kernel -------------------------------------------------
 
 def _regulated_grid(eps):
-    """The production panel nodes and their damped weights at one eps."""
-    nodes, wts = osc._panel_nodes(osc.PMAX_FACTOR / eps)
-    return nodes, wts * np.exp(-eps * nodes)
+    """The production panel edges, their nodes and the nodes' damped weights
+    at one eps."""
+    edges = osc._panel_edges(osc.PMAX_FACTOR / eps)
+    nodes, wts = _gauss_panels(edges, osc._PANEL_POINTS)
+    return edges, nodes, wts * np.exp(-eps * nodes)
 
 
 def _pairwise_pass(eps):
     """The nine pieces of _regulated_pass(eps) by the direct sum over every
     node pair, 1024 rows of the coupling matrix at a time."""
-    nodes, damp = _regulated_grid(eps)
+    _, nodes, damp = _regulated_grid(eps)
     bessel = {m: sph_bessel_j(m, nodes) for m in (0, 1, 2)}
     sums = dict.fromkeys(osc._PIECES, 0.0)
     for lo in range(0, len(nodes), 1024):
@@ -131,7 +135,7 @@ def _pairwise_pass(eps):
 def test_coupled_sums_reproduce_the_coupling(d):
     """Unit columns pick single node pairs, at both ends and in the middle of
     the finest default grid; the exponential sum must return 1/(p_i+p_j)^d."""
-    nodes, _ = _regulated_grid(DEFAULT_SCHEDULE[-1])
+    edges, nodes, _ = _regulated_grid(DEFAULT_SCHEDULE[-1])
     last, mid = len(nodes) - 1, len(nodes) // 2
     i, j = np.array([(0, 0), (0, mid), (0, last), (mid, mid), (mid, last),
                      (last, last)]).T
@@ -139,7 +143,7 @@ def test_coupled_sums_reproduce_the_coupling(d):
     V = np.zeros_like(U)
     U[i, np.arange(len(i))] = 1.0
     V[j, np.arange(len(j))] = 1.0
-    np.testing.assert_allclose(osc._coupled_sums(nodes, U, V, d),
+    np.testing.assert_allclose(osc._coupled_sums(edges, U, V, d),
                                (nodes[i] + nodes[j]) ** -float(d),
                                rtol=1e-13, atol=0.0)
 
@@ -148,6 +152,43 @@ def test_regulated_pass_matches_pairwise_sum():
     pairwise = _pairwise_pass(0.1)
     for name, value in osc._regulated_pass(0.1).items():
         assert value == pytest.approx(pairwise[name], rel=1e-10), name
+
+
+def _full_matrix_sums(nodes, U, V, d):
+    """The exponential sum with the whole T x N table exp(-t p) in memory, the
+    unfactored form of _coupled_sums."""
+    t = np.exp(np.arange(math.log(1e-16 / (2.0 * nodes[-1])),
+                         math.log(20.0 / nodes[0]), osc._LOG_STEP))
+    decay = np.outer(-t, nodes)
+    np.exp(decay, out=decay)
+    weights = osc._LOG_STEP / math.gamma(d) * t**d
+    return weights @ ((decay @ U) * (decay @ V))
+
+
+@pytest.mark.parametrize("eps", DEFAULT_SCHEDULE)
+def test_regulated_pass_matches_full_matrix_sums(eps):
+    """The panel-factored table gives every piece of the unfactored one."""
+    _, nodes, damp = _regulated_grid(eps)
+    bessel = {m: sph_bessel_j(m, nodes) for m in (0, 1, 2)}
+    factored = osc._regulated_pass(eps)
+    for name, (a, m, b, n, d, c) in osc._PIECES.items():
+        u = nodes**a * bessel[m] * damp * c
+        v = nodes**b * bessel[n] * damp
+        reference = _full_matrix_sums(nodes, u, v, d)
+        assert factored[name] == pytest.approx(reference, rel=1e-12), name
+
+
+def test_finest_default_pass_peak_memory():
+    """One uncached pass at the finest default regulator holds no T x N
+    table: its traced peak stays below 32 MiB (the full table alone is
+    66 MiB)."""
+    tracemalloc.start()
+    try:
+        osc._regulated_pass.__wrapped__(DEFAULT_SCHEDULE[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # --- where the E gap lives ---------------------------------------------------
@@ -166,10 +207,10 @@ def _kernel_bruteforce(kernel):
     c, a, m, b, n = kernel
     raw = []
     for eps in DEFAULT_SCHEDULE:
-        nodes, damp = _regulated_grid(eps)
+        edges, nodes, damp = _regulated_grid(eps)
         u = nodes**a * sph_bessel_j(m, nodes) * damp
         v = nodes**b * sph_bessel_j(n, nodes) * damp
-        raw.append(c * osc._coupled_sums(nodes, u, v, 1))
+        raw.append(c * osc._coupled_sums(edges, u[:, None], v[:, None], 1)[0])
     return _richardson(DEFAULT_SCHEDULE, raw, (0, 1, 3, 5, 7))
 
 
@@ -193,13 +234,14 @@ def test_e_gap_is_carried_by_e1():
         trig["E1"] - isotropic, rel=1e-6)
 
     # <k^_i k^_j e^{ik.z}> is diagonal: (1 - mu^2)/2 twice, mu^2 once
-    nodes, damp = _regulated_grid(0.1)
+    edges, nodes, damp = _regulated_grid(0.1)
     mu, w = np.polynomial.legendre.leggauss(400)
     phase = np.cos(np.outer(nodes, mu)) * (0.5 * w)
     transverse = nodes**3 * (phase @ (0.5 * (1.0 - mu**2))) * damp
     along = nodes**3 * (phase @ mu**2) * damp
-    direct = (2.0 * osc._coupled_sums(nodes, transverse, transverse, 1)
-              + osc._coupled_sums(nodes, along, along, 1))
+    columns = np.column_stack([transverse, along])
+    transverse_sum, along_sum = osc._coupled_sums(edges, columns, columns, 1)
+    direct = 2.0 * transverse_sum + along_sum
     reduced = osc._regulated_pass(0.1)
     assert direct == pytest.approx(reduced["E_0"] + reduced["E_2"], rel=1e-10)
 
