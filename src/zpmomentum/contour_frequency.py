@@ -12,9 +12,9 @@ evaluates the regulated integral at finite i-eta and extrapolates eta -> 0.
 
 The oracle exists to cross-check the closed forms, so it deliberately shares
 no algebra with them: it is plain Gauss-Legendre quadrature on the real axis,
-on panels that double in width away from each near-pole, evaluated in a
-shifted variable so that u^2 - p^2 is computed without cancellation,
-followed by quadratic Richardson extrapolation in the regulator.
+on panels that double in width away from each near-pole, of one integrand in
+a shifted variable x = u - p that writes every factor u^2 - q^2 as the product
+(x + (p - q)) (u + q), free of cancellation, then quadratic Richardson.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ from dataclasses import dataclass
 from .special_functions import (ConvergenceError, _graded_edges, _panel_quad,
                                 _richardson)
 
-__all__ = [
-    "KINDS",
-    "FreqIntegralResult",
-    "freq_closed_form",
-    "freq_oracle",
-    "compare",
-]
+__all__ = ["KINDS", "FreqIntegralResult", "freq_closed_form", "freq_oracle",
+           "compare", "resolving_epsilon"]
 
 KINDS = ("transverse", "one_longitudinal")
 
@@ -82,55 +77,59 @@ def freq_closed_form(kind: str, k: float, kp: float) -> complex:
     return 0.25j * math.pi / (k * (k + kp) ** 2)
 
 
-def _regulated_single(kind: str, k: float, kp: float, eps_scaled: float
+def _rescaled_poles(k: float, kp: float) -> tuple[float, float, float, bool]:
+    """s = min(k, kp), poles a = k / s and b = kp / s, and whether they meet."""
+    s = min(k, kp)
+    a, b = k / s, kp / s
+    return s, a, b, abs(a - b) < 1e-14 * max(a, b)
+
+
+def resolving_epsilon(k: float, kp: float, epsilon: float = 1e-3) -> float:
+    """The largest regulator up to epsilon at which freq_oracle resolves
+    (k, kp): 0.05 |a - b| min(a, b) in the rescaled poles, unless they meet."""
+    _, a, b, meet = _rescaled_poles(k, kp)
+    return epsilon if meet else min(epsilon, 0.05 * abs(a - b) * min(a, b))
+
+
+def _regulated_single(kind: str, k: float, kp: float, e: float
                       ) -> tuple[complex, float]:
     """One regulated evaluation at fixed (rescaled) regulator strength.
 
     Works in the rescaled variable u = omega / min(k, kp), which keeps the
     pole locations O(1).  The cuts 0, the midpoints between poles and upper
-    give each pole p its own stretch, integrated in x = u - p with
-    u^2 - p^2 = x (x + 2p): the product form avoids the cancellation that
-    u*u - p*p suffers when p is large.  Returns (value, error estimate).
+    give each pole p its own stretch, integrated in x = u - p, and the tail
+    beyond upper is the same integrand at p = 0.  Every factor is written
+    u^2 - q^2 = (x + (p - q)) (u + q): the product form avoids the
+    cancellation that u*u - q*q suffers near q, for the pole's own factor
+    and for a neighbouring pole's alike.  Returns (value, error estimate).
     """
     pw = 4 if kind == "transverse" else 2
-    s = min(k, kp)
-    a, b = k / s, kp / s  # a carries the squared denominator
-    e = eps_scaled
+    s, a, b, degenerate = _rescaled_poles(k, kp)  # a carries the squared one
     prefac = s ** (pw - 5)
-    degenerate = abs(a - b) < 1e-14 * max(a, b)
 
-    def f(u):
-        return u**pw / ((u * u - a * a + 1j * e) ** 2 * (u * u - b * b + 1j * e))
-
-    def f_near(p, x):
+    def f(p, x):
         u = p + x
-        dp = x * (x + 2.0 * p)
-        if degenerate:
-            return u**pw / (dp + 1j * e) ** 3
-        if p == a:
-            return u**pw / ((dp + 1j * e) ** 2 * (u * u - b * b + 1j * e))
-        return u**pw / ((u * u - a * a + 1j * e) ** 2 * (dp + 1j * e))
+        return u**pw / (((x + (p - a)) * (u + a) + 1j * e) ** 2
+                        * ((x + (p - b)) * (u + b) + 1j * e))
 
     poles = [a] if degenerate else sorted((a, b))
     upper = 10.0 * (a + b) + 10.0
     cuts = [0.0] + [(p + q) / 2.0 for p, q in zip(poles, poles[1:])] + [upper]
     # decaying tail: integrand ~ u^(pw-6) out here, smooth in t = upper / u
-    total, errtot = _panel_quad(lambda t: f(upper / t) * upper / (t * t),
+    total, errtot = _panel_quad(lambda t: f(0.0, upper / t) * upper / (t * t),
                                 (0.0, 1.0), 40)
     for p, lo, hi in zip(poles, cuts, cuts[1:]):
         w = e / (2.0 * p)  # half-width at half-maximum of the regulated pole
         if 0.9 * min(p - lo, hi - p) < 10.0 * w:
             # the stretch around this pole cannot clear its neighbour: the
             # poles are distinct but closer than the regulated width resolves
-            gap = 2.0 * min(p - lo, hi - p)
             raise ConvergenceError(
-                f"rescaled poles {poles} are separated by {gap:.3e}, closer "
-                f"than the regulator epsilon={e:g} resolves; reduce epsilon "
-                f"below ~{0.05 * gap * p:.1e} or pass exactly equal "
-                "wavenumbers for the degenerate path")
+                f"rescaled poles {poles} are closer than epsilon={e:g} "
+                "resolves; reduce epsilon to 0.05 x gap x smaller pole = "
+                f"{resolving_epsilon(k, kp, e):.1e} or pass equal wavenumbers")
         # a central panel w wide instead of w/8 misses the degenerate triple
         # pole: the error estimate of (1, 1) rises past ORACLE_REL_TOL
-        v, err = _panel_quad(lambda x, pp=p: f_near(pp, x),
+        v, err = _panel_quad(lambda x, pp=p: f(pp, x),
                              _graded_edges(lo - p, hi - p, w / 8.0), 40)
         total += v
         errtot += err
@@ -146,11 +145,12 @@ def freq_oracle(kind: str, k: float, kp: float, epsilon: float = 1e-3) -> comple
     combined quadrature error estimate exceeds ORACLE_REL_TOL of the result.
 
     Validated domain: wavenumber ratios up to ~100 (ValueError beyond), and
-    either exactly equal wavenumbers or pole separations the regulator can
-    resolve (ConvergenceError for distinct-but-closer pairs).  On the
-    freq-check pairs (the default seed and seeds 1-8) every resolved pair
-    converges for epsilon from 3e-5 to 1e-2; below 3e-5 rounding at the
-    degenerate triple pole pushes the error estimate past ORACLE_REL_TOL.
+    either exactly equal wavenumbers or poles the regulator resolves (else
+    ConvergenceError; resolving_epsilon gives one that does).  At that
+    regulator every pair of the freq-check seeds 0-999 with a relative gap of
+    at least 1e-4 converges for epsilon from 3e-5 to 1e-2; closer pairs
+    converge at no regulator, and below 3e-5 rounding at the degenerate
+    triple pole pushes the error estimate past ORACLE_REL_TOL.
     """
     _validate(kind, k, kp)
     if not (0.0 < epsilon <= 0.1):
@@ -161,13 +161,9 @@ def freq_oracle(kind: str, k: float, kp: float, epsilon: float = 1e-3) -> comple
             f"wavenumber ratio {ratio:.3g} is outside the oracle's validated "
             "range (up to ~100); the closed forms remain usable out there")
     schedule = (epsilon, epsilon / 2.0, epsilon / 4.0)
-    values = []
-    err_acc = 0.0
-    for e in schedule:
-        v, err = _regulated_single(kind, k, kp, e)
-        values.append(v)
-        err_acc += err
+    values, errors = zip(*(_regulated_single(kind, k, kp, e) for e in schedule))
     result = _richardson(schedule, values, (0, 1, 2))
+    err_acc = sum(errors)
     scale = abs(result)
     if scale == 0.0 or err_acc / scale > ORACLE_REL_TOL:
         raise ConvergenceError(
@@ -182,7 +178,5 @@ def compare(kind: str, k: float, kp: float, epsilon: float = 1e-3
     """Closed form and oracle side by side, with their relative deviation."""
     cf = freq_closed_form(kind, k, kp)
     num = freq_oracle(kind, k, kp, epsilon)
-    rel = abs(num - cf) / abs(cf)
-    return FreqIntegralResult(kind=kind, k=k, kp=kp, closed_form=cf,
-                              numeric=num, regulator_epsilon=epsilon,
-                              rel_error=rel)
+    return FreqIntegralResult(kind, k, kp, cf, num, epsilon,
+                              abs(num - cf) / abs(cf))

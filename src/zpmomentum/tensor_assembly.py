@@ -57,18 +57,15 @@ _EPS3 = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
 def _eps_dot(v) -> np.ndarray:
     """The matrix eps_ijk v_k.  Adding 0.0 turns every -0.0 into +0.0, so
     the entries match a sum accumulated from +0.0."""
-    x, y, z = v
-    return np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]]) + 0.0
+    return np.einsum("ijk,k->ij", _EPS3, v) + 0.0
 
 
 def axial_vector(matrix: np.ndarray) -> np.ndarray:
     """w_i = sum_{n,m} eps_{inm} M_{mn}: the axial vector of (the antisymmetric
     part of) a 3x3 matrix.  Each component is a difference of transposed
-    entries, so it vanishes exactly for symmetric M; adding 0.0 turns a
-    -0.0 into +0.0, as in _eps_dot."""
-    m = np.asarray(matrix, dtype=float)
-    return np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0],
-                     m[1, 0] - m[0, 1]]) + 0.0
+    entries among exact zeros, so it vanishes exactly for symmetric M; adding
+    0.0 turns a -0.0 into +0.0, as in _eps_dot."""
+    return np.einsum("inm,mn->i", _EPS3, np.asarray(matrix, dtype=float)) + 0.0
 
 
 @dataclass(frozen=True)
@@ -184,14 +181,14 @@ class EtaConsistencyReport:
 def eta_consistency() -> EtaConsistencyReport:
     """Solve the eta formula for D using reference face values and compare.
 
-    D_implied = 3 (eta * 192 pi^2 - (I0 - I1 + C/3 - A/3 - E/2)), with the
-    other constants at their reference magnitudes (signs as printed), compared
-    against the computed D of the exact constant table.  Diagnostic only —
-    never raises on disagreement.
+    D enters eta as D / (3 * 192 pi^2), so D_implied = 3 * 192 pi^2 (eta_ref -
+    eta(reference magnitudes, D = 0)), with the other constants at their
+    reference magnitudes (signs as printed), compared against the computed D
+    of the exact constant table.  Diagnostic only — never raises on
+    disagreement.
     """
-    r = REFERENCE_MAGNITUDES
-    partial = (r["I0"] - r["I1"] + r["C"] / 3.0 - r["A"] / 3.0 - r["E"] / 2.0)
-    d_implied = 3.0 * (REFERENCE_ETA * 192.0 * math.pi**2 - partial)
+    partial = eta({**REFERENCE_MAGNITUDES, "D": 0.0})
+    d_implied = 3.0 * 192.0 * math.pi**2 * (REFERENCE_ETA - partial)
     d_quadrature = reconciled_constants()["D"]
     return EtaConsistencyReport(
         eta_reference=REFERENCE_ETA,

@@ -1,5 +1,6 @@
 """Command-line interface: reports, formats, schemas, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import importlib
@@ -15,11 +16,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import zpmomentum
 from zpmomentum import oscillatory_integrals as osc
-from zpmomentum.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, run
+from zpmomentum.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
+                            build_parser, freq_check_pairs, run)
+from zpmomentum.contour_frequency import freq_oracle
+from zpmomentum.special_functions import ConvergenceError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
@@ -120,15 +124,30 @@ def test_freq_check_unreachable_tolerance_exits_3(capsys):
 
 
 def test_freq_check_close_poles_refusal_prints_plain_floats(capsys):
-    # this seed draws two wavenumbers 0.8% apart; the refusal names them as
-    # plain floats and the smaller regulator it suggests resolves them
-    code, out, err = run_capture(capsys, ["freq-check", "--seed", "229412539"])
-    assert code == EXIT_NUMERICAL and out == ""
-    assert "[1.0, 1.008284101583002]" in err
-    assert "np.float64" not in err
-    code, _, err = run_capture(capsys, ["freq-check", "--seed", "229412539",
-                                        "--epsilon", "4e-4"])
-    assert code == EXIT_OK, err
+    # this seed draws two wavenumbers 0.8% apart; freq-check runs that pair at
+    # a regulator below --epsilon that resolves it
+    report = run_json(capsys, ["freq-check", "--seed", "229412539"])
+    close = [row for row in report["results"] if "k" in row and
+             max(row["k"], row["kp"]) / min(row["k"], row["kp"])
+             == 1.008284101583002]
+    assert close
+    assert all(row["regulator_epsilon"] < 1e-3 for row in close)
+    # the library oracle still refuses that pair at the regulator it is
+    # given, and names the poles as plain floats
+    with pytest.raises(ConvergenceError) as exc:
+        freq_oracle("transverse", 1.0, 1.008284101583002, epsilon=1e-3)
+    assert "[1.0, 1.008284101583002]" in str(exc.value)
+    assert "np.float64" not in str(exc.value)
+
+
+def test_freq_check_top_of_epsilon_range_meets_a_loose_tolerance(capsys):
+    # the fixed (2, 1) pair runs at 0.05, which its poles resolve; 0.1 itself
+    # would be refused
+    report = run_json(capsys, ["freq-check", "--epsilon", "0.1", "--tol",
+                               "1e-3"])
+    assert rows_by_name(report)["worst_rel_error"]["value"] <= 1e-3
+    assert {row["regulator_epsilon"] for row in report["results"]
+            if row.get("k") == 2.0 and row.get("kp") == 1.0} == {0.05}
 
 
 def test_freq_check_epsilon_outside_oracle_range_exits_2(capsys):
@@ -355,6 +374,17 @@ def _argv(*parts):
     return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
 
 
+def _subcommand_flags(command, values):
+    """One optional draw per flag of the subcommand, read from the parser so
+    that every flag it accepts is drawn; values overrides the hostile
+    numbers per flag."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = [a.option_strings[-1] for a in sub.choices[command]._actions
+             if a.option_strings and a.dest not in ("help", "format")]
+    return [_optional(flag, values.get(flag, number)) for flag in flags]
+
+
 def _sphere_argv(model, *extra):
     return _argv(st.just(["predict", model]), _flag("--material", material),
                  _flag("--a-um", number), *extra)
@@ -373,9 +403,10 @@ CLI_ARGV = st.one_of(
     _argv(st.just(["dipole"]), _flag("--alpha", number),
           _flag("--alpha0", number), _flag("--gamma", number),
           _optional("--hbar-omega0-eV", number)),
-    _argv(st.just(["freq-check"]),
-          _flag("--pairs", st.sampled_from(["-1", "0", "2", "nan"])),
-          _flag("--tol", number), _flag("--epsilon", number)),
+    _argv(st.just(["freq-check"]), *_subcommand_flags("freq-check", {
+        "--pairs": st.sampled_from(["-1", "0", "2", "nan"]),
+        "--seed": st.one_of(number, st.integers().map(str)),
+        "--epsilon": st.one_of(number, st.sampled_from(["1e-3", "0.1"]))})),
     _argv(st.just(["constants"]), _optional("--eps-schedule", st.sampled_from(
         ["0.3,0.1,0.05", "0.05,0.1,0.2", "0.1,0.05", "nan,0.1,0.05",
          "0.1,0.05,0", "0.1,0.05,-0.025", "inf,0.1,0.05", "0.1,0.1,0.05",
@@ -419,8 +450,31 @@ def test_every_argv_keeps_exit_code_contract(mc_material, argv):
         # every zero prints unsigned
         assert not [row for row in report["results"] if row["value"] == 0.0
                     and math.copysign(1.0, row["value"]) < 0]
-    if code == EXIT_NUMERICAL:
+    if code == EXIT_NUMERICAL and not out.getvalue():
         assert err.getvalue().startswith("numerical failure:")
+    elif code == EXIT_NUMERICAL:  # a missed tolerance prints its report
+        assert report["warnings"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0), pairs=st.integers(0, 50),
+       epsilon=st.floats(3e-5, 1e-2), tol=st.floats(1e-5, 1e300))
+@example(seed=8, pairs=20, epsilon=1e-3, tol=1e-5)
+@example(seed=43, pairs=20, epsilon=1e-3, tol=1e-5)
+def test_freq_check_documented_domain_exits_0(seed, pairs, epsilon, tol):
+    # numpy seeds are non-negative.  Distinct wavenumbers closer than a
+    # relative gap of 1e-4 converge at no regulator (README), so those draws,
+    # about one seed in a thousand, lie outside the domain
+    assume(all(k == kp or abs(k - kp) >= 1e-4 * min(k, kp)
+               for k, kp in freq_check_pairs(seed, pairs)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["freq-check", "--seed", str(seed), "--pairs", str(pairs),
+                    "--epsilon", repr(epsilon), "--tol", repr(tol),
+                    "--format", "json"])
+    assert code == EXIT_OK
+    rows = json.loads(out.getvalue())["results"][:-1]
+    assert all(row["regulator_epsilon"] <= epsilon for row in rows)
 
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-3"],

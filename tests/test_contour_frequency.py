@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zpmomentum.contour_frequency import (KINDS, compare, freq_closed_form,
-                                          freq_oracle)
+                                          freq_oracle, resolving_epsilon)
 from zpmomentum.special_functions import ConvergenceError
 
 
@@ -76,6 +76,18 @@ def test_oracle_refuses_unresolvable_pole_separation():
     # than integrate overlapping windows
     with pytest.raises(ConvergenceError, match="reduce epsilon"):
         freq_oracle("transverse", 3.7, 3.7000001, epsilon=1e-3)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_resolves_close_poles_at_the_resolving_regulator(kind, gap):
+    # the neighbouring pole's factor in product form keeps a relative gap
+    # down to 1e-4 accurate at 0.05 x gap
+    k, kp = 3.7, 3.7 * (1.0 + gap)
+    eps = resolving_epsilon(k, kp)
+    assert eps == pytest.approx(0.05 * gap, rel=1e-6)
+    assert compare(kind, k, kp, eps).rel_error <= 1e-5
+    assert resolving_epsilon(3.7, 3.7) == 1e-3
 
 
 def test_oracle_refuses_extreme_wavenumber_ratio():
