@@ -4,43 +4,26 @@ Computes the radial constants behind the second-order Born momentum of the
 quantized field around a small sphere, the closed-form momentum and drift
 predictions that follow, and the moving point-dipole mass shift, with
 numerical cross-checks for every closed form.
+
+The package re-exports the public names of its seven layer modules; each
+module's ``__all__`` is the one declaration of its surface.
 """
 
 __version__ = "0.1.0"
 
-from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
-                              PhysicalConstants, SphereSpec,
-                              material_from_json, preset_path)
-from .special_functions import ConvergenceError, sph_bessel_j
-from .contour_frequency import (FreqIntegralResult, compare, freq_closed_form,
-                                freq_oracle)
-from .oscillatory_integrals import (DEFAULT_SCHEDULE, IntegralResult,
-                                    eval_bruteforce, eval_trig,
-                                    reconciled_constants, solve_D1_D3)
-from .tensor_assembly import (ChiTensor, axial_vector, closed_form_p_rad, eta,
-                              eta_consistency, regularized_K,
-                              second_born_momentum)
-from .point_dipole import (DipoleSpec, mass_shift, p_rad_spectral, p_rad_total,
-                           spectral_integral_exact,
-                           spectral_integral_quadrature,
-                           spectral_integral_target, t0, t_matrix)
-from .predictions import (Prediction, empty_vacuum_momentum, first_born,
-                          magneto_chiral, me_sphere_velocity, moving_sphere,
-                          replay)
+from . import (units_materials, special_functions, contour_frequency,
+               oscillatory_integrals, tensor_assembly, point_dipole,
+               predictions)
+from .units_materials import *  # noqa: F401,F403
+from .special_functions import *  # noqa: F401,F403
+from .contour_frequency import *  # noqa: F401,F403
+from .oscillatory_integrals import *  # noqa: F401,F403
+from .tensor_assembly import *  # noqa: F401,F403
+from .point_dipole import *  # noqa: F401,F403
+from .predictions import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "CONSTANTS", "PhysicalConstants", "MaterialSpec", "SphereSpec",
-    "FieldConfig", "material_from_json", "preset_path",
-    "sph_bessel_j", "ConvergenceError",
-    "FreqIntegralResult", "freq_closed_form", "freq_oracle", "compare",
-    "DEFAULT_SCHEDULE", "IntegralResult", "eval_trig", "eval_bruteforce",
-    "reconciled_constants", "solve_D1_D3",
-    "ChiTensor", "axial_vector", "regularized_K", "eta", "eta_consistency",
-    "second_born_momentum", "closed_form_p_rad",
-    "DipoleSpec", "t0", "t_matrix", "p_rad_spectral", "p_rad_total",
-    "spectral_integral_exact", "spectral_integral_quadrature",
-    "spectral_integral_target", "mass_shift",
-    "Prediction", "first_born", "me_sphere_velocity", "moving_sphere",
-    "magneto_chiral", "empty_vacuum_momentum", "replay",
-]
+__all__ = ["__version__"] + [
+    name for module in (units_materials, special_functions, contour_frequency,
+                        oscillatory_integrals, tensor_assembly, point_dipole,
+                        predictions)
+    for name in module.__all__]

@@ -19,13 +19,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec, SphereSpec,
                               material_from_json, preset_path, to_gaussian)
-from .contour_frequency import (ORACLE_EPSILON_RANGE, compare,
+from .contour_frequency import (KINDS, ORACLE_EPSILON_RANGE, compare,
                                 resolving_epsilon)
 from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                     eval_bruteforce, eval_trig)
@@ -59,10 +60,8 @@ class RunReport:
         if not (math.isfinite(value) and math.isfinite(error)):
             raise FloatingPointError(
                 f"{name} is not finite: {value!r} (err {error!r})")
-        row = {"name": name, "value": value, "error": error,
-               "method": method}
-        row.update(extra)
-        self.results.append(row)
+        self.results.append({"name": name, "value": value, "error": error,
+                             "method": method, **extra})
 
     def to_json(self) -> str:
         payload = {"command": self.command, "inputs": self.inputs,
@@ -115,17 +114,17 @@ def _parse_schedule(text: str) -> tuple[float, ...]:
 
 
 def _resolve_material(spec: str) -> tuple[MaterialSpec, str]:
-    from pathlib import Path
-    p = Path(spec)
-    if p.is_file():
-        return material_from_json(p), str(p)
-    preset = preset_path(spec)
-    return material_from_json(preset), str(preset)
+    path = Path(spec) if Path(spec).is_file() else preset_path(spec)
+    return material_from_json(path), str(path)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, handler, summary: str) -> argparse.ArgumentParser:
+    """A subcommand parser that runs handler and takes --format."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(handler=handler)
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,19 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-point electromagnetic momentum calculator")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("constants", help="radial constants by both routes")
-    _common_flags(p)
+    p = _command(sub, "constants", _cmd_constants,
+                 "radial constants by both routes")
     p.add_argument("--eps-schedule", type=_parse_schedule,
                    default=DEFAULT_SCHEDULE, metavar="E1,E2,...",
                    help="regulator schedule for the quadrature route "
                         "(three to five values)")
 
-    p = sub.add_parser("eta", help="the eta constant and its consistency check")
-    _common_flags(p)
+    _command(sub, "eta", _cmd_eta,
+             "the eta constant and its consistency check")
 
-    p = sub.add_parser("freq-check",
-                       help="frequency contour closed forms vs numeric oracle")
-    _common_flags(p)
+    p = _command(sub, "freq-check", _cmd_freq_check,
+                 "frequency contour closed forms vs numeric oracle")
     p.add_argument("--tol", type=float, default=1e-5,
                    help="largest accepted relative deviation")
     p.add_argument("--pairs", type=int, default=20,
@@ -158,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the default --tol is not met (2.7e-4 at 0.1): exit "
                         "3 with the report")
 
-    p = sub.add_parser("dipole", help="moving point-dipole mass shift")
-    _common_flags(p)
+    p = _command(sub, "dipole", _cmd_dipole, "moving point-dipole mass shift")
     p.add_argument("--alpha", type=float, required=True,
                    help="bare polarizability volume, m^3")
     p.add_argument("--alpha0", type=float, required=True,
@@ -172,15 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="physical predictions for spheres")
     psub = p.add_subparsers(dest="model", required=True)
 
-    def sphere_flags(q):
-        _common_flags(q)
+    def sphere_model(name, summary):
+        q = _command(psub, name, _cmd_predict, summary)
         q.add_argument("--material", default="generic_dielectric",
                        help="material JSON path or bundled preset name")
         q.add_argument("--a-um", type=float, required=True,
                        help="sphere radius in micrometers")
+        return q
 
-    q = psub.add_parser("me-sphere", help="magneto-electric sphere drift")
-    sphere_flags(q)
+    q = sphere_model("me-sphere", "magneto-electric sphere drift")
     q.add_argument("--e0-dir", type=_parse_vec3, default="1,0,0",
                    help="static E-field orientation (any length, normalized); "
                         "write a negative first component as --e0-dir=-1,0,0")
@@ -188,20 +185,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="static B-field orientation; write a negative first "
                         "component as --b0-dir=-1,0,0")
 
-    q = psub.add_parser("moving-sphere", help="moving dielectric sphere")
-    sphere_flags(q)
+    q = sphere_model("moving-sphere", "moving dielectric sphere")
     q.add_argument("--v", type=_parse_vec3, required=True,
                    help="velocity vector, m/s; write a negative first "
                         "component as --v=-1,0,0")
 
-    q = psub.add_parser("magneto-chiral", help="magneto-chiral sphere")
-    sphere_flags(q)
+    q = sphere_model("magneto-chiral", "magneto-chiral sphere")
     q.add_argument("--b", type=_parse_vec3, required=True,
                    help="static magnetic field, tesla; write a negative "
                         "first component as --b=-1,0,0")
 
-    q = psub.add_parser("feigel", help="hard-cutoff lowest-order estimate")
-    sphere_flags(q)
+    q = sphere_model("feigel", "hard-cutoff lowest-order estimate")
     q.add_argument("--lambda-cut-nm", type=float, required=True,
                    help="cutoff wavelength in nanometers")
     q.add_argument("--chi-s0", type=float, default=None,
@@ -214,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mode", choices=("cutoff", "dimensional"),
                    default="cutoff")
 
-    p = sub.add_parser("empty-vacuum", help="the control case: exactly zero")
-    _common_flags(p)
+    _command(sub, "empty-vacuum", _cmd_empty_vacuum,
+             "the control case: exactly zero")
 
     return parser
 
@@ -303,7 +297,7 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
                                       "epsilon": args.epsilon, "tol": args.tol})
     worst = 0.0
     for k, kp in pairs:
-        for kind in ("transverse", "one_longitudinal"):
+        for kind in KINDS:
             res = compare(kind, k, kp, resolving_epsilon(k, kp, args.epsilon))
             worst = max(worst, res.rel_error)
             report.add(kind, res.numeric.imag,
@@ -414,28 +408,17 @@ def _cmd_empty_vacuum(args) -> tuple[RunReport, int]:
     return report, EXIT_OK
 
 
-_HANDLERS = {
-    "constants": _cmd_constants,
-    "eta": _cmd_eta,
-    "freq-check": _cmd_freq_check,
-    "dipole": _cmd_dipole,
-    "predict": _cmd_predict,
-    "empty-vacuum": _cmd_empty_vacuum,
-}
-
-
-def run(argv=None) -> int:
-    """Parse argv, dispatch, print the rendered report; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.subcommand]
+def main(argv=None) -> int:
+    """Parse argv, run its subcommand, print the rendered report; returns the
+    exit code."""
+    args = build_parser().parse_args(argv)
     command = f"{args.subcommand} {getattr(args, 'model', '')}".rstrip()
     try:
         # Overflow, division by zero and invalid operations in numpy raise
         # FloatingPointError here instead of warning and carrying inf or nan
         # on; underflow stays silent, since the exponential sum relies on it.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            report, code = handler(args)
+            report, code = args.handler(args)
             output = report.render(args.format)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -445,10 +428,6 @@ def run(argv=None) -> int:
         return EXIT_NUMERICAL
     print(output)
     return code
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

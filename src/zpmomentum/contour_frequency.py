@@ -44,9 +44,6 @@ ORACLE_EPSILON_RANGE = (3e-5, 0.1)
 class FreqIntegralResult:
     """Closed form vs regulated-numeric comparison for one (kind, k, kp) triple."""
 
-    kind: str
-    k: float
-    kp: float
     closed_form: complex
     numeric: complex
     regulator_epsilon: float
@@ -178,5 +175,4 @@ def compare(kind: str, k: float, kp: float, epsilon: float = 1e-3
     """Closed form and oracle side by side, with their relative deviation."""
     cf = freq_closed_form(kind, k, kp)
     num = freq_oracle(kind, k, kp, epsilon)
-    return FreqIntegralResult(kind, k, kp, cf, num, epsilon,
-                              abs(num - cf) / abs(cf))
+    return FreqIntegralResult(cf, num, epsilon, abs(num - cf) / abs(cf))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .special_functions import ConvergenceError, _graded_edges, _panel_quad
 from .tensor_assembly import _eps_dot
-from .units_materials import CONSTANTS
+from .units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM,
+                              _slow_velocity, to_gaussian)
 
 __all__ = [
     "DipoleSpec",
@@ -41,8 +42,6 @@ __all__ = [
     "spectral_integral_target",
     "mass_shift",
 ]
-
-_GAUSS_TO_SI_MOMENTUM = 1e-5  # g cm/s -> kg m/s
 
 
 @dataclass(frozen=True)
@@ -122,9 +121,7 @@ def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
         raise ValueError(f"omega must be positive, got {omega!r}")
     k = np.asarray(k, dtype=float)
     kp = np.asarray(kp, dtype=float)
-    beta = np.asarray(v, dtype=float) / CONSTANTS.c0_si
-    if np.linalg.norm(beta) >= 0.01:
-        raise ValueError("|v|/c0 must stay below 0.01")
+    beta = _slow_velocity(v) / CONSTANTS.c0_si
     kappa = omega / CONSTANTS.c0_gaussian
     m = _eps_dot(beta)
     amp = _t0_kappa(spec, kappa)
@@ -141,13 +138,13 @@ def p_rad_spectral(spec: DipoleSpec, omega: float, v) -> np.ndarray:
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive, got {omega!r}")
-    v_si = np.asarray(v, dtype=float)
+    v_si = _slow_velocity(v)
     c0 = CONSTANTS.c0_gaussian
     kappa = omega / c0
     amp = _t0_kappa(spec, kappa)
     density_gauss = (2.0 * CONSTANTS.hbar_gaussian / math.pi
                      * (amp / (kappa * kappa)).imag / spec.alpha
-                     * (v_si * 1e2 / c0) / c0)
+                     * (to_gaussian(v_si, "velocity") / c0) / c0)
     return density_gauss * _GAUSS_TO_SI_MOMENTUM
 
 
@@ -211,14 +208,11 @@ def p_rad_total(spec: DipoleSpec, v) -> np.ndarray:
     to better than 1e-4 relative for narrow resonances.  Antiparallel to v:
     the dipole's effective mass is reduced.
     """
-    v_si = np.asarray(v, dtype=float)
-    beta_si = np.linalg.norm(v_si) / CONSTANTS.c0_si
-    if beta_si >= 0.01:
-        raise ValueError("|v|/c0 must stay below 0.01")
+    v_si = _slow_velocity(v)
     j_cm2 = spectral_integral_quadrature(spec)
     c0 = CONSTANTS.c0_gaussian
     total_gauss = (2.0 * CONSTANTS.hbar_gaussian / math.pi / spec.alpha
-                   * j_cm2 * (v_si * 1e2 / c0))
+                   * j_cm2 * (to_gaussian(v_si, "velocity") / c0))
     return total_gauss * _GAUSS_TO_SI_MOMENTUM
 
 

@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units_materials import CONSTANTS, MaterialSpec, SphereSpec, FieldConfig
+from .units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM, FieldConfig,
+                              MaterialSpec, SphereSpec, _slow_velocity,
+                              to_gaussian)
 from .tensor_assembly import (ChiTensor, axial_vector, closed_form_p_rad, eta)
 
 __all__ = [
@@ -133,6 +135,13 @@ def _eta_and_notes(sphere: SphereSpec, eta_value: float | None
     return ev, notes
 
 
+def _direction(vec: np.ndarray) -> np.ndarray:
+    """vec / |vec|.  Below 2^-500 the squares in |vec| would underflow, so vec
+    is first scaled by 2^600: exact, and it leaves the direction unchanged."""
+    vec = vec * 2.0**600 if np.max(np.abs(vec)) < 2.0**-500 else vec
+    return vec / np.linalg.norm(vec)
+
+
 def me_sphere_velocity(sphere: SphereSpec, fields: FieldConfig,
                        eta_value: float | None = None) -> Prediction:
     """Drift of a magneto-electric sphere in crossed static fields.
@@ -146,10 +155,9 @@ def me_sphere_velocity(sphere: SphereSpec, fields: FieldConfig,
     reference sign convention recorded in the digest notes.
     """
     e0, b0 = fields.e0, fields.b0
-    if np.linalg.norm(e0) == 0.0 or np.linalg.norm(b0) == 0.0:
+    if not (np.any(e0) and np.any(b0)):
         raise ValueError("me_sphere needs nonzero e0 and b0 orientations")
-    e_hat = e0 / np.linalg.norm(e0)
-    b_hat = b0 / np.linalg.norm(b0)
+    e_hat, b_hat = _direction(e0), _direction(b0)
     ev, notes = _eta_and_notes(sphere, eta_value)
     chi = ChiTensor.magneto_electric(e_hat, b_hat, sphere.material.me_coupling)
     # sphere momentum is minus the radiated momentum
@@ -173,9 +181,7 @@ def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
     eta the shift comes out positive — a mass increase — which contradicts
     the reference claim of a reduction; the digest says so.
     """
-    v_si = np.asarray(v, dtype=float)
-    if np.linalg.norm(v_si) / CONSTANTS.c0_si >= 0.01:
-        raise ValueError("|v|/c0 must stay below 0.01")
+    v_si = _slow_velocity(v)
     ev, notes = _eta_and_notes(sphere, eta_value)
     contrast = sphere.material.epsilon - 1.0
     shift = (-2.0 * ev * CONSTANTS.hbar_si
@@ -206,12 +212,12 @@ def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
         raise ValueError(
             "magneto_chiral requires verdet_v0 and chirality_g in the material")
     b_si = np.asarray(b_field, dtype=float)
-    a_cm = sphere.radius * 1e2
-    b_gauss = b_si * 1e4
+    a_cm = to_gaussian(sphere.radius, "length")
+    b_gauss = to_gaussian(b_si, "magnetic_field")
     momentum_gauss = (MAGNETO_CHIRAL_COEFF * CONSTANTS.hbar_gaussian
                       * mat.verdet_v0 * CONSTANTS.c0_gaussian**2
                       * mat.chirality_g / a_cm**3) * b_gauss
-    momentum = momentum_gauss * 1e-5  # g cm/s -> kg m/s
+    momentum = momentum_gauss * _GAUSS_TO_SI_MOMENTUM
     consts = {"coefficient": MAGNETO_CHIRAL_COEFF,
               "hbar_gaussian": CONSTANTS.hbar_gaussian,
               "c0_gaussian": CONSTANTS.c0_gaussian,

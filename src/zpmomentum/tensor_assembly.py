@@ -127,7 +127,6 @@ class BornMomentumBreakdown:
     contrib_1: np.ndarray
     contrib_2: np.ndarray
     total: np.ndarray
-    K_used: float
 
 
 def regularized_K(a: float) -> float:
@@ -250,7 +249,7 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
 
     total = contrib_0 + contrib_1 + contrib_2
     return BornMomentumBreakdown(contrib_0=contrib_0, contrib_1=contrib_1,
-                                 contrib_2=contrib_2, total=total, K_used=K)
+                                 contrib_2=contrib_2, total=total)
 
 
 def closed_form_p_rad(sphere: SphereSpec, chi: ChiTensor,

@@ -43,26 +43,22 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
-# dimension tag -> multiplicative factor SI -> Gaussian
+# dimension tag -> multiplicative factor SI -> Gaussian; the package's only
+# unit factors, one per quantity it converts
 _CONVERSIONS: dict[str, float] = {
     "length": 1e2,           # m -> cm
-    "mass": 1e3,             # kg -> g
-    "time": 1.0,             # s
-    "frequency": 1.0,        # 1/s
+    "volume": 1e6,           # m^3 -> cm^3
     "velocity": 1e2,         # m/s -> cm/s
     "momentum": 1e5,         # kg m/s -> g cm/s
-    "energy": 1e7,           # J -> erg
-    "action": 1e7,           # J s -> erg s
-    "force": 1e5,            # N -> dyn
-    "mass_density": 1e-3,    # kg/m^3 -> g/cm^3
-    "wavenumber": 1e-2,      # 1/m -> 1/cm
-    "volume": 1e6,           # m^3 -> cm^3
     "magnetic_field": 1e4,   # T -> G
 }
+# the one conversion back: g cm/s -> kg m/s, exactly the double nearest 1e-5
+_GAUSS_TO_SI_MOMENTUM = 1.0 / _CONVERSIONS["momentum"]
 
 
-def to_gaussian(value: float, dimension: str) -> float:
-    """Convert an SI value to Gaussian units.  E.g. 1 'length' (m) -> 100 (cm)."""
+def to_gaussian(value, dimension: str):
+    """Convert an SI value (a float or an array) to Gaussian units.
+    E.g. 1 'length' (m) -> 100 (cm)."""
     try:
         factor = _CONVERSIONS[dimension]
     except KeyError:
@@ -155,6 +151,15 @@ class FieldConfig:
         object.__setattr__(self, "b0", _as_vec3(self.b0, "b0"))
 
 
+def _slow_velocity(v) -> np.ndarray:
+    """v (m/s) as a float array, refused at |v|/c0 >= 0.01: every
+    moving-body formula in the package is first order in v/c0."""
+    v_si = np.asarray(v, dtype=float)
+    if np.linalg.norm(v_si) / CONSTANTS.c0_si >= 0.01:
+        raise ValueError("|v|/c0 must stay below 0.01")
+    return v_si
+
+
 # --- material file IO ------------------------------------------------------
 
 _JSON_KEYS = {
@@ -181,8 +186,12 @@ def material_from_json(path: str | Path) -> MaterialSpec:
     missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise ValueError(f"material file {path} is missing required keys: {missing}")
-    kwargs = {attr: float(raw[key]) for key, attr in _JSON_KEYS.items() if key in raw}
-    return MaterialSpec(**kwargs)
+    for key, val in raw.items():
+        if type(val) not in (int, float):  # true and false parse as bool
+            raise ValueError(
+                f"material file {path}: {key} must be a number, got {val!r}")
+    return MaterialSpec(**{_JSON_KEYS[key]: float(val)
+                           for key, val in raw.items()})
 
 
 def preset_path(name: str) -> Path:

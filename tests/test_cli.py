@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import zpmomentum
 from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
-                            build_parser, freq_check_pairs, run)
+                            build_parser, freq_check_pairs, main)
 from zpmomentum.contour_frequency import freq_oracle
 from zpmomentum.special_functions import ConvergenceError
 
@@ -30,7 +30,7 @@ SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
 
 
 def run_capture(capsys, argv):
-    code = run(argv)
+    code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -58,13 +58,13 @@ def test_empty_vacuum_report(capsys):
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
-        run(["does-not-exist"])
+        main(["does-not-exist"])
     assert exc.value.code == 2
 
 
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
-        run(["empty-vacuum", "--frobnicate"])
+        main(["empty-vacuum", "--frobnicate"])
     assert exc.value.code == 2
 
 
@@ -247,6 +247,18 @@ def test_material_file_and_missing_material(tmp_path, capsys):
         assert "['fegao3', 'generic_dielectric']" in err
 
 
+@pytest.mark.parametrize("value", [[1.2], None, True, "1.2"])
+def test_material_file_with_non_number_value_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"epsilon": value,
+                                "mass_density_kg_m3": 1000.0}))
+    code, out, err = run_capture(capsys, ["predict", "moving-sphere",
+                                          "--material", str(path),
+                                          "--a-um", "1", "--v", "1,0,0"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ") and "epsilon must be a number" in err
+
+
 def test_moving_sphere_cli(capsys):
     report = run_json(capsys, ["predict", "moving-sphere", "--material",
                                "generic_dielectric", "--a-um", "1",
@@ -282,7 +294,7 @@ def test_magneto_chiral_cli_carries_caveat(tmp_path, capsys):
 
 def test_bad_vector_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["predict", "moving-sphere", "--material", "generic_dielectric",
+        main(["predict", "moving-sphere", "--material", "generic_dielectric",
              "--a-um", "1", "--v", "1,0"])
     assert exc.value.code == 2
 
@@ -324,7 +336,7 @@ def test_hostile_inputs_keep_exit_code_contract(capsys, recwarn, tmp_path,
     argv = [_magneto_chiral_material(tmp_path) if a == "MC_MATERIAL" else a
             for a in argv]
     try:
-        code = run(argv + ["--format", "json"])
+        code = main(argv + ["--format", "json"])
     except SystemExit as exc:  # argparse rejects the value itself
         code = exc.code
     out, err = capsys.readouterr()
@@ -374,15 +386,27 @@ def _argv(*parts):
     return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
 
 
+def _parser_flags(parser=None, command=""):
+    """Each (sub)command of build_parser(), a predict model spelled
+    'predict <model>', mapped to its flags besides --format and -h."""
+    parser = parser or build_parser()
+    sub = next((a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)), None)
+    if sub is None:
+        return {command: [a.option_strings[-1] for a in parser._actions
+                          if a.option_strings
+                          and a.dest not in ("help", "format")]}
+    return {name: flags for child_name, child in sub.choices.items()
+            for name, flags in _parser_flags(
+                child, f"{command} {child_name}".strip()).items()}
+
+
 def _subcommand_flags(command, values):
     """One optional draw per flag of the subcommand, read from the parser so
     that every flag it accepts is drawn; values overrides the hostile
     numbers per flag."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    flags = [a.option_strings[-1] for a in sub.choices[command]._actions
-             if a.option_strings and a.dest not in ("help", "format")]
-    return [_optional(flag, values.get(flag, number)) for flag in flags]
+    return [_optional(flag, values.get(flag, number))
+            for flag in _parser_flags()[command]]
 
 
 def _sphere_argv(model, *extra):
@@ -439,7 +463,7 @@ def test_every_argv_keeps_exit_code_contract(mc_material, argv):
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = run(argv + ["--format", "json"])
+            code = main(argv + ["--format", "json"])
         except SystemExit as exc:  # argparse rejects the value itself
             code = exc.code
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL)
@@ -456,6 +480,14 @@ def test_every_argv_keeps_exit_code_contract(mc_material, argv):
         assert report["warnings"]
 
 
+def _main_json(argv):
+    """main(argv) in process with JSON output: (exit code, report or None)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", "json"])
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0), pairs=st.integers(0, 50),
        epsilon=st.floats(3e-5, 1e-2), tol=st.floats(1e-5, 1e300))
@@ -467,14 +499,73 @@ def test_freq_check_documented_domain_exits_0(seed, pairs, epsilon, tol):
     # about one seed in a thousand, lie outside the domain
     assume(all(k == kp or abs(k - kp) >= 1e-4 * min(k, kp)
                for k, kp in freq_check_pairs(seed, pairs)))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run(["freq-check", "--seed", str(seed), "--pairs", str(pairs),
-                    "--epsilon", repr(epsilon), "--tol", repr(tol),
-                    "--format", "json"])
+    code, report = _main_json(["freq-check", "--seed", str(seed), "--pairs",
+                               str(pairs), "--epsilon", repr(epsilon),
+                               "--tol", repr(tol)])
     assert code == EXIT_OK
-    rows = json.loads(out.getvalue())["results"][:-1]
+    rows = report["results"][:-1]
     assert all(row["regulator_epsilon"] <= epsilon for row in rows)
+
+
+# the documented domains of predict and dipole, where every argv exits 0
+_component = st.floats(-1e3, 1e3)  # -0.0 and subnormals included
+domain_vector = st.tuples(_component, _component, _component).filter(
+    any).map(lambda v: ",".join(map(repr, v)))
+domain_radius = st.floats(-3.0, 3.0).map(lambda e: repr(10.0 ** e))
+preset = st.sampled_from(["fegao3", "generic_dielectric"])
+
+
+def _domain_sphere_argv(model, material, *extra):
+    return _argv(st.just(["predict", model]), _flag("--material", material),
+                 _flag("--a-um", domain_radius), *extra)
+
+
+PREDICT_DOMAIN = st.one_of(
+    _domain_sphere_argv("me-sphere", preset,
+                        _optional("--e0-dir", domain_vector),
+                        _optional("--b0-dir", domain_vector)),
+    _domain_sphere_argv("moving-sphere", preset, _flag("--v", domain_vector)),
+    _domain_sphere_argv("magneto-chiral", st.just("MC_MATERIAL"),
+                        _flag("--b", domain_vector)),
+    _domain_sphere_argv(
+        "feigel", preset,
+        _flag("--lambda-cut-nm", st.floats(-3.0, 6.0).map(
+            lambda e: repr(10.0 ** e))),
+        _optional("--chi-s0", st.floats(-1.0, 1.0)),
+        _optional("--rho", st.floats(100.0, 2e4)),
+        _optional("--mu", st.floats(0.1, 10.0)),
+        _optional("--mode", st.sampled_from(["cutoff", "dimensional"]))),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(argv=PREDICT_DOMAIN)
+@example(argv=["predict", "me-sphere", "--material", "fegao3", "--a-um",
+               "1", "--e0-dir=1e-200,0,0"])
+def test_predict_documented_domain_exits_0(mc_material, argv):
+    # radii of 1e-3 to 1e3 um, the bundled presets and nonzero vectors with
+    # components up to 1e3 (so --v stays far below 0.01 c0)
+    code, report = _main_json([a.replace("MC_MATERIAL", mc_material)
+                               for a in argv])
+    assert code == EXIT_OK
+    jsonschema.validate(report, SCHEMA)
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha0_cm3=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+       damping=st.floats(-4.0, -2.0).map(lambda e: 10.0 ** e),
+       ratio=st.floats(0.1, 1.0))
+def test_dipole_documented_domain_exits_0(alpha0_cm3, damping, ratio):
+    # the range bench/run.py scans: alpha0 of 0.01 to 100 cm^3, a damping
+    # ratio x = (2/3) gamma sqrt(4 pi gamma / alpha0) of 1e-4 to 1e-2, and
+    # alpha0 / alpha of 0.1 to 1
+    gamma_cm = (1.5 * damping / math.sqrt(4.0 * math.pi / alpha0_cm3)
+                ) ** (2.0 / 3.0)
+    code, report = _main_json([
+        "dipole", "--alpha", repr(alpha0_cm3 / ratio * 1e-6),
+        "--alpha0", repr(alpha0_cm3 * 1e-6), "--gamma", repr(gamma_cm * 1e-2)])
+    assert code == EXIT_OK
+    jsonschema.validate(report, SCHEMA)
 
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-3"],
@@ -488,7 +579,7 @@ def test_freq_check_documented_domain_exits_0(seed, pairs, epsilon, tol):
 def test_quadrature_flags_only_where_read(argv, flag):
     # --eps-schedule belongs to constants and --tol to freq-check alone
     with pytest.raises(SystemExit) as exc:
-        run(argv + flag)
+        main(argv + flag)
     assert exc.value.code == EXIT_INPUT
 
 
@@ -499,7 +590,7 @@ def test_predictions_and_eta_run_no_regulated_pass(capsys):
     for argv in (["predict", "me-sphere", "--a-um", "1"],
                  ["predict", "moving-sphere", "--a-um", "1", "--v", "1,0,0"],
                  ["eta"]):
-        assert run(argv) == EXIT_OK
+        assert main(argv) == EXIT_OK
     after = osc._regulated_pass.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -546,3 +637,16 @@ def test_console_script_constants_json():
     # the logged discrepancies (signs, the E mismatch) must fire as warnings
     assert report["warnings"]
     assert any("eta" in w for w in report["warnings"])
+
+
+# --- the README's flag table ------------------------------------------------
+
+def test_readme_flag_table_matches_parser():
+    # one row per (sub)command; its flags column names every flag the parser
+    # accepts there besides --format, and no other
+    text = (ROOT / "README.md").read_text()
+    rows = {command: set(re.findall(r"--[A-Za-z0-9-]*[A-Za-z0-9]", flags))
+            for command, flags in re.findall(
+                r"^\| `([a-z][a-z -]*)` \| ([^|]*) \|", text, re.M)}
+    assert rows == {command: set(flags)
+                    for command, flags in _parser_flags().items()}

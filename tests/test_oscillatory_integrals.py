@@ -338,8 +338,8 @@ def test_constant_table_matches_both_routes():
 def test_result_error_estimate_validation():
     from zpmomentum.oscillatory_integrals import IntegralResult
     with pytest.raises(ValueError):
-        IntegralResult(name="x", value=1.0, error_estimate=-1.0,
+        IntegralResult(value=1.0, error_estimate=-1.0,
                        method="trig_reduction")
     with pytest.raises(ValueError):
-        IntegralResult(name="x", value=1.0, error_estimate=0.0,
+        IntegralResult(value=1.0, error_estimate=0.0,
                        method="guesswork")

@@ -120,6 +120,19 @@ def test_t_matrix_velocity_bound():
         t_matrix(NARROW, NARROW.omega0, k, k, np.array([0.02 * CONSTANTS.c0_si, 0, 0]))
 
 
+FAST = np.array([0.02 * CONSTANTS.c0_si, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: p_rad_spectral(NARROW, NARROW.omega0, FAST),
+    lambda: p_rad_total(NARROW, FAST),
+], ids=["p_rad_spectral", "p_rad_total"])
+def test_radiated_momentum_velocity_bound(call):
+    # like t_matrix, both are first order in v/c0
+    with pytest.raises(ValueError, match=r"\|v\|/c0 must stay below 0.01"):
+        call()
+
+
 # --- spectral integral and totals ------------------------------------------
 
 def test_p_rad_spectral_is_along_velocity():

@@ -26,6 +26,30 @@ def test_every_name_in_all_resolves(module_name):
     assert missing == []
 
 
+LAYERS = [name for name in MODULES[1:]
+          if name.rsplit(".", 1)[1] not in ("cli", "__main__")]
+
+
+def test_package_exports_every_layer_name():
+    # the package list is derived from the seven layer lists, so a name a
+    # module declares is reachable from the package, as the same object
+    from zpmomentum import TRIG_NAMES, resolving_epsilon, to_gaussian  # noqa
+    assert len(LAYERS) == 7
+    modules = [importlib.import_module(name) for name in LAYERS]
+    declared = [name for module in modules for name in module.__all__]
+    assert sorted(zpmomentum.__all__) == sorted(["__version__"] + declared)
+    assert all(getattr(zpmomentum, name) is getattr(module, name)
+               for module in modules for name in module.__all__)
+
+
+def test_no_name_in_two_layer_lists():
+    # with star re-exports a duplicate would silently shadow the other
+    owners = {}
+    for name in LAYERS:
+        for public in importlib.import_module(name).__all__:
+            owners.setdefault(public, []).append(name)
+    assert {k: v for k, v in owners.items() if len(v) > 1} == {}
+
 
 def test_import_loads_no_scipy():
     # every module, the CLI included, imports numpy alone; scipy serves the

@@ -5,27 +5,27 @@ import math
 
 import pytest
 
-from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
-                                        SphereSpec, material_from_json,
-                                        preset_path, to_gaussian)
+from zpmomentum.units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM,
+                                        FieldConfig, MaterialSpec, SphereSpec,
+                                        material_from_json, preset_path,
+                                        to_gaussian)
 
 
 def test_known_conversion_factors():
     assert to_gaussian(1.0, "length") == 100.0            # m -> cm
-    assert to_gaussian(1.0, "momentum") == 1e5            # kg m/s -> g cm/s
-    assert to_gaussian(1.0, "energy") == 1e7              # J -> erg
-    assert to_gaussian(1.0, "magnetic_field") == 1e4      # T -> G
-    assert to_gaussian(1.0, "mass_density") == 1e-3       # kg/m^3 -> g/cm^3
-    assert to_gaussian(1.0, "wavenumber") == 1e-2         # 1/m -> 1/cm
     assert to_gaussian(1.0, "volume") == 1e6              # m^3 -> cm^3
-    assert to_gaussian(1.0, "time") == 1.0
+    assert to_gaussian(1.0, "velocity") == 100.0          # m/s -> cm/s
+    assert to_gaussian(1.0, "momentum") == 1e5            # kg m/s -> g cm/s
+    assert to_gaussian(1.0, "magnetic_field") == 1e4      # T -> G
+    # the inverse is the same double as the literal it replaced
+    assert _GAUSS_TO_SI_MOMENTUM == 1e-5                  # g cm/s -> kg m/s
 
 
 def test_constants_are_consistent_across_systems():
     assert CONSTANTS.hbar_gaussian == pytest.approx(
-        to_gaussian(CONSTANTS.hbar_si, "action"), rel=1e-15)
+        CONSTANTS.hbar_si * 1e7, rel=1e-15)               # J s -> erg s
     assert CONSTANTS.c0_gaussian == pytest.approx(
-        to_gaussian(CONSTANTS.c0_si, "velocity"), rel=1e-15)
+        CONSTANTS.c0_si * 1e2, rel=1e-15)                 # m/s -> cm/s
 
 
 def test_unknown_dimension_raises():
@@ -91,6 +91,16 @@ def test_material_json_requires_core_keys(tmp_path):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"epsilon": 1.5}))
     with pytest.raises(ValueError, match="missing required"):
+        material_from_json(path)
+
+
+@pytest.mark.parametrize("value", [[1.2], None, True, "1.2"])
+def test_material_json_values_must_be_numbers(tmp_path, value):
+    # a boolean is no number either, although Python counts it as an int
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"epsilon": value,
+                                "mass_density_kg_m3": 1000.0}))
+    with pytest.raises(ValueError, match="epsilon must be a number"):
         material_from_json(path)
 
 
