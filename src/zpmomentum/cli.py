@@ -25,12 +25,14 @@ import numpy as np
 
 from . import __version__
 from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec, SphereSpec,
-                              material_from_json, preset_path, to_gaussian)
+                              _as_vec3, material_from_json, preset_path,
+                              to_gaussian)
 from .contour_frequency import (KINDS, ORACLE_EPSILON_RANGE, compare,
                                 resolving_epsilon)
 from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                     eval_bruteforce, eval_trig)
-from .tensor_assembly import ChiTensor, eta, eta_consistency
+from .tensor_assembly import (REFERENCE_ETA, REFERENCE_MAGNITUDES, ChiTensor,
+                              eta, eta_consistency)
 from .point_dipole import (DipoleSpec, mass_shift as dipole_mass_shift,
                            spectral_integral_quadrature,
                            spectral_integral_target)
@@ -100,13 +102,7 @@ class RunReport:
 
 
 def _parse_vec3(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated numbers, got {text!r}")
-    vec = np.array([float(p) for p in parts])
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"vector components must be finite, got {text!r}")
-    return vec
+    return _as_vec3([float(p) for p in text.split(",")], "vector")
 
 
 def _parse_schedule(text: str) -> tuple[float, ...]:
@@ -229,7 +225,7 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
         res = eval_bruteforce(name, schedule)
         brute[name] = res.value
         report.add(name, res.value, res.error_estimate, res.method,
-                   regulator_schedule=list(res.regulator_schedule))
+                   regulator_schedule=list(schedule))
     eta_val = eta()
     report.add("eta", eta_val, 0.0, "exact")
 
@@ -240,7 +236,7 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
     if trig["I0"] < 0:
         report.warnings.append(
             "I0 evaluates negative on both routes; the reference magnitude "
-            "0.589 is printed with a positive sign")
+            f"{REFERENCE_MAGNITUDES['I0']} is printed with a positive sign")
     e_trig = trig["E1"] + trig["E2"] + trig["E3"]
     rel_e = abs(brute["E"] - e_trig) / abs(e_trig)
     if rel_e > 0.05:
@@ -253,8 +249,8 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
             "the trig sum is used downstream")
     if eta_val < 0:
         report.warnings.append(
-            "eta evaluates negative; the reference value 0.007909 is quoted "
-            "positive")
+            f"eta evaluates negative; the reference value {REFERENCE_ETA} is "
+            "quoted positive")
     return report, EXIT_OK
 
 
@@ -269,7 +265,10 @@ def _cmd_eta(args) -> tuple[RunReport, int]:
     report.warnings.append(
         f"D implied by the reference eta ({rep.d_implied:.2f}) differs from "
         f"the computed value ({rep.d_quadrature:.4f}) by a factor "
-        f"{rep.ratio:.0f}; the reference eta does not pin D")
+        f"{rep.ratio:.0f} with the reference signs as printed; with the signs "
+        "the package computes (I0 and eta negative) it is "
+        f"{rep.d_implied_computed_signs:.4f}, "
+        f"{rep.ratio_computed_signs:.3f} times the computed value")
     if rep.eta_quadrature < 0:
         report.warnings.append(
             "computed eta is negative; the reference value is quoted positive")
@@ -297,15 +296,15 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
                                       "epsilon": args.epsilon, "tol": args.tol})
     worst = 0.0
     for k, kp in pairs:
+        epsilon = resolving_epsilon(k, kp, args.epsilon)
         for kind in KINDS:
-            res = compare(kind, k, kp, resolving_epsilon(k, kp, args.epsilon))
+            res = compare(kind, k, kp, epsilon)
             worst = max(worst, res.rel_error)
             report.add(kind, res.numeric.imag,
                        abs(res.numeric - res.closed_form),
                        "regulated_quadrature", k=k, kp=kp,
                        closed_form_imag=res.closed_form.imag,
-                       rel_error=res.rel_error,
-                       regulator_epsilon=res.regulator_epsilon)
+                       rel_error=res.rel_error, regulator_epsilon=epsilon)
     report.add("worst_rel_error", worst, 0.0, "derived")
     if worst > args.tol:
         report.warnings.append(

@@ -43,6 +43,8 @@ __all__ = [
     "mass_shift",
 ]
 
+SPECTRAL_REL_TOL = 1e-5  # largest error estimate / |J| the quadrature accepts
+
 
 @dataclass(frozen=True)
 class DipoleSpec:
@@ -86,10 +88,29 @@ class DipoleSpec:
         return 2.0 / 3.0 * self.gamma * self.kappa0
 
 
+def _kappa(omega: float) -> float:
+    """The wavenumber omega / c0 (1/cm) of a frequency omega > 0 (rad/s)."""
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive, got {omega!r}")
+    return omega / CONSTANTS.c0_gaussian
+
+
 def _t0_kappa(spec: DipoleSpec, kappa: float) -> complex:
     k0 = spec.kappa0
     denom = k0 * k0 - kappa * kappa - (2.0 / 3.0) * 1j * spec.gamma * k0 * k0 * kappa
     return -4.0 * math.pi * spec.gamma * kappa * kappa / denom
+
+
+def _spectral_kernel(spec: DipoleSpec, kappa: float) -> float:
+    """Im(t0/kappa^2) in cm^3, the integrand of J = int Im(t0/kappa^2) dkappa."""
+    return (_t0_kappa(spec, kappa) / (kappa * kappa)).imag
+
+
+def _radiated_momentum(spec: DipoleSpec, j: float, v_si) -> np.ndarray:
+    """(2 hbar / pi)(j / alpha)(v / c0) in kg m/s; j is J or its density."""
+    return (2.0 * CONSTANTS.hbar_gaussian / math.pi / spec.alpha * j
+            * (to_gaussian(v_si, "velocity") / CONSTANTS.c0_gaussian)
+            * _GAUSS_TO_SI_MOMENTUM)
 
 
 def t0(spec: DipoleSpec, omega: float) -> complex:
@@ -98,9 +119,7 @@ def t0(spec: DipoleSpec, omega: float) -> complex:
     Vanishes as omega^2 at low frequency; exactly -6 pi i / kappa0 on
     resonance; Im t0 < 0 for all omega > 0 (radiation always removes energy).
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    return _t0_kappa(spec, omega / CONSTANTS.c0_gaussian)
+    return _t0_kappa(spec, _kappa(omega))
 
 
 def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
@@ -117,13 +136,10 @@ def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
     is the symmetric traceless-for-orthogonal-v matrix
     -(t0/kappa)[k v + v k - 2 (k.v) 1].
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    kappa = _kappa(omega)
     k = np.asarray(k, dtype=float)
     kp = np.asarray(kp, dtype=float)
-    beta = _slow_velocity(v) / CONSTANTS.c0_si
-    kappa = omega / CONSTANTS.c0_gaussian
-    m = _eps_dot(beta)
+    m = _eps_dot(_slow_velocity(v) / CONSTANTS.c0_si)
     amp = _t0_kappa(spec, kappa)
     phi_k, phi_kp = 1j * _eps_dot(k), 1j * _eps_dot(kp)
     correction = (-1j * phi_k @ m.T + 1j * m @ phi_kp) / kappa
@@ -136,16 +152,9 @@ def p_rad_spectral(spec: DipoleSpec, omega: float, v) -> np.ndarray:
     Proportional to Im(t0/kappa^2) and directed along v for every frequency;
     the c0 = 1 form is (2 hbar / pi) Im(t0 / (alpha omega^2)) v.
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    v_si = _slow_velocity(v)
-    c0 = CONSTANTS.c0_gaussian
-    kappa = omega / c0
-    amp = _t0_kappa(spec, kappa)
-    density_gauss = (2.0 * CONSTANTS.hbar_gaussian / math.pi
-                     * (amp / (kappa * kappa)).imag / spec.alpha
-                     * (to_gaussian(v_si, "velocity") / c0) / c0)
-    return density_gauss * _GAUSS_TO_SI_MOMENTUM
+    # J's density per unit omega, as d kappa = d omega / c0
+    density = _spectral_kernel(spec, _kappa(omega)) / CONSTANTS.c0_gaussian
+    return _radiated_momentum(spec, density, _slow_velocity(v))
 
 
 def spectral_integral_exact(spec: DipoleSpec) -> float:
@@ -171,8 +180,7 @@ def spectral_integral_target(spec: DipoleSpec) -> float:
     return -0.5 * math.pi * spec.alpha0 * spec.kappa0
 
 
-def spectral_integral_quadrature(spec: DipoleSpec,
-                                 rel_tol: float = 1e-5) -> float:
+def spectral_integral_quadrature(spec: DipoleSpec) -> float:
     """J = int_0^inf Im(t0/kappa^2) dkappa by direct quadrature, in cm^2.
 
     Compactifies with kappa = kappa0 tan(theta) — the integrand decays as
@@ -180,20 +188,16 @@ def spectral_integral_quadrature(spec: DipoleSpec,
     (0, pi/2) with 30 Gauss-Legendre points on panels that double in width
     away from a central panel at theta = pi/4, 1e-3 damping_ratio wide on
     each side, so a narrow resonance peak is resolved.  Raises
-    ConvergenceError when the error estimate exceeds rel_tol of the result.
+    ConvergenceError when the error estimate exceeds SPECTRAL_REL_TOL |J|.
     """
     k0 = spec.kappa0
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        kappa = k0 * np.tan(theta)
-        amp = _t0_kappa(spec, kappa)
-        return (amp / (kappa * kappa)).imag * k0 / np.cos(theta) ** 2
-
     quarter = 0.25 * math.pi
     edges = quarter + _graded_edges(-quarter, quarter,
                                     1e-3 * spec.damping_ratio)
-    total, err = _panel_quad(integrand, edges, 30)
-    if err > rel_tol * abs(total):
+    total, err = _panel_quad(  # dkappa = k0 dtheta / cos(theta)^2
+        lambda th: _spectral_kernel(spec, k0 * np.tan(th)) * k0 / np.cos(th)**2,
+        edges, 30)
+    if err > SPECTRAL_REL_TOL * abs(total):
         raise ConvergenceError(
             f"spectral integral did not converge: residual {err:.2e} "
             f"vs |value| {abs(total):.2e}")
@@ -209,11 +213,7 @@ def p_rad_total(spec: DipoleSpec, v) -> np.ndarray:
     the dipole's effective mass is reduced.
     """
     v_si = _slow_velocity(v)
-    j_cm2 = spectral_integral_quadrature(spec)
-    c0 = CONSTANTS.c0_gaussian
-    total_gauss = (2.0 * CONSTANTS.hbar_gaussian / math.pi / spec.alpha
-                   * j_cm2 * (to_gaussian(v_si, "velocity") / c0))
-    return total_gauss * _GAUSS_TO_SI_MOMENTUM
+    return _radiated_momentum(spec, spectral_integral_quadrature(spec), v_si)
 
 
 def mass_shift(spec: DipoleSpec) -> float:

@@ -35,7 +35,8 @@ import numpy as np
 from .units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM, FieldConfig,
                               MaterialSpec, SphereSpec, _slow_velocity,
                               to_gaussian)
-from .tensor_assembly import (ChiTensor, axial_vector, closed_form_p_rad, eta)
+from .tensor_assembly import (PERTURBATIVE_WINDOW, ChiTensor, axial_vector,
+                              closed_form_p_rad, eta)
 
 __all__ = [
     "Prediction",
@@ -47,9 +48,9 @@ __all__ = [
     "replay",
 ]
 
-_PERTURBATIVE_NOTE = ("dielectric contrast |epsilon-1| > 0.5: closed form "
-                      "extrapolated beyond its perturbative window; "
-                      "order-of-magnitude only")
+_PERTURBATIVE_NOTE = (f"dielectric contrast |epsilon-1| > {PERTURBATIVE_WINDOW}"
+                      ": closed form extrapolated beyond its perturbative "
+                      "window; order-of-magnitude only")
 _ETA_SIGN_NOTE = ("computed eta is negative while the literature reference "
                   "value is quoted positive; signs here follow the computed "
                   "contraction")
@@ -130,7 +131,7 @@ def _eta_and_notes(sphere: SphereSpec, eta_value: float | None
                    ) -> tuple[float, list[str]]:
     ev = eta() if eta_value is None else eta_value
     notes = [_ETA_SIGN_NOTE] if ev < 0 else []
-    if abs(sphere.material.epsilon - 1.0) > 0.5:
+    if abs(sphere.material.epsilon - 1.0) > PERTURBATIVE_WINDOW:
         notes.append(_PERTURBATIVE_NOTE)
     return ev, notes
 
@@ -229,11 +230,9 @@ def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
 
 
 def empty_vacuum_momentum() -> np.ndarray:
-    """Zero-point momentum of empty space: exactly (0, 0, 0).
-
-    The mode sum is an odd function summed over a k-grid with perfect
-    inversion symmetry — every +k term cancels its -k partner exactly, at any
-    grid refinement.
+    """Zero-point momentum of empty space: exactly (0, 0, 0), returned
+    without a sum.  The mode sum is odd in k, so on any k-grid with inversion
+    symmetry every +k term would cancel its -k partner exactly.
     """
     return np.zeros(3)
 

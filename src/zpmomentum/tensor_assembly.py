@@ -46,6 +46,7 @@ REFERENCE_MAGNITUDES = {"I0": 0.589, "I1": 4.123, "A": 1.374, "C": -1.767,
                         "E": 19.242}
 
 CHI_KINDS = ("magneto_electric", "moving_medium", "chiral", "general")
+PERTURBATIVE_WINDOW = 0.5  # largest |epsilon - 1| the second order is trusted at
 
 
 # The rank-3 alternating tensor eps_ijk.
@@ -166,7 +167,10 @@ class EtaConsistencyReport:
     (which the regulated quadrature confirms), and eta_quadrature the computed
     eta.  The field names are kept because the CLI report rows carry them.
     The ratio is the headline number: order unity would mean the published
-    eta pins D; the actual result is a factor ~150, so it does not.
+    eta pins D; at face value the result is a factor ~150.  With the signs
+    the package computes instead (I0 < 0, and eta at the sign of eta()),
+    d_implied_computed_signs is 3 pi/8 to within the printed digits, and
+    ratio_computed_signs is 2.000: twice the computed D.
     """
 
     eta_reference: float
@@ -175,27 +179,42 @@ class EtaConsistencyReport:
     discrepancy: float
     ratio: float
     eta_quadrature: float
+    d_implied_computed_signs: float
+    ratio_computed_signs: float
+
+
+def _implied_d(constants: dict, eta_value: float) -> float:
+    """The D at which eta(constants) equals eta_value.  D enters eta as
+    D / (3 * 192 pi^2), so it is 3 * 192 pi^2 (eta_value - eta(D = 0))."""
+    return 3.0 * 192.0 * math.pi**2 * (eta_value - eta({**constants, "D": 0.0}))
 
 
 def eta_consistency() -> EtaConsistencyReport:
     """Solve the eta formula for D using reference face values and compare.
 
-    D enters eta as D / (3 * 192 pi^2), so D_implied = 3 * 192 pi^2 (eta_ref -
-    eta(reference magnitudes, D = 0)), with the other constants at their
-    reference magnitudes (signs as printed), compared against the computed D
-    of the exact constant table.  Diagnostic only — never raises on
-    disagreement.
+    D_implied takes the other constants at their reference magnitudes (signs
+    as printed) and eta_ref itself; D_implied_computed_signs gives each of
+    them, eta_ref included, the sign the package computes.  Both are compared
+    against the computed D of the exact constant table.  Diagnostic only —
+    never raises on disagreement.
     """
-    partial = eta({**REFERENCE_MAGNITUDES, "D": 0.0})
-    d_implied = 3.0 * 192.0 * math.pi**2 * (REFERENCE_ETA - partial)
-    d_quadrature = reconciled_constants()["D"]
+    exact = reconciled_constants()
+    eta_value = eta()
+    d_implied = _implied_d(REFERENCE_MAGNITUDES, REFERENCE_ETA)
+    d_signed = _implied_d(
+        {name: math.copysign(mag, exact[name])
+         for name, mag in REFERENCE_MAGNITUDES.items()},
+        math.copysign(REFERENCE_ETA, eta_value))
+    d_quadrature = exact["D"]
     return EtaConsistencyReport(
         eta_reference=REFERENCE_ETA,
         d_implied=d_implied,
         d_quadrature=d_quadrature,
         discrepancy=d_implied - d_quadrature,
         ratio=d_implied / d_quadrature,
-        eta_quadrature=eta(),
+        eta_quadrature=eta_value,
+        d_implied_computed_signs=d_signed,
+        ratio_computed_signs=d_signed / d_quadrature,
     )
 
 
@@ -208,17 +227,17 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
     and returns the breakdown (SI momentum units; sphere radius in meters).
     The recoil momentum of the sphere itself is -total.
 
-    Valid only in the weak-contrast regime |epsilon - 1| <= 0.5; outside it a
-    ValueError is raised.  Linear in chi and in (epsilon - 1), and
+    Valid only at weak contrast, |epsilon - 1| <= PERTURBATIVE_WINDOW; outside
+    it a ValueError is raised.  Linear in chi and in (epsilon - 1), and
     proportional to 1/a through K.  Each einsum multiplies chi entries only by
     Levi-Civita and Kronecker entries (0 or +-1), so for symmetric chi the
     transposed pairs cancel exactly and the total is exactly zero.
     """
     eps_r = sphere.material.epsilon
-    if abs(eps_r - 1.0) > 0.5:
+    if abs(eps_r - 1.0) > PERTURBATIVE_WINDOW:
         raise ValueError(
-            f"|epsilon - 1| = {abs(eps_r - 1.0):.3g} exceeds 0.5; the "
-            "second-order expansion is not trustworthy there")
+            f"|epsilon - 1| = {abs(eps_r - 1.0):.3g} exceeds {PERTURBATIVE_WINDOW}"
+            "; the second-order expansion is not trustworthy there")
     c = reconciled_constants() if constants is None else constants
     K = regularized_K(sphere.radius)
     contrast = eps_r - 1.0

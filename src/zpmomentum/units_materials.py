@@ -137,10 +137,13 @@ def _as_vec3(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Static external fields (SI).
+    """Orientations of the static external fields.
 
-    e0        static electric field, V/m
-    b0        static magnetic field, T
+    e0        orientation of the static electric field, a finite 3-vector
+    b0        orientation of the static magnetic field, a finite 3-vector
+
+    The models read only the directions: the field magnitudes are folded
+    into the material's me_coupling.
     """
 
     e0: np.ndarray
@@ -186,12 +189,17 @@ def material_from_json(path: str | Path) -> MaterialSpec:
     missing = [k for k in _REQUIRED_KEYS if k not in raw]
     if missing:
         raise ValueError(f"material file {path} is missing required keys: {missing}")
+    values = {}
     for key, val in raw.items():
         if type(val) not in (int, float):  # true and false parse as bool
             raise ValueError(
                 f"material file {path}: {key} must be a number, got {val!r}")
-    return MaterialSpec(**{_JSON_KEYS[key]: float(val)
-                           for key, val in raw.items()})
+        try:
+            values[_JSON_KEYS[key]] = float(val)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"material file {path}: {key} is too large for "
+                             "a float") from None
+    return MaterialSpec(**values)
 
 
 def preset_path(name: str) -> Path:

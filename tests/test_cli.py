@@ -21,7 +21,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import zpmomentum
 from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
-                            build_parser, freq_check_pairs, main)
+                            _parse_schedule, _parse_vec3, build_parser,
+                            freq_check_pairs, main)
 from zpmomentum.contour_frequency import freq_oracle
 from zpmomentum.special_functions import ConvergenceError
 
@@ -103,6 +104,15 @@ def test_reports_are_deterministic(capsys):
 
 
 # --- numerical subcommands --------------------------------------------------
+
+def test_eta_report_states_both_readings_of_d(capsys):
+    report = run_json(capsys, ["eta"])
+    assert [row["name"] for row in report["results"]] == [
+        "eta", "eta_reference", "D_implied", "D_quadrature", "D_ratio"]
+    d_warning, = [w for w in report["warnings"] if w.startswith("D implied")]
+    assert "by a factor 149 with the reference signs as printed" in d_warning
+    assert d_warning.endswith("it is 1.1782, 2.000 times the computed value")
+
 
 def test_freq_check_report(capsys):
     report = run_json(capsys, ["freq-check", "--pairs", "2"])
@@ -259,6 +269,18 @@ def test_material_file_with_non_number_value_exits_2(tmp_path, capsys, value):
     assert err.startswith("error: ") and "epsilon must be a number" in err
 
 
+def test_material_file_with_too_large_integer_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"epsilon": 1' + "0" * 400
+                    + ', "mass_density_kg_m3": 1000.0}')
+    code, out, err = run_capture(capsys, ["predict", "moving-sphere",
+                                          "--material", str(path),
+                                          "--a-um", "1", "--v", "1,0,0"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: material file {path}: epsilon is too large for a " \
+        "float\n"
+
+
 def test_moving_sphere_cli(capsys):
     report = run_json(capsys, ["predict", "moving-sphere", "--material",
                                "generic_dielectric", "--a-um", "1",
@@ -372,6 +394,16 @@ vector = st.one_of(st.lists(number, min_size=1, max_size=4).map(",".join),
                    st.sampled_from(["1,0,0", "0,1,0", "-1,0,0", ",,", "1,0,"]))
 material = st.sampled_from(["fegao3", "generic_dielectric", "MC_MATERIAL",
                             "/", "../x", "/nonexistent.json", "no_such"])
+schedule = st.sampled_from(
+    ["0.3,0.1,0.05", "0.05,0.1,0.2", "0.1,0.05", "nan,0.1,0.05", "0.1,0.05,0",
+     "0.1,0.05,-0.025", "inf,0.1,0.05", "0.1,0.1,0.05", "1e300", "a,b,c", ""])
+# freq-check flags whose hostile numbers alone would nearly always stop at
+# parsing or at the range check, so some valid values are drawn too
+FLAG_VALUES = {
+    "--pairs": st.sampled_from(["-1", "0", "2", "nan"]),
+    "--seed": st.one_of(number, st.integers().map(str)),
+    "--epsilon": st.one_of(number, st.sampled_from(["1e-3", "0.1"])),
+}
 
 
 def _flag(name, values):
@@ -388,55 +420,42 @@ def _argv(*parts):
 
 def _parser_flags(parser=None, command=""):
     """Each (sub)command of build_parser(), a predict model spelled
-    'predict <model>', mapped to its flags besides --format and -h."""
+    'predict <model>', mapped to {flag: argparse action} for its flags
+    besides --format and -h."""
     parser = parser or build_parser()
     sub = next((a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction)), None)
     if sub is None:
-        return {command: [a.option_strings[-1] for a in parser._actions
+        return {command: {a.option_strings[-1]: a for a in parser._actions
                           if a.option_strings
-                          and a.dest not in ("help", "format")]}
+                          and a.dest not in ("help", "format")}}
     return {name: flags for child_name, child in sub.choices.items()
             for name, flags in _parser_flags(
                 child, f"{command} {child_name}".strip()).items()}
 
 
-def _subcommand_flags(command, values):
-    """One optional draw per flag of the subcommand, read from the parser so
-    that every flag it accepts is drawn; values overrides the hostile
-    numbers per flag."""
-    return [_optional(flag, values.get(flag, number))
-            for flag in _parser_flags()[command]]
+def _hostile_values(flag, action):
+    """The values drawn for one flag, picked by its argparse action."""
+    if flag in FLAG_VALUES:
+        return FLAG_VALUES[flag]
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    if flag == "--material":
+        return material
+    return {_parse_vec3: vector, _parse_schedule: schedule}.get(action.type,
+                                                                number)
 
 
-def _sphere_argv(model, *extra):
-    return _argv(st.just(["predict", model]), _flag("--material", material),
-                 _flag("--a-um", number), *extra)
+def _command_argv(command):
+    """argv for one (sub)command: each required flag drawn, each other flag
+    drawn or left out, so that every flag the parser accepts is drawn."""
+    return _argv(st.just(command.split()), *[
+        (_flag if action.required else _optional)(
+            flag, _hostile_values(flag, action))
+        for flag, action in _parser_flags()[command].items()])
 
 
-CLI_ARGV = st.one_of(
-    _sphere_argv("me-sphere", _optional("--e0-dir", vector),
-                 _optional("--b0-dir", vector)),
-    _sphere_argv("moving-sphere", _flag("--v", vector)),
-    _sphere_argv("magneto-chiral", _flag("--b", vector)),
-    _sphere_argv("feigel", _flag("--lambda-cut-nm", number),
-                 _optional("--chi-s0", number), _optional("--rho", number),
-                 _optional("--mu", number),
-                 _optional("--mode", st.sampled_from(["cutoff",
-                                                      "dimensional"]))),
-    _argv(st.just(["dipole"]), _flag("--alpha", number),
-          _flag("--alpha0", number), _flag("--gamma", number),
-          _optional("--hbar-omega0-eV", number)),
-    _argv(st.just(["freq-check"]), *_subcommand_flags("freq-check", {
-        "--pairs": st.sampled_from(["-1", "0", "2", "nan"]),
-        "--seed": st.one_of(number, st.integers().map(str)),
-        "--epsilon": st.one_of(number, st.sampled_from(["1e-3", "0.1"]))})),
-    _argv(st.just(["constants"]), _optional("--eps-schedule", st.sampled_from(
-        ["0.3,0.1,0.05", "0.05,0.1,0.2", "0.1,0.05", "nan,0.1,0.05",
-         "0.1,0.05,0", "0.1,0.05,-0.025", "inf,0.1,0.05", "0.1,0.1,0.05",
-         "1e300", "a,b,c", ""]))),
-    st.sampled_from([["eta"], ["empty-vacuum"]]),
-)
+CLI_ARGV = st.one_of(*map(_command_argv, _parser_flags()))
 
 
 @pytest.fixture(scope="module")

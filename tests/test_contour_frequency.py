@@ -111,4 +111,3 @@ def test_compare_populates_relative_error_consistently():
     res = compare("one_longitudinal", 0.9, 1.7, epsilon=1e-3)
     recomputed = abs(res.numeric - res.closed_form) / abs(res.closed_form)
     assert res.rel_error == pytest.approx(recomputed, rel=1e-12)
-    assert res.regulator_epsilon == 1e-3

@@ -45,7 +45,6 @@ def test_trig_route_matches_closed_forms(name):
     assert res.value == pytest.approx(TRIG_CLOSED_FORMS[name], rel=1e-10)
     assert res.error_estimate <= 1e-10
     assert res.method == "trig_reduction"
-    assert res.regulator_schedule == ()
 
 
 @pytest.mark.parametrize("name", TRIG_NAMES)
@@ -67,7 +66,6 @@ def test_bruteforce_confirms_trig_magnitudes_within_1_percent(name):
     trig = eval_trig(name)
     assert abs(brute.value) == pytest.approx(abs(trig.value), rel=0.01)
     assert brute.method == "regulated_quadrature"
-    assert brute.regulator_schedule == DEFAULT_SCHEDULE
     assert brute.error_estimate >= 0.0
 
 

@@ -145,6 +145,17 @@ def test_eta_consistency_reports_d_discrepancy():
         abs(rep.d_implied - rep.d_quadrature), rel=1e-12)
 
 
+def test_eta_consistency_with_computed_signs_implies_twice_d():
+    # with I0 < 0 and the reference eta at the computed (negative) sign, the
+    # printed values imply 3 pi/8 within their rounding: twice the computed D
+    rep = eta_consistency()
+    assert rep.d_implied_computed_signs == pytest.approx(3.0 * math.pi / 8.0,
+                                                         rel=1e-4)
+    assert rep.ratio_computed_signs == (rep.d_implied_computed_signs
+                                        / rep.d_quadrature)
+    assert f"{rep.ratio_computed_signs:.3f}" == "2.000"
+
+
 # --- the tensor path vs the closed form ------------------------------------
 
 def random_chi(rng):

@@ -104,6 +104,15 @@ def test_material_json_values_must_be_numbers(tmp_path, value):
         material_from_json(path)
 
 
+def test_material_json_integer_beyond_float_range(tmp_path):
+    # JSON integers are unbounded; one no float can hold is an input error
+    path = tmp_path / "mat.json"
+    path.write_text('{"epsilon": 1.5, "mass_density_kg_m3": 1' + "0" * 400
+                    + "}")
+    with pytest.raises(ValueError, match="mass_density_kg_m3 is too large"):
+        material_from_json(path)
+
+
 def test_bundled_presets():
     fegao3 = material_from_json(preset_path("fegao3"))
     assert fegao3.epsilon == 2.0
