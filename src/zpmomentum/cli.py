@@ -7,7 +7,8 @@ row-specific extras.  Exit codes: 0 success, 2 input error (any ValueError
 or FileNotFoundError), 3 numerical failure (any ArithmeticError: no
 convergence, or a float overflow, division by zero or invalid operation).
 All physical inputs are SI at this boundary; conversion to the internal
-Gaussian system happens behind the API calls.
+Gaussian system happens behind the API calls.  Each handler imports the
+layers it runs, so a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -24,20 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec, SphereSpec,
-                              _as_vec3, material_from_json, preset_path,
-                              to_gaussian)
-from .contour_frequency import (KINDS, ORACLE_EPSILON_RANGE, compare,
-                                resolving_epsilon)
-from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
-                                    eval_bruteforce, eval_trig)
-from .tensor_assembly import (REFERENCE_ETA, REFERENCE_MAGNITUDES, ChiTensor,
-                              eta, eta_consistency)
-from .point_dipole import (DipoleSpec, mass_shift as dipole_mass_shift,
-                           spectral_integral_quadrature,
-                           spectral_integral_target)
-from .predictions import (empty_vacuum_momentum, first_born, magneto_chiral,
-                          me_sphere_velocity, moving_sphere)
 
 FREQ_CHECK_SEED = 20260823  # fixed: reports must be deterministic run to run
 
@@ -102,6 +89,7 @@ class RunReport:
 
 
 def _parse_vec3(text: str) -> np.ndarray:
+    from .units_materials import _as_vec3
     return _as_vec3([float(p) for p in text.split(",")], "vector")
 
 
@@ -109,7 +97,8 @@ def _parse_schedule(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _resolve_material(spec: str) -> tuple[MaterialSpec, str]:
+def _resolve_material(spec: str):
+    from .units_materials import material_from_json, preset_path
     path = Path(spec) if Path(spec).is_file() else preset_path(spec)
     return material_from_json(path), str(path)
 
@@ -132,9 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "constants", _cmd_constants,
                  "radial constants by both routes")
     p.add_argument("--eps-schedule", type=_parse_schedule,
-                   default=DEFAULT_SCHEDULE, metavar="E1,E2,...",
+                   metavar="E1,E2,...",
                    help="regulator schedule for the quadrature route "
-                        "(three to five values)")
+                        "(three to five values; default: "
+                        "oscillatory_integrals.DEFAULT_SCHEDULE)")
 
     _command(sub, "eta", _cmd_eta,
              "the eta constant and its consistency check")
@@ -213,7 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_constants(args) -> tuple[RunReport, int]:
-    schedule = args.eps_schedule
+    from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
+                                        eval_bruteforce, eval_trig)
+    from .tensor_assembly import REFERENCE_ETA, REFERENCE_MAGNITUDES, eta
+    schedule = args.eps_schedule or DEFAULT_SCHEDULE
     report = RunReport("constants", {"eps_schedule": list(schedule)})
     trig = {}
     for name in TRIG_NAMES:
@@ -255,6 +248,7 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
 
 
 def _cmd_eta(args) -> tuple[RunReport, int]:
+    from .tensor_assembly import eta_consistency
     rep = eta_consistency()
     report = RunReport("eta", {"eta_reference": rep.eta_reference})
     report.add("eta", rep.eta_quadrature, 0.0, "exact")
@@ -283,6 +277,8 @@ def freq_check_pairs(seed: int, n: int) -> list[tuple[float, float]]:
 
 
 def _cmd_freq_check(args) -> tuple[RunReport, int]:
+    from .contour_frequency import (KINDS, ORACLE_EPSILON_RANGE, compare,
+                                    resolving_epsilon)
     if args.pairs < 0:
         raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -314,6 +310,10 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
 
 
 def _cmd_dipole(args) -> tuple[RunReport, int]:
+    from .point_dipole import (DipoleSpec, mass_shift,
+                               spectral_integral_quadrature,
+                               spectral_integral_target)
+    from .units_materials import CONSTANTS, to_gaussian
     spec = DipoleSpec(alpha=to_gaussian(args.alpha, "volume"),
                       alpha0=to_gaussian(args.alpha0, "volume"),
                       gamma=to_gaussian(args.gamma, "length"))
@@ -331,7 +331,7 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
     report.add("hbar_omega0_eV", hbar_omega0_ev, 0.0, "derived")
     report.add("damping_ratio", spec.damping_ratio, 0.0, "derived")
     report.add("alpha0_over_alpha", spec.alpha0 / spec.alpha, 0.0, "derived")
-    shift = dipole_mass_shift(spec)
+    shift = mass_shift(spec)
     report.add("mass_shift_kg", shift, 0.0, "closed_form")
     report.add("mass_shift_electron_masses",
                shift / CONSTANTS.electron_mass_si, 0.0, "derived")
@@ -360,6 +360,10 @@ def _prediction_rows(report: RunReport, pred) -> None:
 
 
 def _cmd_predict(args) -> tuple[RunReport, int]:
+    from .predictions import (first_born, magneto_chiral, me_sphere_velocity,
+                              moving_sphere)
+    from .tensor_assembly import ChiTensor
+    from .units_materials import FieldConfig, MaterialSpec, SphereSpec
     material, material_src = _resolve_material(args.material)
     radius = args.a_um * 1e-6
     inputs = {"material": material_src, "radius_m": radius}
@@ -400,6 +404,7 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
 
 
 def _cmd_empty_vacuum(args) -> tuple[RunReport, int]:
+    from .predictions import empty_vacuum_momentum
     report = RunReport("empty-vacuum", {})
     mom = empty_vacuum_momentum()
     for axis, val in zip("xyz", mom):

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .special_functions import (ConvergenceError, _gauss_panels, _panel_quad,
-                                _richardson, sph_bessel_j)
+                                _richardson, _sph_bessel_j012)
 
 __all__ = [
     "IntegralResult",
@@ -46,7 +46,8 @@ __all__ = [
 # Production regulator schedule.  A three-point schedule extrapolates the
 # constants to ~1e-4 relative but leaves the drop-one stability check at a few
 # percent for the slowest-converging kernel; the fourth point brings every
-# drop-one change below 0.02%; the four passes take about 0.07 s on 2 vCPUs.
+# drop-one change below 0.02%; the four passes take about 0.045 s cold on
+# 2 vCPUs with 1 BLAS thread.
 DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
 PMAX_FACTOR = 50.0  # radial cutoff P_max = PMAX_FACTOR / eps
 # Richardson powers: the regulated values empirically approach their limit
@@ -54,7 +55,7 @@ PMAX_FACTOR = 50.0  # radial cutoff P_max = PMAX_FACTOR / eps
 # wastes schedule points and degrades the extrapolation by orders of magnitude.
 _ODD_POWERS = (0, 1, 3, 5, 7)
 # Smallest accepted regulator.  A pass's node count and memory grow like
-# 1/eps: `constants` peaks at 51 MiB RSS by default, 108 MiB at this floor.
+# 1/eps: `constants` peaks at 41 MiB RSS by default, 64 MiB at this floor.
 _EPS_FLOOR = DEFAULT_SCHEDULE[-1] / 4.0
 
 TRIG_NAMES = ("I0", "I1", "A", "C", "E1", "E2", "E3")
@@ -156,9 +157,10 @@ def eval_trig(name: str) -> IntegralResult:
 # after splitting (p+2q)/(p+q)^2 = 1/(p+q) + q/(p+q)^2.  The E kernel's
 # relative-angle integral is elementary and leaves (1/3) p^3 q^3 / (p+q)
 # [j0 j0 + 2 j2 j2].  One regulated pass evaluates all nine pieces on a shared
-# Gauss-Legendre grid, with the damped weights folded into per-piece columns
-# and the (p+q) coupling of every column, d = 1 and d = 2 alike, summed in one
-# exponential sum over the grid's panels (_coupled_sums).
+# Gauss-Legendre grid.  The pieces use seven distinct radial factors
+# p^e j_m(p); each, with the damped weights folded in, is one row of an
+# exponential sum for the (p+q) coupling (_coupled_sums), and each piece,
+# d = 1 or d = 2, multiplies two of its results.
 
 # piece -> (p_exponent, p_bessel_order, q_exponent, q_bessel_order,
 #           denominator_power, coefficient)
@@ -194,37 +196,50 @@ def _panel_edges(pmax: float) -> np.ndarray:
     return np.linspace(0.0, pmax, int(math.ceil(pmax / _PANEL_WIDTH)) + 1)
 
 
-def _coupled_sums(edges: np.ndarray, U: np.ndarray, V: np.ndarray,
-                  d) -> np.ndarray:
-    """sum_ij U_ik V_jk / (p_i + p_j)^d_k over the panel grid, per column k.
+def _coupled_sums(edges: np.ndarray, factors: np.ndarray,
+                  pairs) -> np.ndarray:
+    """sum_ij F_ai F_bj / (p_i + p_j)^d over the panel grid, per (a, b, d).
 
-    U and V hold one row per node of _gauss_panels(edges, _PANEL_POINTS) and
-    one column per sum; d, 1 or 2, is one power for all or one per column.
-    The trapezoid rule in s for 1/x^d = Gamma(d)^-1 Int e^{d s - x e^s} ds
-    turns the double sum into sums of U and V against e^{-t p}, t = e^s.  The
-    s range covers every x = p_i + p_j in [2 p_min, 2 p_max]: below it
-    x e^s < 1e-16, above it x e^s > 40.  Each node is p = a + o, with a its
-    panel's left edge and o one of the offsets shared by the equal panels,
-    so e^{-t p} = e^{-t a} e^{-t o}: a matrix product over the panels, then a
-    contraction over the offsets, O(N/8 + 8) exponentials per s-node.  Both
-    factors lie in (0, 1], and one underflows only where e^{-t p} does.
-    Edges must be ascending and equally spaced.
+    factors holds one row per radial factor F and one column per node of
+    _gauss_panels(edges, _PANEL_POINTS); pairs lists the sums as row pairs
+    (a, b) with a power d of 1 or 2.  The trapezoid rule in s for
+    1/x^d = Gamma(d)^-1 Int e^{d s - x e^s} ds turns the double sum into
+    products of sums of single rows against e^{-t p}, t = e^s, so each row
+    is decayed once however many pairs read it.  The s range covers
+    every x = p_i + p_j in [2 p_min, 2 p_max]: below it x e^s < 1e-16, above
+    it x e^s > 40.  The panels are grouped in blocks of about sqrt(panels),
+    and each node is p = L + R + o: L its block's left edge, R its panel's
+    offset in the block and o one of the node offsets shared by the equal
+    panels.  So e^{-t p} = e^{-t L} e^{-t R} e^{-t o}, three small tables:
+    O(2 sqrt(N/8) + 8) exponentials per s-node.  Every table entry lies in
+    (0, 1], and one underflows only where e^{-t p} does.  Edges must be
+    ascending and equally spaced.
     """
+    panels = len(edges) - 1
+    block = math.isqrt(panels - 1) + 1  # ceil(sqrt(panels))
+    blocks = -(-panels // block)
     offsets = _gauss_panels(edges[:2], _PANEL_POINTS)[0] - edges[0]
     t = np.exp(np.arange(math.log(1e-16 / (2.0 * edges[-1])),
                          math.log(20.0 / (edges[0] + offsets[0])), _LOG_STEP))
-    panel = np.outer(-t, edges[:-1])
-    np.exp(panel, out=panel)
-    local = np.exp(np.outer(-t, offsets))
+    block_edge = np.exp(np.outer(-t, edges[:-1:block]))
+    in_block = (np.exp(np.outer(-t, edges[:block] - edges[0]))[:, :, None]
+                * np.exp(np.outer(-t, offsets))[:, None, :]).reshape(len(t), -1)
+    # a last block short of panels reads zero columns
+    padded = np.zeros((len(factors), blocks * in_block.shape[1]))
+    padded[:, :factors.shape[1]] = factors
+    by_block = padded.reshape(-1, in_block.shape[1]) @ in_block.T
+    decayed = np.einsum("tb,kbt->kt", block_edge,
+                        by_block.reshape(len(factors), blocks, len(t)))
 
-    def decayed(W):  # sum_i e^{-t p_i} W_ik, per t and column
-        by_offset = panel @ W.reshape(panel.shape[1], -1)
-        return np.einsum("tj,tjk->tk", local,
-                         by_offset.reshape(len(t), len(offsets), -1))
-
+    a, b, d = np.array(pairs).T
     # no 1/Gamma(d) factor: every d passed here is 1 or 2, where Gamma(d) = 1
-    weights = _LOG_STEP * t[:, None] ** np.broadcast_to(d, U.shape[1:])
-    return np.einsum("tk,tk,tk->k", weights, decayed(U), decayed(V))
+    weights = _LOG_STEP * t ** d[:, None]
+    return np.einsum("kt,kt,kt->k", weights, decayed[a], decayed[b])
+
+
+# The distinct radial factors p^e j_m(p) of the pieces, as (e, m).
+_FACTORS = sorted({factor for pe, pb, qe, qb, _, _ in _PIECES.values()
+                   for factor in ((pe, pb), (qe, qb))})
 
 
 @lru_cache(maxsize=16)
@@ -233,13 +248,14 @@ def _regulated_pass(eps: float) -> dict[str, float]:
     edges = _panel_edges(PMAX_FACTOR / eps)
     nodes, wts = _gauss_panels(edges, _PANEL_POINTS)
     damp = wts * np.exp(-eps * nodes)
-    bessel = {n: sph_bessel_j(n, nodes) for n in (0, 1, 2)}
-    U = np.column_stack([nodes**pe * bessel[pb] * damp * coeff
-                         for pe, pb, _, _, _, coeff in _PIECES.values()])
-    V = np.column_stack([nodes**qe * bessel[qb] * damp
-                         for _, _, qe, qb, _, _ in _PIECES.values()])
-    powers = [piece[4] for piece in _PIECES.values()]
-    return dict(zip(_PIECES, _coupled_sums(edges, U, V, powers)))
+    bessel = _sph_bessel_j012(nodes)
+    factors = np.array([nodes**e * bessel[m] * damp for e, m in _FACTORS])
+    row = {factor: k for k, factor in enumerate(_FACTORS)}
+    pairs = [(row[pe, pb], row[qe, qb], dp)
+             for pe, pb, qe, qb, dp, _ in _PIECES.values()]
+    sums = _coupled_sums(edges, factors, pairs)
+    return {name: coeff * value
+            for (name, (*_, coeff)), value in zip(_PIECES.items(), sums)}
 
 
 def _validate_schedule(schedule) -> tuple[float, ...]:

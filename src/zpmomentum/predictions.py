@@ -114,11 +114,16 @@ def first_born(sphere: SphereSpec, chi: ChiTensor, mode: str = "dimensional",
     else:
         if k_cut is None or not (math.isfinite(k_cut) and k_cut > 0):
             raise ValueError("cutoff mode requires k_cut > 0")
+        try:
+            k_cut4 = k_cut**4
+        except OverflowError:
+            raise OverflowError(f"k_cut^4 overflows a float at k_cut = "
+                                f"{k_cut!r} 1/m") from None
         # chi S0 as a vector: half the Levi-Civita trace of chi
         chi_s0 = -0.5 * axial_vector(chi.matrix)
         density = (1.0 / (32.0 * math.pi**3)
                    * (1.0 / mu + sphere.material.epsilon)
-                   * CONSTANTS.hbar_si * k_cut**4) * chi_s0
+                   * CONSTANTS.hbar_si * k_cut4) * chi_s0
         momentum = density * sphere.volume
         k_cut_rec = float(k_cut)
     return _sphere_prediction(

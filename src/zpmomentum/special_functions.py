@@ -42,6 +42,16 @@ def _jn_series(n: int, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return (x**n / dfact) * out
 
 
+def _closed_form(n: int, x: np.ndarray, s: np.ndarray,
+                 c: np.ndarray) -> np.ndarray:
+    """j_n(x) from s = sin(x) and c = cos(x), for |x| >= SERIES_CROSSOVER."""
+    if n == 0:
+        return s / x
+    if n == 1:
+        return s / (x * x) - c / x
+    return (3.0 / (x * x) - 1.0) * s / x - 3.0 * c / (x * x)
+
+
 def sph_bessel_j(n: int, x) -> np.ndarray | float:
     """Spherical Bessel function j_n for n in {0, 1, 2}; scalar or array input.
 
@@ -53,29 +63,31 @@ def sph_bessel_j(n: int, x) -> np.ndarray | float:
         raise ValueError(f"only orders 0, 1, 2 are supported, got n={n}")
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    ax = np.abs(x_arr)
-    small = ax < SERIES_CROSSOVER
-    out = np.empty_like(x_arr)
-
-    xs = x_arr[small]
-    if xs.size:
-        out[small] = _jn_series(n, xs, xs * xs)
-
-    xl = x_arr[~small]
-    if xl.size:
-        s, c = np.sin(xl), np.cos(xl)
-        if n == 0:
-            out[~small] = s / xl
-        elif n == 1:
-            out[~small] = s / (xl * xl) - c / xl
-        else:
-            out[~small] = (3.0 / (xl * xl) - 1.0) * s / xl - 3.0 * c / (xl * xl)
-
+    out = _sph_bessel_j012(np.atleast_1d(x_arr), (n,))[0]
     return float(out[0]) if scalar else out
 
 
-_legendre_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+def _sph_bessel_j012(x: np.ndarray, orders=(0, 1, 2)) -> list[np.ndarray]:
+    """j_n(x) for each n in orders, from one sin and one cos of x."""
+    small = np.abs(x) < SERIES_CROSSOVER
+    outs = [np.empty_like(x) for _ in orders]
+    xs = x[small]
+    if xs.size:
+        for n, out in zip(orders, outs):
+            out[small] = _jn_series(n, xs, xs * xs)
+    xl = x[~small]
+    if xl.size:
+        s, c = np.sin(xl), np.cos(xl)
+        for n, out in zip(orders, outs):
+            out[~small] = _closed_form(n, xl, s, c)
+    return outs
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # looked up on first use: numpy.polynomial costs about 6 ms to import,
+    # which the commands that integrate nothing do not pay
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:

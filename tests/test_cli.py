@@ -385,6 +385,15 @@ def test_numerical_failure_names_the_command(capsys, argv, command):
     assert err.startswith(f"numerical failure: {command}: ")
 
 
+def test_feigel_cutoff_overflow_names_k_cut(capsys):
+    # k_cut = 2 pi / 1e-89 m: its fourth power exceeds the largest float
+    code, out, err = run_capture(capsys, ["predict", "feigel", "--a-um", "1",
+                                          "--lambda-cut-nm", "1e-80"])
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == ("numerical failure: predict feigel: k_cut^4 overflows a "
+                   "float at k_cut = 6.283185307179586e+89 1/m\n")
+
+
 # --- the exit-code contract on generated argv --------------------------------
 
 HOSTILE_NUMBERS = ("nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e300",

@@ -131,17 +131,16 @@ def _pairwise_pass(eps):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_coupled_sums_reproduce_the_coupling(d):
-    """Unit columns pick single node pairs, at both ends and in the middle of
+    """Unit rows pick single node pairs, at both ends and in the middle of
     the finest default grid; the exponential sum must return 1/(p_i+p_j)^d."""
     edges, nodes, _ = _regulated_grid(DEFAULT_SCHEDULE[-1])
     last, mid = len(nodes) - 1, len(nodes) // 2
     i, j = np.array([(0, 0), (0, mid), (0, last), (mid, mid), (mid, last),
                      (last, last)]).T
-    U = np.zeros((len(nodes), len(i)))
-    V = np.zeros_like(U)
-    U[i, np.arange(len(i))] = 1.0
-    V[j, np.arange(len(j))] = 1.0
-    np.testing.assert_allclose(osc._coupled_sums(edges, U, V, d),
+    units = np.zeros((2 * len(i), len(nodes)))
+    units[np.arange(2 * len(i)), np.concatenate([i, j])] = 1.0
+    pairs = [(k, len(i) + k, d) for k in range(len(i))]
+    np.testing.assert_allclose(osc._coupled_sums(edges, units, pairs),
                                (nodes[i] + nodes[j]) ** -float(d),
                                rtol=1e-13, atol=0.0)
 
@@ -163,9 +162,24 @@ def _full_matrix_sums(nodes, U, V, d):
     return weights @ ((decay @ U) * (decay @ V))
 
 
-@pytest.mark.parametrize("eps", DEFAULT_SCHEDULE)
+@pytest.mark.parametrize("panels", [1, 2, 4, 7, 12, 319, 910])
+def test_coupled_sums_match_full_matrix_sums_at_any_block_split(panels, rng):
+    """Grids inside one block (1 and 2 panels), grids of whole blocks (4 =
+    2 x 2 and 12 = 3 x 4) and grids whose last block is short (7, and the
+    319 and 910 panels of eps = 0.2 and 0.07) give the unfactored sums."""
+    edges = np.linspace(0.0, panels * osc._PANEL_WIDTH, panels + 1)
+    nodes, _ = _gauss_panels(edges, osc._PANEL_POINTS)
+    factors = rng.uniform(0.5, 1.5, (3, len(nodes)))
+    pairs = [(0, 1, 1), (1, 2, 2), (2, 2, 1)]
+    reference = [_full_matrix_sums(nodes, factors[a], factors[b], d)
+                 for a, b, d in pairs]
+    np.testing.assert_allclose(osc._coupled_sums(edges, factors, pairs),
+                               reference, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("eps", DEFAULT_SCHEDULE + (0.2, 0.07))
 def test_regulated_pass_matches_full_matrix_sums(eps):
-    """The panel-factored table gives every piece of the unfactored one."""
+    """The block-factored tables give every piece of the unfactored one."""
     _, nodes, damp = _regulated_grid(eps)
     bessel = {m: sph_bessel_j(m, nodes) for m in (0, 1, 2)}
     factored = osc._regulated_pass(eps)
@@ -208,7 +222,8 @@ def _kernel_bruteforce(kernel):
         edges, nodes, damp = _regulated_grid(eps)
         u = nodes**a * sph_bessel_j(m, nodes) * damp
         v = nodes**b * sph_bessel_j(n, nodes) * damp
-        raw.append(c * osc._coupled_sums(edges, u[:, None], v[:, None], 1)[0])
+        raw.append(c * osc._coupled_sums(edges, np.array([u, v]),
+                                         [(0, 1, 1)])[0])
     return _richardson(DEFAULT_SCHEDULE, raw, (0, 1, 3, 5, 7))
 
 
@@ -237,8 +252,9 @@ def test_e_gap_is_carried_by_e1():
     phase = np.cos(np.outer(nodes, mu)) * (0.5 * w)
     transverse = nodes**3 * (phase @ (0.5 * (1.0 - mu**2))) * damp
     along = nodes**3 * (phase @ mu**2) * damp
-    columns = np.column_stack([transverse, along])
-    transverse_sum, along_sum = osc._coupled_sums(edges, columns, columns, 1)
+    rows = np.array([transverse, along])
+    transverse_sum, along_sum = osc._coupled_sums(edges, rows,
+                                                  [(0, 0, 1), (1, 1, 1)])
     direct = 2.0 * transverse_sum + along_sum
     reduced = osc._regulated_pass(0.1)
     assert direct == pytest.approx(reduced["E_0"] + reduced["E_2"], rel=1e-10)

@@ -1,7 +1,9 @@
-"""The declared public surface: every name in an ``__all__`` exists, and
-the package needs nothing beyond numpy."""
+"""The declared public surface: every name in an ``__all__`` exists, the
+package needs nothing beyond numpy, and it loads each layer only when a name
+or a command needs it."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -51,17 +53,85 @@ def test_no_name_in_two_layer_lists():
     assert {k: v for k, v in owners.items() if len(v) > 1} == {}
 
 
-def test_import_loads_no_scipy():
-    # every module, the CLI included, imports numpy alone; scipy serves the
-    # tests as an independent reference only
+# One fresh interpreter reports what each step loads: the bare package
+# import, each command with the zpmomentum modules unloaded before it, then
+# every module (for scipy), the star import and dir().
+PROBE = """
+import contextlib, io, json, sys
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
+import zpmomentum
+report = {"import": loaded("zpmomentum.")
+          + ["numpy"] * ("numpy" in sys.modules)}
+for argv in json.loads(sys.argv[1]):
+    for name in loaded("zpmomentum"):
+        del sys.modules[name]
+    from zpmomentum.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    report[" ".join(argv)] = [m.split(".")[1] for m in loaded("zpmomentum.")]
+import importlib, zpmomentum
+for name in json.loads(sys.argv[2]):
+    importlib.import_module(name)
+report["scipy"] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+star = {}
+exec("from zpmomentum import *", star)
+report["star"] = sorted(set(star) - {"__builtins__"})
+report["all"] = sorted(zpmomentum.__all__)
+report["dir"] = dir(zpmomentum)
+print(json.dumps(report))
+"""
+
+# The layer modules each command loads, cli and its own layers included:
+# predict and eta load neither the frequency oracle nor the dipole, and
+# constants loads neither of those nor the predictions.
+COMMAND_LAYERS = {
+    "constants": ["cli", "oscillatory_integrals", "special_functions",
+                  "tensor_assembly", "units_materials"],
+    "eta": ["cli", "oscillatory_integrals", "special_functions",
+            "tensor_assembly", "units_materials"],
+    "predict me-sphere --a-um 1": [
+        "cli", "oscillatory_integrals", "predictions", "special_functions",
+        "tensor_assembly", "units_materials"],
+    "predict moving-sphere --a-um 1 --v 1,0,0": [
+        "cli", "oscillatory_integrals", "predictions", "special_functions",
+        "tensor_assembly", "units_materials"],
+}
+
+
+@pytest.fixture(scope="module")
+def probe():
     src = str(Path(zpmomentum.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    imports = "; ".join(f"import {name}" for name in MODULES)
-    probe = (f"import sys; {imports}; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, timeout=60, env=env)
+    commands = json.dumps([argv.split() for argv in COMMAND_LAYERS])
+    out = subprocess.run([sys.executable, "-c", PROBE, commands,
+                          json.dumps(MODULES)],
+                         capture_output=True, text=True, timeout=60, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+def test_import_loads_no_scipy(probe):
+    # every module, the CLI included, imports numpy alone; scipy serves the
+    # tests as an independent reference only
+    assert probe["scipy"] == []
+
+
+def test_package_import_loads_no_layer(probe):
+    # the re-exports load on first use, so a bare import loads not even numpy
+    assert probe["import"] == []
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_LAYERS))
+def test_command_loads_only_its_layers(probe, argv):
+    assert probe[argv] == COMMAND_LAYERS[argv]
+
+
+def test_star_import_binds_exactly_all(probe):
+    assert probe["star"] == probe["all"]
+
+
+def test_dir_lists_every_export(probe):
+    assert set(probe["all"]) <= set(probe["dir"])
