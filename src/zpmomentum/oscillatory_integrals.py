@@ -46,16 +46,18 @@ __all__ = [
 # Production regulator schedule.  A three-point schedule extrapolates the
 # constants to ~1e-4 relative but leaves the drop-one stability check at a few
 # percent for the slowest-converging kernel; the fourth point brings every
-# drop-one change below 0.02%; the four passes take about 0.045 s cold on
-# 2 vCPUs with 1 BLAS thread.
+# drop-one change below 0.02%; the four passes take about 0.036 s cold on
+# 2 vCPUs with 1 BLAS thread, and each traces at most 1.9 MiB.
 DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
 PMAX_FACTOR = 50.0  # radial cutoff P_max = PMAX_FACTOR / eps
 # Richardson powers: the regulated values empirically approach their limit
 # through an odd series eps, eps^3, eps^5, ...; fitting even powers as well
 # wastes schedule points and degrades the extrapolation by orders of magnitude.
 _ODD_POWERS = (0, 1, 3, 5, 7)
-# Smallest accepted regulator.  A pass's node count and memory grow like
-# 1/eps: `constants` peaks at 41 MiB RSS by default, 64 MiB at this floor.
+# Smallest accepted regulator.  A pass's node count N grows like 1/eps and
+# its memory like sqrt(N): one pass traces 1.9 MiB at 0.0125 and 4.4 MiB at
+# this floor, and `constants` peaks at 33 MiB RSS by default, 36 MiB with
+# this floor added to the schedule.
 _EPS_FLOOR = DEFAULT_SCHEDULE[-1] / 4.0
 
 TRIG_NAMES = ("I0", "I1", "A", "C", "E1", "E2", "E3")
@@ -196,13 +198,14 @@ def _panel_edges(pmax: float) -> np.ndarray:
     return np.linspace(0.0, pmax, int(math.ceil(pmax / _PANEL_WIDTH)) + 1)
 
 
-def _coupled_sums(edges: np.ndarray, factors: np.ndarray,
-                  pairs) -> np.ndarray:
+def _coupled_sums(edges: np.ndarray, rows, pairs) -> np.ndarray:
     """sum_ij F_ai F_bj / (p_i + p_j)^d over the panel grid, per (a, b, d).
 
-    factors holds one row per radial factor F and one column per node of
-    _gauss_panels(edges, _PANEL_POINTS); pairs lists the sums as row pairs
-    (a, b) with a power d of 1 or 2.  The trapezoid rule in s for
+    rows(nodes, weights) returns one row per radial factor F, with weights
+    folded in, and one column per node it is given; it is called on the
+    nodes and weights of _gauss_panels(edges, _PANEL_POINTS) one group of
+    panels at a time.  pairs lists the sums as row pairs (a, b) with a power
+    d of 1 or 2.  The trapezoid rule in s for
     1/x^d = Gamma(d)^-1 Int e^{d s - x e^s} ds turns the double sum into
     products of sums of single rows against e^{-t p}, t = e^s, so each row
     is decayed once however many pairs read it.  The s range covers
@@ -211,25 +214,37 @@ def _coupled_sums(edges: np.ndarray, factors: np.ndarray,
     and each node is p = L + R + o: L its block's left edge, R its panel's
     offset in the block and o one of the node offsets shared by the equal
     panels.  So e^{-t p} = e^{-t L} e^{-t R} e^{-t o}, three small tables:
-    O(2 sqrt(N/8) + 8) exponentials per s-node.  Every table entry lies in
-    (0, 1], and one underflows only where e^{-t p} does.  Edges must be
-    ascending and equally spaced.
+    O(2 sqrt(N/8) + 8) exponentials per s-node.  The blocks are walked in
+    groups of about sqrt(blocks), each group's rows built, decayed and
+    dropped before the next, so memory is O(T sqrt(N)) for T s-nodes and N
+    nodes.  Every table entry lies in (0, 1], and one underflows only where
+    e^{-t p} does.  Edges must be ascending and equally spaced.
     """
     panels = len(edges) - 1
     block = math.isqrt(panels - 1) + 1  # ceil(sqrt(panels))
     blocks = -(-panels // block)
+    group = math.isqrt(blocks - 1) + 1  # ceil(sqrt(blocks)) blocks
     offsets = _gauss_panels(edges[:2], _PANEL_POINTS)[0] - edges[0]
     t = np.exp(np.arange(math.log(1e-16 / (2.0 * edges[-1])),
                          math.log(20.0 / (edges[0] + offsets[0])), _LOG_STEP))
     block_edge = np.exp(np.outer(-t, edges[:-1:block]))
     in_block = (np.exp(np.outer(-t, edges[:block] - edges[0]))[:, :, None]
                 * np.exp(np.outer(-t, offsets))[:, None, :]).reshape(len(t), -1)
-    # a last block short of panels reads zero columns
-    padded = np.zeros((len(factors), blocks * in_block.shape[1]))
-    padded[:, :factors.shape[1]] = factors
-    by_block = padded.reshape(-1, in_block.shape[1]) @ in_block.T
-    decayed = np.einsum("tb,kbt->kt", block_edge,
-                        by_block.reshape(len(factors), blocks, len(t)))
+    width = block * _PANEL_POINTS  # nodes per block
+
+    def decay(first: int, last: int) -> np.ndarray:
+        """The rows of blocks first..last-1 against e^{-t p}, per factor."""
+        factors = rows(*_gauss_panels(edges[first * block:last * block + 1],
+                                      _PANEL_POINTS))
+        short = (last - first) * width - factors.shape[1]
+        if short:  # a last block short of panels reads zero columns
+            factors = np.pad(factors, ((0, 0), (0, short)))
+        by_block = factors.reshape(-1, width) @ in_block.T
+        return np.einsum("tb,kbt->kt", block_edge[:, first:last],
+                         by_block.reshape(len(factors), -1, len(t)))
+
+    decayed = sum(decay(first, min(first + group, blocks))
+                  for first in range(0, blocks, group))
 
     a, b, d = np.array(pairs).T
     # no 1/Gamma(d) factor: every d passed here is 1 or 2, where Gamma(d) = 1
@@ -244,16 +259,20 @@ _FACTORS = sorted({factor for pe, pb, qe, qb, _, _ in _PIECES.values()
 
 @lru_cache(maxsize=16)
 def _regulated_pass(eps: float) -> dict[str, float]:
-    """All nine kernel pieces integrated at one regulator strength."""
-    edges = _panel_edges(PMAX_FACTOR / eps)
-    nodes, wts = _gauss_panels(edges, _PANEL_POINTS)
-    damp = wts * np.exp(-eps * nodes)
-    bessel = _sph_bessel_j012(nodes)
-    factors = np.array([nodes**e * bessel[m] * damp for e, m in _FACTORS])
+    """All nine kernel pieces integrated at one regulator strength.
+
+    _coupled_sums asks for the factor rows one group of panels at a time, so
+    the pass holds no N-long array: its memory is O(T sqrt(N)).
+    """
+    def factor_rows(nodes, wts):
+        damp = wts * np.exp(-eps * nodes)
+        bessel = _sph_bessel_j012(nodes)
+        return np.array([nodes**e * bessel[m] * damp for e, m in _FACTORS])
+
     row = {factor: k for k, factor in enumerate(_FACTORS)}
     pairs = [(row[pe, pb], row[qe, qb], dp)
              for pe, pb, qe, qb, dp, _ in _PIECES.values()]
-    sums = _coupled_sums(edges, factors, pairs)
+    sums = _coupled_sums(_panel_edges(PMAX_FACTOR / eps), factor_rows, pairs)
     return {name: coeff * value
             for (name, (*_, coeff)), value in zip(_PIECES.items(), sums)}
 

@@ -75,7 +75,12 @@ class DipoleSpec:
     @property
     def kappa0(self) -> float:
         """Resonance wavenumber sqrt(4 pi gamma / alpha0), 1/cm."""
-        return math.sqrt(4.0 * math.pi * self.gamma / self.alpha0)
+        square = 4.0 * math.pi * self.gamma / self.alpha0
+        if square == 0.0:
+            raise FloatingPointError(
+                f"kappa0^2 = 4 pi gamma / alpha0 underflows to 0 at gamma = "
+                f"{self.gamma!r} cm, alpha0 = {self.alpha0!r} cm^3")
+        return math.sqrt(square)
 
     @property
     def omega0(self) -> float:
@@ -191,9 +196,13 @@ def spectral_integral_quadrature(spec: DipoleSpec) -> float:
     ConvergenceError when the error estimate exceeds SPECTRAL_REL_TOL |J|.
     """
     k0 = spec.kappa0
+    inner = 1e-3 * spec.damping_ratio
+    if inner == 0.0:
+        raise FloatingPointError(
+            f"the central panel half-width 1e-3 (2/3) gamma kappa0 underflows "
+            f"to 0 at gamma = {spec.gamma!r} cm, kappa0 = {k0!r} 1/cm")
     quarter = 0.25 * math.pi
-    edges = quarter + _graded_edges(-quarter, quarter,
-                                    1e-3 * spec.damping_ratio)
+    edges = quarter + _graded_edges(-quarter, quarter, inner)
     total, err = _panel_quad(  # dkappa = k0 dtheta / cos(theta)^2
         lambda th: _spectral_kernel(spec, k0 * np.tan(th)) * k0 / np.cos(th)**2,
         edges, 30)

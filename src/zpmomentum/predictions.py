@@ -142,9 +142,14 @@ def _eta_and_notes(sphere: SphereSpec, eta_value: float | None
 
 
 def _direction(vec: np.ndarray) -> np.ndarray:
-    """vec / |vec|.  Below 2^-500 the squares in |vec| would underflow, so vec
-    is first scaled by 2^600: exact, and it leaves the direction unchanged."""
-    vec = vec * 2.0**600 if np.max(np.abs(vec)) < 2.0**-500 else vec
+    """vec / |vec|.  Below 2^-500 the squares in |vec| would underflow, above
+    2^500 they would overflow, so vec is first scaled by 2^600 or 2^-600:
+    exact, and it leaves the direction unchanged."""
+    size = np.max(np.abs(vec))
+    if size < 2.0**-500:
+        vec = vec * 2.0**600
+    elif size > 2.0**500:
+        vec = vec * 2.0**-600
     return vec / np.linalg.norm(vec)
 
 
@@ -219,10 +224,15 @@ def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
             "magneto_chiral requires verdet_v0 and chirality_g in the material")
     b_si = np.asarray(b_field, dtype=float)
     a_cm = to_gaussian(sphere.radius, "length")
+    try:
+        a_cm3 = a_cm**3
+    except OverflowError:
+        raise OverflowError(f"a^3 overflows a float at a = {sphere.radius!r} "
+                            "m") from None
     b_gauss = to_gaussian(b_si, "magnetic_field")
     momentum_gauss = (MAGNETO_CHIRAL_COEFF * CONSTANTS.hbar_gaussian
                       * mat.verdet_v0 * CONSTANTS.c0_gaussian**2
-                      * mat.chirality_g / a_cm**3) * b_gauss
+                      * mat.chirality_g / a_cm3) * b_gauss
     momentum = momentum_gauss * _GAUSS_TO_SI_MOMENTUM
     consts = {"coefficient": MAGNETO_CHIRAL_COEFF,
               "hbar_gaussian": CONSTANTS.hbar_gaussian,

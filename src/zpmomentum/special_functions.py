@@ -83,11 +83,40 @@ def _sph_bessel_j012(x: np.ndarray, orders=(0, 1, 2)) -> list[np.ndarray]:
     return outs
 
 
+def _legendre_series(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] P_k(x) by Clenshaw's backward three-term recurrence;
+    at least two coefficients."""
+    c0, c1 = coeffs[-2], coeffs[-1]
+    for k in range(len(coeffs) - 1, 1, -1):
+        c0, c1 = (coeffs[k - 2] - c1 * ((k - 1) / k),
+                  c0 + c1 * x * ((2 * k - 1) / k))
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # looked up on first use: numpy.polynomial costs about 6 ms to import,
-    # which the commands that integrate nothing do not pay
-    return np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], n >= 2.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of P_n,
+    polished by one Newton step; each weight is 1 / (P_{n-1} P_n') at its
+    node, symmetrised and normalised to sum 2.  This is the arithmetic of
+    numpy.polynomial.legendre.leggauss, whose values it reproduces, without
+    the 6 ms import of numpy.polynomial.
+    """
+    k = np.arange(1, n)
+    scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x = np.linalg.eigvalsh(np.diag(k * scale[:-1] * scale[1:], -1))
+    p_n = np.eye(n + 1)[n]
+    # P_n' = sum of (2k + 1) P_k over k = n-1, n-3, ...
+    derivative = np.zeros(n)
+    derivative[n - 1::-2] = 2 * np.arange(n - 1, -1, -2) + 1.0
+    slope = _legendre_series(x, derivative)
+    x = x - _legendre_series(x, p_n) / slope
+    below = _legendre_series(x, p_n[1:])
+    w = 1.0 / ((below / np.abs(below).max()) * (slope / np.abs(slope).max()))
+    w = (w + w[::-1]) / 2.0
+    x = (x - x[::-1]) / 2.0
+    return x, w * (2.0 / w.sum())
 
 
 def _gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -343,15 +343,13 @@ def _reject_constant(token):
      EXIT_INPUT),
     (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
       "1e-300", "--b", "0,0,1"], EXIT_INPUT),
-    # float overflow, division by zero and an overflowing norm
+    # float overflow and underflow
     (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
       "1e107", "--b", "0,0,1"], EXIT_NUMERICAL),
     (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "1e-80"],
      EXIT_NUMERICAL),
     (["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma", "1e-300"],
      EXIT_NUMERICAL),
-    (["predict", "me-sphere", "--a-um", "1", "--e0-dir=1,0,0",
-      "--b0-dir=1e300,1e300,0"], EXIT_NUMERICAL),
 ])
 def test_hostile_inputs_keep_exit_code_contract(capsys, recwarn, tmp_path,
                                                 argv, expected):
@@ -383,6 +381,42 @@ def test_numerical_failure_names_the_command(capsys, argv, command):
     assert code == EXIT_NUMERICAL
     assert out == ""
     assert err.startswith(f"numerical failure: {command}: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a = 1e101 m is 1e103 cm, whose cube exceeds the largest float
+    (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
+      "1e107", "--b=1,0,0"],
+     "predict magneto-chiral: a^3 overflows a float at a = 1e+101 m"),
+    # 4 pi gamma / alpha0 = 4 pi 1e-298 cm / 1e306 cm^3 is below the
+    # smallest float
+    (["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma", "1e-300"],
+     "dipole: kappa0^2 = 4 pi gamma / alpha0 underflows to 0 at gamma = "
+     "1.0000000000000001e-298 cm, alpha0 = 1e+306 cm^3"),
+    # kappa0 = 3.5e-150 1/cm is a float, but (2/3) gamma kappa0 is not
+    (["dipole", "--alpha", "1e94", "--alpha0", "1e94", "--gamma", "1e-202"],
+     "dipole: the central panel half-width 1e-3 (2/3) gamma kappa0 "
+     "underflows to 0 at gamma = 1e-200 cm, kappa0 = 3.544907701811032e-150 "
+     "1/cm"),
+])
+def test_numerical_failure_names_the_quantity(capsys, tmp_path, argv,
+                                              message):
+    argv = [_magneto_chiral_material(tmp_path) if a == "MC_MATERIAL" else a
+            for a in argv]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == f"numerical failure: {message}\n"
+
+
+def test_huge_field_orientations_give_the_unit_rows(capsys):
+    # scaling by 2^-600 is exact, so the squares in |e0| and |b0| stay finite
+    # and the directions, hence every row, are those of the unit vectors
+    base = ["predict", "me-sphere", "--material", "fegao3", "--a-um", "1"]
+    huge = run_json(capsys, base + ["--e0-dir=1e300,1e300,0",
+                                    "--b0-dir=0,1e300,1e300"])
+    unit = run_json(capsys, base + ["--e0-dir=1,1,0", "--b0-dir=0,1,1"])
+    assert huge["results"] == unit["results"]
+    assert any(row["value"] != 0.0 for row in unit["results"])
 
 
 def test_feigel_cutoff_overflow_names_k_cut(capsys):

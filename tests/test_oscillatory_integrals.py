@@ -113,6 +113,19 @@ def _regulated_grid(eps):
     return edges, nodes, wts * np.exp(-eps * nodes)
 
 
+def _columns_of(edges, full_rows):
+    """A row builder for _coupled_sums that hands each group of panels its
+    columns of rows given on every node of the grid on edges."""
+    nodes = _gauss_panels(edges, osc._PANEL_POINTS)[0]
+
+    def rows(group_nodes, _):
+        first = np.searchsorted(nodes, group_nodes[0])
+        columns = slice(first, first + len(group_nodes))
+        assert np.array_equal(nodes[columns], group_nodes)
+        return full_rows[:, columns]
+    return rows
+
+
 def _pairwise_pass(eps):
     """The nine pieces of _regulated_pass(eps) by the direct sum over every
     node pair, 1024 rows of the coupling matrix at a time."""
@@ -140,9 +153,10 @@ def test_coupled_sums_reproduce_the_coupling(d):
     units = np.zeros((2 * len(i), len(nodes)))
     units[np.arange(2 * len(i)), np.concatenate([i, j])] = 1.0
     pairs = [(k, len(i) + k, d) for k in range(len(i))]
-    np.testing.assert_allclose(osc._coupled_sums(edges, units, pairs),
-                               (nodes[i] + nodes[j]) ** -float(d),
-                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(
+        osc._coupled_sums(edges, _columns_of(edges, units), pairs),
+        (nodes[i] + nodes[j]) ** -float(d),
+        rtol=1e-13, atol=0.0)
 
 
 def test_regulated_pass_matches_pairwise_sum():
@@ -162,19 +176,24 @@ def _full_matrix_sums(nodes, U, V, d):
     return weights @ ((decay @ U) * (decay @ V))
 
 
-@pytest.mark.parametrize("panels", [1, 2, 4, 7, 12, 319, 910])
+@pytest.mark.parametrize("panels", [1, 2, 3, 4, 7, 12, 30, 50, 319, 910])
 def test_coupled_sums_match_full_matrix_sums_at_any_block_split(panels, rng):
     """Grids inside one block (1 and 2 panels), grids of whole blocks (4 =
-    2 x 2 and 12 = 3 x 4) and grids whose last block is short (7, and the
-    319 and 910 panels of eps = 0.2 and 0.07) give the unfactored sums."""
+    2 x 2 and 12 = 3 x 4) and grids whose last block is short (3, 7, 50,
+    and the 319 and 910 panels of eps = 0.2 and 0.07) give the unfactored
+    sums.  Blocks are walked in groups of ceil(sqrt(blocks)): 1 to 4 panels
+    make one group, 910 makes 5 whole groups of 6 blocks, and 7, 12, 30, 50
+    and 319 end on a short group (3 blocks in groups of 2, 5 and 7 in
+    groups of 3, 18 in groups of 5)."""
     edges = np.linspace(0.0, panels * osc._PANEL_WIDTH, panels + 1)
     nodes, _ = _gauss_panels(edges, osc._PANEL_POINTS)
     factors = rng.uniform(0.5, 1.5, (3, len(nodes)))
     pairs = [(0, 1, 1), (1, 2, 2), (2, 2, 1)]
     reference = [_full_matrix_sums(nodes, factors[a], factors[b], d)
                  for a, b, d in pairs]
-    np.testing.assert_allclose(osc._coupled_sums(edges, factors, pairs),
-                               reference, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        osc._coupled_sums(edges, _columns_of(edges, factors), pairs),
+        reference, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("eps", DEFAULT_SCHEDULE + (0.2, 0.07))
@@ -190,17 +209,27 @@ def test_regulated_pass_matches_full_matrix_sums(eps):
         assert factored[name] == pytest.approx(reference, rel=1e-12), name
 
 
-def test_finest_default_pass_peak_memory():
-    """One uncached pass at the finest default regulator holds no T x N
-    table: its traced peak stays below 32 MiB (the full table alone is
-    66 MiB)."""
+def _pass_peak_memory(eps):
+    """Traced peak, in bytes, of one uncached pass."""
     tracemalloc.start()
     try:
-        osc._regulated_pass.__wrapped__(DEFAULT_SCHEDULE[-1])
-        peak = tracemalloc.get_traced_memory()[1]
+        osc._regulated_pass.__wrapped__(eps)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+
+
+def test_finest_default_pass_peak_memory():
+    """One uncached pass at the finest default regulator holds no T x N
+    table and no N-long row: its traced peak stays below 4 MiB (the full
+    table alone is 66 MiB)."""
+    assert _pass_peak_memory(DEFAULT_SCHEDULE[-1]) < 4 * 2**20
+
+
+def test_floor_pass_peak_memory():
+    """At the smallest accepted regulator, with four times the nodes, one
+    uncached pass still traces below 8 MiB: memory grows like sqrt(N)."""
+    assert _pass_peak_memory(osc._EPS_FLOOR) < 8 * 2**20
 
 
 # --- where the E gap lives ---------------------------------------------------
@@ -219,11 +248,12 @@ def _kernel_bruteforce(kernel):
     c, a, m, b, n = kernel
     raw = []
     for eps in DEFAULT_SCHEDULE:
-        edges, nodes, damp = _regulated_grid(eps)
-        u = nodes**a * sph_bessel_j(m, nodes) * damp
-        v = nodes**b * sph_bessel_j(n, nodes) * damp
-        raw.append(c * osc._coupled_sums(edges, np.array([u, v]),
-                                         [(0, 1, 1)])[0])
+        def rows(nodes, wts, eps=eps):
+            damp = wts * np.exp(-eps * nodes)
+            return np.array([nodes**a * sph_bessel_j(m, nodes) * damp,
+                             nodes**b * sph_bessel_j(n, nodes) * damp])
+        edges = osc._panel_edges(osc.PMAX_FACTOR / eps)
+        raw.append(c * osc._coupled_sums(edges, rows, [(0, 1, 1)])[0])
     return _richardson(DEFAULT_SCHEDULE, raw, (0, 1, 3, 5, 7))
 
 
@@ -247,14 +277,15 @@ def test_e_gap_is_carried_by_e1():
         trig["E1"] - isotropic, rel=1e-6)
 
     # <k^_i k^_j e^{ik.z}> is diagonal: (1 - mu^2)/2 twice, mu^2 once
-    edges, nodes, damp = _regulated_grid(0.1)
     mu, w = np.polynomial.legendre.leggauss(400)
-    phase = np.cos(np.outer(nodes, mu)) * (0.5 * w)
-    transverse = nodes**3 * (phase @ (0.5 * (1.0 - mu**2))) * damp
-    along = nodes**3 * (phase @ mu**2) * damp
-    rows = np.array([transverse, along])
-    transverse_sum, along_sum = osc._coupled_sums(edges, rows,
-                                                  [(0, 0, 1), (1, 1, 1)])
+
+    def rows(nodes, wts):
+        phase = np.cos(np.outer(nodes, mu)) * (0.5 * w)
+        damp = wts * np.exp(-0.1 * nodes)
+        return np.array([nodes**3 * (phase @ (0.5 * (1.0 - mu**2))) * damp,
+                         nodes**3 * (phase @ mu**2) * damp])
+    transverse_sum, along_sum = osc._coupled_sums(
+        osc._panel_edges(osc.PMAX_FACTOR / 0.1), rows, [(0, 0, 1), (1, 1, 1)])
     direct = 2.0 * transverse_sum + along_sum
     reduced = osc._regulated_pass(0.1)
     assert direct == pytest.approx(reduced["E_0"] + reduced["E_2"], rel=1e-10)

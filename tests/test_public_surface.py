@@ -54,15 +54,16 @@ def test_no_name_in_two_layer_lists():
 
 
 # One fresh interpreter reports what each step loads: the bare package
-# import, each command with the zpmomentum modules unloaded before it, then
-# every module (for scipy), the star import and dir().
+# import, each command with the zpmomentum modules unloaded before it (and
+# the commands after which numpy.polynomial is loaded), then every module
+# (for scipy), the star import and dir().
 PROBE = """
 import contextlib, io, json, sys
 def loaded(prefix):
     return sorted(m for m in sys.modules if m.startswith(prefix))
 import zpmomentum
 report = {"import": loaded("zpmomentum.")
-          + ["numpy"] * ("numpy" in sys.modules)}
+          + ["numpy"] * ("numpy" in sys.modules), "polynomial": []}
 for argv in json.loads(sys.argv[1]):
     for name in loaded("zpmomentum"):
         del sys.modules[name]
@@ -70,6 +71,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     report[" ".join(argv)] = [m.split(".")[1] for m in loaded("zpmomentum.")]
+    if "numpy.polynomial" in sys.modules:
+        report["polynomial"].append(" ".join(argv))
 import importlib, zpmomentum
 for name in json.loads(sys.argv[2]):
     importlib.import_module(name)
@@ -83,8 +86,9 @@ print(json.dumps(report))
 """
 
 # The layer modules each command loads, cli and its own layers included:
-# predict and eta load neither the frequency oracle nor the dipole, and
-# constants loads neither of those nor the predictions.
+# predict and eta load neither the frequency oracle nor the dipole,
+# constants loads neither of those nor the predictions, and freq-check and
+# dipole load no prediction.
 COMMAND_LAYERS = {
     "constants": ["cli", "oscillatory_integrals", "special_functions",
                   "tensor_assembly", "units_materials"],
@@ -95,6 +99,10 @@ COMMAND_LAYERS = {
         "tensor_assembly", "units_materials"],
     "predict moving-sphere --a-um 1 --v 1,0,0": [
         "cli", "oscillatory_integrals", "predictions", "special_functions",
+        "tensor_assembly", "units_materials"],
+    "freq-check --pairs 2": ["cli", "contour_frequency", "special_functions"],
+    "dipole --alpha 1 --alpha0 1 --gamma 1": [
+        "cli", "oscillatory_integrals", "point_dipole", "special_functions",
         "tensor_assembly", "units_materials"],
 }
 
@@ -127,6 +135,12 @@ def test_package_import_loads_no_layer(probe):
 @pytest.mark.parametrize("argv", list(COMMAND_LAYERS))
 def test_command_loads_only_its_layers(probe, argv):
     assert probe[argv] == COMMAND_LAYERS[argv]
+
+
+def test_no_command_loads_numpy_polynomial(probe):
+    # the Gauss-Legendre rule is built from numpy core, so no command pays
+    # the import of numpy.polynomial
+    assert probe["polynomial"] == []
 
 
 def test_star_import_binds_exactly_all(probe):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import Polynomial
+from numpy.polynomial.legendre import leggauss
 from scipy.special import spherical_jn
 
 from zpmomentum.special_functions import (SERIES_CROSSOVER, _graded_edges,
-                                          _panel_quad, sph_bessel_j)
+                                          _legendre_rule, _panel_quad,
+                                          sph_bessel_j)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -58,6 +60,17 @@ def test_unsupported_order_raises():
 
 
 # --- the panel rule -----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 15, 16, 20, 30, 32, 40])
+def test_legendre_rule_matches_leggauss(n):
+    # every point count the package integrates with (n and n/2 of each
+    # _panel_quad call, and the regulated pass's 8): nodes within 2 ulp,
+    # weights within 1e-14 relative
+    x, w = _legendre_rule(n)
+    ref_x, ref_w = leggauss(n)
+    assert np.all(np.abs(x - ref_x) <= 2.0 * np.spacing(np.abs(ref_x)))
+    np.testing.assert_allclose(w, ref_w, rtol=1e-14, atol=0.0)
+
 
 @pytest.mark.parametrize("n", [8, 30, 32, 40])
 def test_panel_quad_is_exact_on_degree_2n_minus_1(n):
