@@ -14,12 +14,10 @@ layers it runs, so a command loads no module it does not use.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +31,14 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
 class RunReport:
     """Everything one invocation produced, in renderable form."""
 
-    command: str
-    inputs: dict
-    results: list[dict] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, command: str, inputs: dict) -> None:
+        self.command = command
+        self.inputs = inputs
+        self.results: list[dict] = []
+        self.warnings: list[str] = []
 
     def add(self, name: str, value: float, error: float = 0.0,
             method: str = "closed_form", **extra) -> None:
@@ -59,6 +57,7 @@ class RunReport:
         return json.dumps(payload, indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
+        import csv  # only --format csv pays for the import
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["name", "value", "error", "method"])
@@ -279,8 +278,9 @@ def freq_check_pairs(seed: int, n: int) -> list[tuple[float, float]]:
 def _cmd_freq_check(args) -> tuple[RunReport, int]:
     from .contour_frequency import (KINDS, ORACLE_EPSILON_RANGE, compare,
                                     resolving_epsilon)
-    if args.pairs < 0:
-        raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
+    for flag, val in (("--pairs", args.pairs), ("--seed", args.seed)):
+        if val < 0:
+            raise ValueError(f"{flag} must be >= 0, got {val}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     lo, hi = ORACLE_EPSILON_RANGE
@@ -320,6 +320,8 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
     hbar_omega0_ev = (CONSTANTS.hbar_si * spec.omega0 / CONSTANTS.ev_in_joule)
     if args.hbar_omega0_eV is not None:
         given = args.hbar_omega0_eV
+        if not math.isfinite(given):
+            raise ValueError(f"--hbar-omega0-eV must be finite, got {given!r}")
         if not abs(given - hbar_omega0_ev) <= 1e-6 * abs(hbar_omega0_ev):
             raise ValueError(
                 f"--hbar-omega0-eV = {given} is inconsistent with the value "

@@ -20,10 +20,9 @@ a shifted variable x = u - p that writes every factor u^2 - q^2 as the product
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .special_functions import (ConvergenceError, _graded_edges, _panel_quad,
-                                _richardson)
+                                _Record, _richardson)
 
 __all__ = ["KINDS", "FreqIntegralResult", "freq_closed_form", "freq_oracle",
            "compare", "resolving_epsilon"]
@@ -40,8 +39,7 @@ ORACLE_REL_TOL = 1e-5
 ORACLE_EPSILON_RANGE = (3e-5, 0.1)
 
 
-@dataclass(frozen=True)
-class FreqIntegralResult:
+class FreqIntegralResult(_Record):
     """Closed form vs regulated-numeric comparison for one (kind, k, kp) triple."""
 
     closed_form: complex

@@ -25,13 +25,12 @@ prediction path reads the table and runs neither route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .special_functions import (ConvergenceError, _gauss_panels, _panel_quad,
-                                _richardson, _sph_bessel_j012)
+                                _Record, _richardson, _sph_bessel_j012)
 
 __all__ = [
     "IntegralResult",
@@ -39,32 +38,30 @@ __all__ = [
     "TRIG_NAMES",
     "eval_trig",
     "eval_bruteforce",
-    "solve_D1_D3",
     "reconciled_constants",
 ]
 
 # Production regulator schedule.  A three-point schedule extrapolates the
 # constants to ~1e-4 relative but leaves the drop-one stability check at a few
 # percent for the slowest-converging kernel; the fourth point brings every
-# drop-one change below 0.02%; the four passes take about 0.036 s cold on
-# 2 vCPUs with 1 BLAS thread, and each traces at most 1.9 MiB.
+# drop-one change below 0.02%; the four passes take about 0.035 s cold on
+# 2 vCPUs with 1 BLAS thread, and each traces below 0.5 MiB.
 DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
 PMAX_FACTOR = 50.0  # radial cutoff P_max = PMAX_FACTOR / eps
 # Richardson powers: the regulated values empirically approach their limit
 # through an odd series eps, eps^3, eps^5, ...; fitting even powers as well
 # wastes schedule points and degrades the extrapolation by orders of magnitude.
 _ODD_POWERS = (0, 1, 3, 5, 7)
-# Smallest accepted regulator.  A pass's node count N grows like 1/eps and
-# its memory like sqrt(N): one pass traces 1.9 MiB at 0.0125 and 4.4 MiB at
-# this floor, and `constants` peaks at 33 MiB RSS by default, 36 MiB with
-# this floor added to the schedule.
+# Smallest accepted regulator.  A pass's node count N grows like 1/eps, its
+# time like N, and its memory hardly at all: one pass traces 0.47 MiB at
+# 0.0125 and 0.60 MiB at this floor, and `constants` peaks at about 31 MiB
+# RSS with or without this floor in the schedule.
 _EPS_FLOOR = DEFAULT_SCHEDULE[-1] / 4.0
 
 TRIG_NAMES = ("I0", "I1", "A", "C", "E1", "E2", "E3")
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(_Record):
     """Outcome of one constant evaluation.
 
     value           extrapolated (or closed-route) number
@@ -191,6 +188,11 @@ _PANEL_POINTS = 8
 # exp(-pi^2/h): at h = 0.25 the rule reproduces 1/x to 4e-16 and 1/x^2 to
 # 5e-15 relative, while h = 0.4 leaves 6e-9.
 _LOG_STEP = 0.25
+# _coupled_sums factors e^{-t p} over blocks of _BLOCK_PANELS panels and
+# decays _CHUNK_BLOCKS blocks, 1024 nodes, at a time: its working set is
+# then a few T x 128 tables, whatever eps is.
+_BLOCK_PANELS = 16
+_CHUNK_BLOCKS = 8
 
 
 def _panel_edges(pmax: float) -> np.ndarray:
@@ -203,49 +205,49 @@ def _coupled_sums(edges: np.ndarray, rows, pairs) -> np.ndarray:
 
     rows(nodes, weights) returns one row per radial factor F, with weights
     folded in, and one column per node it is given; it is called on the
-    nodes and weights of _gauss_panels(edges, _PANEL_POINTS) one group of
-    panels at a time.  pairs lists the sums as row pairs (a, b) with a power
-    d of 1 or 2.  The trapezoid rule in s for
-    1/x^d = Gamma(d)^-1 Int e^{d s - x e^s} ds turns the double sum into
-    products of sums of single rows against e^{-t p}, t = e^s, so each row
-    is decayed once however many pairs read it.  The s range covers
-    every x = p_i + p_j in [2 p_min, 2 p_max]: below it x e^s < 1e-16, above
-    it x e^s > 40.  The panels are grouped in blocks of about sqrt(panels),
-    and each node is p = L + R + o: L its block's left edge, R its panel's
-    offset in the block and o one of the node offsets shared by the equal
-    panels.  So e^{-t p} = e^{-t L} e^{-t R} e^{-t o}, three small tables:
-    O(2 sqrt(N/8) + 8) exponentials per s-node.  The blocks are walked in
-    groups of about sqrt(blocks), each group's rows built, decayed and
-    dropped before the next, so memory is O(T sqrt(N)) for T s-nodes and N
-    nodes.  Every table entry lies in (0, 1], and one underflows only where
-    e^{-t p} does.  Edges must be ascending and equally spaced.
+    Gauss-Legendre nodes and weights of _PANEL_POINTS per panel, one chunk
+    of at most _CHUNK_BLOCKS x _BLOCK_PANELS panels at a time.  pairs lists
+    the sums as row pairs (a, b) with a power d of 1 or 2.  The trapezoid
+    rule in s for 1/x^d = Gamma(d)^-1 Int e^{d s - x e^s} ds turns the
+    double sum into products of sums of single rows against e^{-t p},
+    t = e^s, so each row is decayed once however many pairs read it.  The s
+    range covers every x = p_i + p_j in [2 p_min, 2 p_max]: below it
+    x e^s < 1e-16, above it x e^s > 40.  Each node is p = L + R + o: L its
+    block's left edge, R its panel's offset in the block and o one of the
+    node offsets shared by the equal panels.  So e^{-t p} = e^{-t L}
+    e^{-t R} e^{-t o}: per chunk a table of its 8 block edges, and one
+    fixed in-block table of 128 columns, each with one row per s-node.
+    Each chunk's rows are built, decayed and dropped before the next, so
+    the working set does not grow with the node count: about 0.5 MiB for
+    the about 215 s-nodes of any accepted eps.  Every table entry lies in
+    (0, 1], and one underflows only where e^{-t p} does.  Edges must be
+    ascending and equally spaced.
     """
     panels = len(edges) - 1
-    block = math.isqrt(panels - 1) + 1  # ceil(sqrt(panels))
-    blocks = -(-panels // block)
-    group = math.isqrt(blocks - 1) + 1  # ceil(sqrt(blocks)) blocks
-    offsets = _gauss_panels(edges[:2], _PANEL_POINTS)[0] - edges[0]
+    chunk = _CHUNK_BLOCKS * _BLOCK_PANELS  # panels per chunk
+    width = _BLOCK_PANELS * _PANEL_POINTS  # nodes per block
+    node_offsets = _gauss_panels(edges[:2], _PANEL_POINTS)[0] - edges[0]
     t = np.exp(np.arange(math.log(1e-16 / (2.0 * edges[-1])),
-                         math.log(20.0 / (edges[0] + offsets[0])), _LOG_STEP))
-    block_edge = np.exp(np.outer(-t, edges[:-1:block]))
-    in_block = (np.exp(np.outer(-t, edges[:block] - edges[0]))[:, :, None]
-                * np.exp(np.outer(-t, offsets))[:, None, :]).reshape(len(t), -1)
-    width = block * _PANEL_POINTS  # nodes per block
+                         math.log(20.0 / (edges[0] + node_offsets[0])),
+                         _LOG_STEP))
+    panel_offsets = (edges[1] - edges[0]) * np.arange(_BLOCK_PANELS)
+    in_block = (np.exp(np.outer(-panel_offsets, t))[:, None, :]
+                * np.exp(np.outer(-node_offsets, t))[None, :, :]
+                ).reshape(width, -1)
 
-    def decay(first: int, last: int) -> np.ndarray:
-        """The rows of blocks first..last-1 against e^{-t p}, per factor."""
-        factors = rows(*_gauss_panels(edges[first * block:last * block + 1],
-                                      _PANEL_POINTS))
-        short = (last - first) * width - factors.shape[1]
+    def decay(first: int) -> np.ndarray:
+        """The rows of the chunk from panel first on, against e^{-t p}."""
+        last = min(first + chunk, panels)
+        block_edge = np.exp(np.outer(-edges[first:last:_BLOCK_PANELS], t))
+        factors = rows(*_gauss_panels(edges[first:last + 1], _PANEL_POINTS))
+        short = len(block_edge) * width - factors.shape[1]
         if short:  # a last block short of panels reads zero columns
             factors = np.pad(factors, ((0, 0), (0, short)))
-        by_block = factors.reshape(-1, width) @ in_block.T
-        return np.einsum("tb,kbt->kt", block_edge[:, first:last],
+        by_block = factors.reshape(-1, width) @ in_block
+        return np.einsum("bt,kbt->kt", block_edge,
                          by_block.reshape(len(factors), -1, len(t)))
 
-    decayed = sum(decay(first, min(first + group, blocks))
-                  for first in range(0, blocks, group))
-
+    decayed = sum(decay(first) for first in range(0, panels, chunk))
     a, b, d = np.array(pairs).T
     # no 1/Gamma(d) factor: every d passed here is 1 or 2, where Gamma(d) = 1
     weights = _LOG_STEP * t ** d[:, None]
@@ -261,13 +263,16 @@ _FACTORS = sorted({factor for pe, pb, qe, qb, _, _ in _PIECES.values()
 def _regulated_pass(eps: float) -> dict[str, float]:
     """All nine kernel pieces integrated at one regulator strength.
 
-    _coupled_sums asks for the factor rows one group of panels at a time, so
-    the pass holds no N-long array: its memory is O(T sqrt(N)).
+    _coupled_sums asks for the factor rows one chunk of 1024 nodes at a
+    time, so the pass holds no N-long array and its working set does not
+    grow with N.  The seven rows share the powers of p.
     """
     def factor_rows(nodes, wts):
-        damp = wts * np.exp(-eps * nodes)
+        damped = [wts * np.exp(-eps * nodes)]  # damped[e] = p^e w e^{-eps p}
+        for _ in range(_FACTORS[-1][0]):
+            damped.append(damped[-1] * nodes)
         bessel = _sph_bessel_j012(nodes)
-        return np.array([nodes**e * bessel[m] * damp for e, m in _FACTORS])
+        return np.array([damped[e] * bessel[m] for e, m in _FACTORS])
 
     row = {factor: k for k, factor in enumerate(_FACTORS)}
     pairs = [(row[pe, pb], row[qe, qb], dp)
@@ -354,34 +359,10 @@ def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
                           method="regulated_quadrature")
 
 
-def solve_D1_D3(D: float, E: float) -> tuple[float, float]:
-    """Split (D, E) into the pair (D1, D3) satisfying 6 D1 + 9 D3 = D and
-    12 D1 + 3 D3 = E; the unique solution is D1 = (3E - D)/30, D3 = (2D - E)/15.
-    """
-    return (3.0 * E - D) / 30.0, (2.0 * D - E) / 15.0
-
-
-# The constant set used downstream.  Every value is an exact rational multiple
-# of pi, so the prediction path needs no quadrature.
-_EXACT_CONSTANTS: dict[str, float] = {
-    # I0, I1, A, C: closed forms of the trig reductions; the regulated
-    # quadrature of each defining kernel confirms sign and magnitude.
-    "I0": -3.0 * math.pi / 16.0,
-    "I1": 21.0 * math.pi / 16.0,
-    "A": 7.0 * math.pi / 16.0,
-    "C": -9.0 * math.pi / 16.0,
-    # D has no trig reduction: the Laplace transforms
-    # int_0^inf p^a j_m(p) e^{-tp} dp give 3 pi/16 for its defining kernel,
-    # and the regulated quadrature agrees to about 2e-8.
-    "D": 3.0 * math.pi / 16.0,
-    # E: the trig piece sum E1 + E2 + E3 = (21 - 35 + 63) pi/8.  The defining
-    # kernel gives 43 pi/8; the gap is E1 (see eval_bruteforce).
-    "E": 49.0 * math.pi / 8.0,
-}
-
-
 def reconciled_constants() -> dict[str, float]:
     """The constant set used downstream: a copy of the exact table, whose
     entries the tests check against eval_trig and against the regulated
-    quadrature, signs included."""
+    quadrature, signs included.  The table lives with its one reader,
+    tensor_assembly, so that the predictions load no quadrature."""
+    from .tensor_assembly import _EXACT_CONSTANTS
     return dict(_EXACT_CONSTANTS)

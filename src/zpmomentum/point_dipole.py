@@ -22,12 +22,11 @@ dipole behaves as if its mass changed by -(alpha0/alpha) hbar omega0 / c0^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import ConvergenceError, _graded_edges, _panel_quad
-from .tensor_assembly import _eps_dot
+from .special_functions import (ConvergenceError, _eps_dot, _graded_edges,
+                                _panel_quad, _Record)
 from .units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM,
                               _slow_velocity, to_gaussian)
 
@@ -46,8 +45,7 @@ __all__ = [
 SPECTRAL_REL_TOL = 1e-5  # largest error estimate / |J| the quadrature accepts
 
 
-@dataclass(frozen=True)
-class DipoleSpec:
+class DipoleSpec(_Record):
     """Point-dipole parameters (Gaussian units).
 
     alpha    bare polarizability volume, cm^3

@@ -28,10 +28,10 @@ All public inputs and outputs are SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .special_functions import _Record
 from .units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM, FieldConfig,
                               MaterialSpec, SphereSpec, _slow_velocity,
                               to_gaussian)
@@ -57,8 +57,7 @@ _ETA_SIGN_NOTE = ("computed eta is negative while the literature reference "
 MAGNETO_CHIRAL_COEFF = -0.005098
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(_Record):
     """One model evaluation.
 
     momentum     3-vector, kg m/s

@@ -1,6 +1,7 @@
 """Spherical Bessel functions of low order, and what the other modules share:
 the one quadrature rule (fixed Gauss-Legendre points on each panel of a set of
-edges), the one Richardson extrapolation and the one ConvergenceError.
+edges), the one Richardson extrapolation, the one Levi-Civita tensor, the one
+ConvergenceError and the one base of the frozen records.
 
 The vacuum-mode integrands only ever need j0, j1 and j2.  These are written
 out explicitly (with small-argument series) rather than routed through the
@@ -27,6 +28,68 @@ SERIES_CROSSOVER = 0.5
 
 class ConvergenceError(ArithmeticError):
     """A numerical evaluation did not reach its required accuracy."""
+
+
+class _Record:
+    """Base of the package's frozen records.
+
+    A subclass's annotated class attributes are its fields, in order, and a
+    value assigned to one is its default.  Fields are given by position or
+    keyword; __post_init__ then checks them, and may store a normalised
+    value with object.__setattr__.  Records of one class are equal when
+    their fields are, and a field cannot be assigned after construction.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        names = cls.__annotations__
+        given = dict(zip(names, args))
+        if len(args) > len(names) or given.keys() & kwargs.keys():
+            raise TypeError(f"{cls.__name__}: too many or repeated fields")
+        values = {name: getattr(cls, name) for name in names
+                  if hasattr(cls, name)}
+        values.update(given, **kwargs)
+        wrong = values.keys() ^ names.keys()
+        if wrong:
+            raise TypeError(f"{cls.__name__}: missing or unknown fields "
+                            f"{sorted(wrong)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, n) for n in type(self).__annotations__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._fields()!r}"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} "
+                             "cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+
+# The rank-3 alternating tensor eps_ijk.
+_EPS3 = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+                  [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                  [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+
+
+def _eps_dot(v) -> np.ndarray:
+    """The matrix eps_ijk v_k.  Adding 0.0 turns every -0.0 into +0.0, so
+    the entries match a sum accumulated from +0.0."""
+    return np.einsum("ijk,k->ij", _EPS3, v) + 0.0
 
 
 def _jn_series(n: int, x: np.ndarray, x2: np.ndarray) -> np.ndarray:

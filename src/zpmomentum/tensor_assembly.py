@@ -5,7 +5,8 @@ second order in the scattering expansion as a sum of three mode-sum tensors:
 a purely transverse piece, a piece with one longitudinal propagator, and a
 piece with two.  After angular averaging each reduces to Levi-Civita
 contractions of the cross-coupling tensor chi weighted by the dimensionless
-radial constants (module oscillatory_integrals) and one divergent geometric
+radial constants (the exact table _EXACT_CONSTANTS below, which module
+oscillatory_integrals confirms by two routes) and one divergent geometric
 factor K that dimensional regularization renders finite, K = -pi^2/(12 a).
 
 The contracted total collapses to a closed form: the radiated zero-point
@@ -19,18 +20,18 @@ consistency diagnostic for the one constant (D) that has no published value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .special_functions import _EPS3, _Record, _eps_dot
 from .units_materials import CONSTANTS, SphereSpec
-from .oscillatory_integrals import reconciled_constants, solve_D1_D3
 
 __all__ = [
     "ChiTensor",
     "BornMomentumBreakdown",
     "EtaConsistencyReport",
     "REFERENCE_ETA",
+    "solve_D1_D3",
     "axial_vector",
     "regularized_K",
     "eta",
@@ -48,17 +49,33 @@ REFERENCE_MAGNITUDES = {"I0": 0.589, "I1": 4.123, "A": 1.374, "C": -1.767,
 CHI_KINDS = ("magneto_electric", "moving_medium", "chiral", "general")
 PERTURBATIVE_WINDOW = 0.5  # largest |epsilon - 1| the second order is trusted at
 
+# The constant set used downstream.  Every value is an exact rational multiple
+# of pi, so the prediction path needs no quadrature; the tests check the table
+# against both routes of oscillatory_integrals, whose reconciled_constants()
+# returns a copy of it.
+_EXACT_CONSTANTS: dict[str, float] = {
+    # I0, I1, A, C: closed forms of the trig reductions; the regulated
+    # quadrature of each defining kernel confirms sign and magnitude.
+    "I0": -3.0 * math.pi / 16.0,
+    "I1": 21.0 * math.pi / 16.0,
+    "A": 7.0 * math.pi / 16.0,
+    "C": -9.0 * math.pi / 16.0,
+    # D has no trig reduction: the Laplace transforms
+    # int_0^inf p^a j_m(p) e^{-tp} dp give 3 pi/16 for its defining kernel,
+    # and the regulated quadrature agrees to about 2e-8.
+    "D": 3.0 * math.pi / 16.0,
+    # E: the trig piece sum E1 + E2 + E3 = (21 - 35 + 63) pi/8.  The defining
+    # kernel gives 43 pi/8; the gap is E1 (see
+    # oscillatory_integrals.eval_bruteforce).
+    "E": 49.0 * math.pi / 8.0,
+}
 
-# The rank-3 alternating tensor eps_ijk.
-_EPS3 = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
-                  [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                  [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 
-
-def _eps_dot(v) -> np.ndarray:
-    """The matrix eps_ijk v_k.  Adding 0.0 turns every -0.0 into +0.0, so
-    the entries match a sum accumulated from +0.0."""
-    return np.einsum("ijk,k->ij", _EPS3, v) + 0.0
+def solve_D1_D3(D: float, E: float) -> tuple[float, float]:
+    """Split (D, E) into the pair (D1, D3) satisfying 6 D1 + 9 D3 = D and
+    12 D1 + 3 D3 = E; the unique solution is D1 = (3E - D)/30, D3 = (2D - E)/15.
+    """
+    return (3.0 * E - D) / 30.0, (2.0 * D - E) / 15.0
 
 
 def axial_vector(matrix: np.ndarray) -> np.ndarray:
@@ -69,8 +86,7 @@ def axial_vector(matrix: np.ndarray) -> np.ndarray:
     return np.einsum("inm,mn->i", _EPS3, np.asarray(matrix, dtype=float)) + 0.0
 
 
-@dataclass(frozen=True)
-class ChiTensor:
+class ChiTensor(_Record):
     """Dimensionless cross-coupling (bi-anisotropy) tensor with a kind tag.
 
     The kind records which physical mechanism produced the matrix and carries
@@ -116,8 +132,7 @@ class ChiTensor:
         return cls(matrix=g * np.eye(3), kind="chiral")
 
 
-@dataclass(frozen=True)
-class BornMomentumBreakdown:
+class BornMomentumBreakdown(_Record):
     """The three tensor contributions to P_rad,i = hbar (I_ijj - I_jij), SI kg m/s.
 
     contrib_0: transverse;  contrib_1: one longitudinal propagator;
@@ -147,18 +162,17 @@ def eta(constants: dict | None = None) -> float:
 
         eta = (I0 - I1 + C/3 - A/3 + D/3 - E/2) / (192 pi^2)
 
-    evaluated with the exact constant table (reconciled_constants), which
+    evaluated with the exact constant table (_EXACT_CONSTANTS), which
     gives -29/(1152 pi).  Pass `constants` to evaluate the same combination
     for any explicit set.
     """
-    c = reconciled_constants() if constants is None else constants
+    c = _EXACT_CONSTANTS if constants is None else constants
     numerator = (c["I0"] - c["I1"] + c["C"] / 3.0 - c["A"] / 3.0
                  + c["D"] / 3.0 - c["E"] / 2.0)
     return numerator / (192.0 * math.pi**2)
 
 
-@dataclass(frozen=True)
-class EtaConsistencyReport:
+class EtaConsistencyReport(_Record):
     """Cross-check of the unpublished constant D against the published eta.
 
     d_implied is the D value that would make the reference eta exact given the
@@ -198,7 +212,7 @@ def eta_consistency() -> EtaConsistencyReport:
     against the computed D of the exact constant table.  Diagnostic only —
     never raises on disagreement.
     """
-    exact = reconciled_constants()
+    exact = _EXACT_CONSTANTS
     eta_value = eta()
     d_implied = _implied_d(REFERENCE_MAGNITUDES, REFERENCE_ETA)
     d_signed = _implied_d(
@@ -238,7 +252,7 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
         raise ValueError(
             f"|epsilon - 1| = {abs(eps_r - 1.0):.3g} exceeds {PERTURBATIVE_WINDOW}"
             "; the second-order expansion is not trustworthy there")
-    c = reconciled_constants() if constants is None else constants
+    c = _EXACT_CONSTANTS if constants is None else constants
     K = regularized_K(sphere.radius)
     contrast = eps_r - 1.0
     hbar = CONSTANTS.hbar_si

@@ -3,7 +3,7 @@
 Internally the numerical core works in Gaussian (CGS) units, usually with
 lengths in centimeters; all boundary values (CLI flags, material files,
 reported results) are SI.  This module holds the constant values, a
-table-driven SI-to-Gaussian converter, and the validated dataclasses
+table-driven SI-to-Gaussian converter, and the validated records
 describing materials, spheres and external field configurations.
 """
 
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .special_functions import _Record
 
 __all__ = [
     "PhysicalConstants",
@@ -28,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Record):
     """Fundamental constants in SI and Gaussian units (CODATA 2018 values)."""
 
     hbar_si: float = 1.054571817e-34        # J s
@@ -69,8 +69,7 @@ def to_gaussian(value, dimension: str):
     return value * factor
 
 
-@dataclass(frozen=True)
-class MaterialSpec:
+class MaterialSpec(_Record):
     """Linear response coefficients of an isotropic material.
 
     epsilon        relative permittivity (real; weak contrast assumed downstream)
@@ -98,8 +97,7 @@ class MaterialSpec:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class SphereSpec:
+class SphereSpec(_Record):
     """A homogeneous sphere: radius in meters plus its material."""
 
     radius: float
@@ -135,8 +133,7 @@ def _as_vec3(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(_Record):
     """Orientations of the static external fields.
 
     e0        orientation of the static electric field, a finite 3-vector

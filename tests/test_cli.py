@@ -196,6 +196,21 @@ def test_dipole_energy_cross_check_flag(capsys):
     assert "inconsistent" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dipole_energy_flag_must_be_finite(capsys, value):
+    code, out, err = run_capture(capsys, [
+        "dipole", "--alpha", "1", "--alpha0", "1", "--gamma", "1",
+        f"--hbar-omega0-eV={value}"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: --hbar-omega0-eV must be finite, got {value}\n"
+
+
+def test_freq_check_negative_seed_names_its_flag(capsys):
+    code, out, err = run_capture(capsys, ["freq-check", "--seed", "-1"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_invalid_schedule_exits_2(capsys):
     # the last schedule would need about 5e8 nodes per pass
     for schedule in ("0.3,0.1", "0.1,0.05,1e-6"):

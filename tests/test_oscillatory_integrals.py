@@ -10,10 +10,10 @@ from hypothesis import given, strategies as st
 from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               eval_bruteforce, eval_trig,
-                                              reconciled_constants,
-                                              solve_D1_D3)
+                                              reconciled_constants)
 from zpmomentum.special_functions import (_gauss_panels, _richardson,
                                           sph_bessel_j)
+from zpmomentum.tensor_assembly import solve_D1_D3
 
 KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
 
@@ -114,7 +114,7 @@ def _regulated_grid(eps):
 
 
 def _columns_of(edges, full_rows):
-    """A row builder for _coupled_sums that hands each group of panels its
+    """A row builder for _coupled_sums that hands each chunk of panels its
     columns of rows given on every node of the grid on edges."""
     nodes = _gauss_panels(edges, osc._PANEL_POINTS)[0]
 
@@ -176,15 +176,16 @@ def _full_matrix_sums(nodes, U, V, d):
     return weights @ ((decay @ U) * (decay @ V))
 
 
-@pytest.mark.parametrize("panels", [1, 2, 3, 4, 7, 12, 30, 50, 319, 910])
+@pytest.mark.parametrize("panels", [1, 2, 3, 4, 7, 12, 15, 16, 17, 30, 50,
+                                    128, 129, 130, 319, 910])
 def test_coupled_sums_match_full_matrix_sums_at_any_block_split(panels, rng):
-    """Grids inside one block (1 and 2 panels), grids of whole blocks (4 =
-    2 x 2 and 12 = 3 x 4) and grids whose last block is short (3, 7, 50,
-    and the 319 and 910 panels of eps = 0.2 and 0.07) give the unfactored
-    sums.  Blocks are walked in groups of ceil(sqrt(blocks)): 1 to 4 panels
-    make one group, 910 makes 5 whole groups of 6 blocks, and 7, 12, 30, 50
-    and 319 end on a short group (3 blocks in groups of 2, 5 and 7 in
-    groups of 3, 18 in groups of 5)."""
+    """Every grid gives the unfactored sums, whatever its split into blocks
+    of 16 panels and chunks of 8 blocks (128 panels): grids inside one
+    short block (1 to 15 panels), one whole block (16), a short second
+    block (17, 30), a short chunk (50), one whole chunk (128), a second
+    chunk of one block of one or two panels (129, 130), and the 319 and 910
+    panels of eps = 0.2 and 0.07, which end on a short block of a short
+    chunk."""
     edges = np.linspace(0.0, panels * osc._PANEL_WIDTH, panels + 1)
     nodes, _ = _gauss_panels(edges, osc._PANEL_POINTS)
     factors = rng.uniform(0.5, 1.5, (3, len(nodes)))
@@ -221,15 +222,16 @@ def _pass_peak_memory(eps):
 
 def test_finest_default_pass_peak_memory():
     """One uncached pass at the finest default regulator holds no T x N
-    table and no N-long row: its traced peak stays below 4 MiB (the full
+    table and no N-long row: its traced peak stays below 1 MiB (the full
     table alone is 66 MiB)."""
-    assert _pass_peak_memory(DEFAULT_SCHEDULE[-1]) < 4 * 2**20
+    assert _pass_peak_memory(DEFAULT_SCHEDULE[-1]) < 1 * 2**20
 
 
 def test_floor_pass_peak_memory():
     """At the smallest accepted regulator, with four times the nodes, one
-    uncached pass still traces below 8 MiB: memory grows like sqrt(N)."""
-    assert _pass_peak_memory(osc._EPS_FLOOR) < 8 * 2**20
+    uncached pass still traces below 1 MiB: the pass decays a fixed chunk
+    of nodes at a time, so its working set does not grow with N."""
+    assert _pass_peak_memory(osc._EPS_FLOOR) < 1 * 2**20
 
 
 # --- where the E gap lives ---------------------------------------------------

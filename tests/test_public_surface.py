@@ -54,23 +54,27 @@ def test_no_name_in_two_layer_lists():
 
 
 # One fresh interpreter reports what each step loads: the bare package
-# import, each command with the zpmomentum modules unloaded before it (and
-# the commands after which numpy.polynomial is loaded), then every module
-# (for scipy), the star import and dir().
+# import, each command with the zpmomentum modules, csv and dataclasses
+# unloaded before it (and the commands after which numpy.polynomial is
+# loaded), then every module (for scipy), the star import and dir().
+STDLIB = ("csv", "dataclasses")
 PROBE = """
 import contextlib, io, json, sys
 def loaded(prefix):
     return sorted(m for m in sys.modules if m.startswith(prefix))
 import zpmomentum
+stdlib = json.loads(sys.argv[3])
 report = {"import": loaded("zpmomentum.")
-          + ["numpy"] * ("numpy" in sys.modules), "polynomial": []}
+          + ["numpy"] * ("numpy" in sys.modules), "polynomial": [],
+          "stdlib": {}}
 for argv in json.loads(sys.argv[1]):
-    for name in loaded("zpmomentum"):
+    for name in loaded("zpmomentum") + [m for m in stdlib if m in sys.modules]:
         del sys.modules[name]
     from zpmomentum.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     report[" ".join(argv)] = [m.split(".")[1] for m in loaded("zpmomentum.")]
+    report["stdlib"][" ".join(argv)] = [m for m in stdlib if m in sys.modules]
     if "numpy.polynomial" in sys.modules:
         report["polynomial"].append(" ".join(argv))
 import importlib, zpmomentum
@@ -86,24 +90,25 @@ print(json.dumps(report))
 """
 
 # The layer modules each command loads, cli and its own layers included:
-# predict and eta load neither the frequency oracle nor the dipole,
-# constants loads neither of those nor the predictions, and freq-check and
-# dipole load no prediction.
+# predict, eta and empty-vacuum load neither the quadrature routes nor the
+# frequency oracle nor the dipole, constants loads neither of the last two
+# nor the predictions, and freq-check and dipole load no prediction.
 COMMAND_LAYERS = {
     "constants": ["cli", "oscillatory_integrals", "special_functions",
                   "tensor_assembly", "units_materials"],
-    "eta": ["cli", "oscillatory_integrals", "special_functions",
-            "tensor_assembly", "units_materials"],
+    "eta": ["cli", "special_functions", "tensor_assembly", "units_materials"],
     "predict me-sphere --a-um 1": [
-        "cli", "oscillatory_integrals", "predictions", "special_functions",
-        "tensor_assembly", "units_materials"],
+        "cli", "predictions", "special_functions", "tensor_assembly",
+        "units_materials"],
     "predict moving-sphere --a-um 1 --v 1,0,0": [
-        "cli", "oscillatory_integrals", "predictions", "special_functions",
-        "tensor_assembly", "units_materials"],
+        "cli", "predictions", "special_functions", "tensor_assembly",
+        "units_materials"],
     "freq-check --pairs 2": ["cli", "contour_frequency", "special_functions"],
     "dipole --alpha 1 --alpha0 1 --gamma 1": [
-        "cli", "oscillatory_integrals", "point_dipole", "special_functions",
-        "tensor_assembly", "units_materials"],
+        "cli", "point_dipole", "special_functions", "units_materials"],
+    "empty-vacuum --format csv": [
+        "cli", "predictions", "special_functions", "tensor_assembly",
+        "units_materials"],
 }
 
 
@@ -115,7 +120,7 @@ def probe():
         p for p in (src, env.get("PYTHONPATH")) if p)
     commands = json.dumps([argv.split() for argv in COMMAND_LAYERS])
     out = subprocess.run([sys.executable, "-c", PROBE, commands,
-                          json.dumps(MODULES)],
+                          json.dumps(MODULES), json.dumps(STDLIB)],
                          capture_output=True, text=True, timeout=60, env=env)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
@@ -135,6 +140,18 @@ def test_package_import_loads_no_layer(probe):
 @pytest.mark.parametrize("argv", list(COMMAND_LAYERS))
 def test_command_loads_only_its_layers(probe, argv):
     assert probe[argv] == COMMAND_LAYERS[argv]
+
+
+def test_no_command_loads_dataclasses(probe):
+    # the records derive from one small base, so no command pays for the
+    # dataclass decorator
+    assert [argv for argv, mods in probe["stdlib"].items()
+            if "dataclasses" in mods] == []
+
+
+def test_only_csv_output_loads_csv(probe):
+    assert [argv for argv, mods in probe["stdlib"].items()
+            if "csv" in mods] == ["empty-vacuum --format csv"]
 
 
 def test_no_command_loads_numpy_polynomial(probe):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zpmomentum.oscillatory_integrals import (reconciled_constants,
-                                              solve_D1_D3)
-from zpmomentum.tensor_assembly import (_EPS3, ChiTensor, axial_vector,
+from zpmomentum.oscillatory_integrals import reconciled_constants
+from zpmomentum.special_functions import _EPS3
+from zpmomentum.tensor_assembly import (ChiTensor, axial_vector,
                                         closed_form_p_rad, eta,
                                         eta_consistency, regularized_K,
-                                        second_born_momentum)
+                                        second_born_momentum, solve_D1_D3)
 from zpmomentum.units_materials import CONSTANTS, MaterialSpec, SphereSpec
 
 

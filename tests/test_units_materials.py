@@ -62,6 +62,32 @@ def test_sphere_geometry():
         SphereSpec(radius=1e200, material=mat)   # radius**3 overflows
 
 
+def test_records_are_frozen_values():
+    # fields by position or keyword, defaults filled in, equality by value
+    # within one class, and no assignment or deletion afterwards
+    spec = MaterialSpec(1.3, mass_density=2000.0)
+    assert spec == MaterialSpec(epsilon=1.3, mass_density=2000.0,
+                                me_coupling=0.0)
+    assert hash(spec) == hash(MaterialSpec(1.3, 2000.0))
+    assert spec != MaterialSpec(1.3, 2001.0)
+    assert spec != (1.3, 2000.0, 0.0, 0.0, 0.0)
+    assert eval(repr(spec), {"MaterialSpec": MaterialSpec}) == spec
+    for change in (lambda: setattr(spec, "epsilon", 2.0),
+                   lambda: delattr(spec, "epsilon"),
+                   lambda: setattr(spec, "other", 1.0)):
+        with pytest.raises(AttributeError):
+            change()
+    assert spec.epsilon == 1.3 and not hasattr(spec, "other")
+    for bad in (lambda: MaterialSpec(1.3),
+                lambda: MaterialSpec(1.3, 2000.0, epsilon=1.3),
+                lambda: MaterialSpec(1.3, 2000.0, 0.0, 0.0, 0.0, 0.0),
+                lambda: MaterialSpec(1.3, 2000.0, density=1.0)):
+        with pytest.raises(TypeError):
+            bad()
+    # a normalising check still runs: FieldConfig stores float arrays
+    assert FieldConfig(e0=(1, 0, 0), b0=[0, 1, 0]).e0.dtype == float
+
+
 def test_field_config_rejects_bad_vectors():
     with pytest.raises(ValueError, match="e0 must be a 3-vector"):
         FieldConfig(e0=(1.0, 2.0), b0=(0.0, 1.0, 0.0))
