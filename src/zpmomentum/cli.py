@@ -6,9 +6,10 @@ carry name/value/error/method so the CSV stays rectangular; JSON adds
 row-specific extras.  Exit codes: 0 success, 2 input error (any ValueError
 or FileNotFoundError), 3 numerical failure (any ArithmeticError: no
 convergence, or a float overflow, division by zero or invalid operation).
-All physical inputs are SI at this boundary; conversion to the internal
-Gaussian system happens behind the API calls.  Each handler imports the
-layers it runs, so a command loads no module it does not use.
+Inputs and rows are SI, except the radius in micrometers, the cutoff
+wavelength in nanometers, hbar omega0 in eV and the dipole's two
+spectral-integral rows in cm^2.  Each handler imports the layers it runs, so
+a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_constants(args) -> tuple[RunReport, int]:
     from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                         eval_bruteforce, eval_trig)
-    from .tensor_assembly import REFERENCE_ETA, REFERENCE_MAGNITUDES, eta
+    from .tensor_assembly import _ETA_SIGN_NOTE, REFERENCE_MAGNITUDES, eta
     schedule = args.eps_schedule or DEFAULT_SCHEDULE
     report = RunReport("constants", {"eps_schedule": list(schedule)})
     trig = {}
@@ -240,14 +241,12 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
             "isotropic part is 3 p^2 q^2 j1(p) j1(q)/(p+q) = 15pi/8; "
             "the trig sum is used downstream")
     if eta_val < 0:
-        report.warnings.append(
-            f"eta evaluates negative; the reference value {REFERENCE_ETA} is "
-            "quoted positive")
+        report.warnings.append(_ETA_SIGN_NOTE)
     return report, EXIT_OK
 
 
 def _cmd_eta(args) -> tuple[RunReport, int]:
-    from .tensor_assembly import eta_consistency
+    from .tensor_assembly import _ETA_SIGN_NOTE, eta_consistency
     rep = eta_consistency()
     report = RunReport("eta", {"eta_reference": rep.eta_reference})
     report.add("eta", rep.eta_quadrature, 0.0, "exact")
@@ -263,8 +262,7 @@ def _cmd_eta(args) -> tuple[RunReport, int]:
         f"{rep.d_implied_computed_signs:.4f}, "
         f"{rep.ratio_computed_signs:.3f} times the computed value")
     if rep.eta_quadrature < 0:
-        report.warnings.append(
-            "computed eta is negative; the reference value is quoted positive")
+        report.warnings.append(_ETA_SIGN_NOTE)
     return report, EXIT_OK
 
 
@@ -277,7 +275,7 @@ def freq_check_pairs(seed: int, n: int) -> list[tuple[float, float]]:
 
 def _cmd_freq_check(args) -> tuple[RunReport, int]:
     from .contour_frequency import (KINDS, ORACLE_EPSILON_RANGE, compare,
-                                    resolving_epsilon)
+                                    freq_closed_form, resolving_epsilon)
     for flag, val in (("--pairs", args.pairs), ("--seed", args.seed)):
         if val < 0:
             raise ValueError(f"{flag} must be >= 0, got {val}")
@@ -295,12 +293,12 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
         epsilon = resolving_epsilon(k, kp, args.epsilon)
         for kind in KINDS:
             res = compare(kind, k, kp, epsilon)
-            worst = max(worst, res.rel_error)
-            report.add(kind, res.numeric.imag,
-                       abs(res.numeric - res.closed_form),
-                       "regulated_quadrature", k=k, kp=kp,
-                       closed_form_imag=res.closed_form.imag,
-                       rel_error=res.rel_error, regulator_epsilon=epsilon)
+            closed = freq_closed_form(kind, k, kp)
+            rel_error = res.error_estimate / abs(closed)
+            worst = max(worst, rel_error)
+            report.add(kind, res.value.imag, res.error_estimate, res.method,
+                       k=k, kp=kp, closed_form_imag=closed.imag,
+                       rel_error=rel_error, regulator_epsilon=epsilon)
     report.add("worst_rel_error", worst, 0.0, "derived")
     if worst > args.tol:
         report.warnings.append(
@@ -314,9 +312,7 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
                                spectral_integral_quadrature,
                                spectral_integral_target)
     from .units_materials import CONSTANTS, to_gaussian
-    spec = DipoleSpec(alpha=to_gaussian(args.alpha, "volume"),
-                      alpha0=to_gaussian(args.alpha0, "volume"),
-                      gamma=to_gaussian(args.gamma, "length"))
+    spec = DipoleSpec(alpha=args.alpha, alpha0=args.alpha0, gamma=args.gamma)
     hbar_omega0_ev = (CONSTANTS.hbar_si * spec.omega0 / CONSTANTS.ev_in_joule)
     if args.hbar_omega0_eV is not None:
         given = args.hbar_omega0_eV
@@ -337,8 +333,9 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
     report.add("mass_shift_kg", shift, 0.0, "closed_form")
     report.add("mass_shift_electron_masses",
                shift / CONSTANTS.electron_mass_si, 0.0, "derived")
-    j_quad = spectral_integral_quadrature(spec)
-    j_target = spectral_integral_target(spec)
+    # J in cm^2, the unit the report has always printed it in
+    j_quad = to_gaussian(spectral_integral_quadrature(spec), "area")
+    j_target = to_gaussian(spectral_integral_target(spec), "area")
     rel = abs(j_quad - j_target) / abs(j_target)
     report.add("spectral_integral", j_quad, 0.0, "regulated_quadrature")
     report.add("spectral_integral_target", j_target, 0.0, "closed_form")
@@ -367,18 +364,23 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
     from .tensor_assembly import ChiTensor
     from .units_materials import FieldConfig, MaterialSpec, SphereSpec
     material, material_src = _resolve_material(args.material)
-    radius = args.a_um * 1e-6
-    inputs = {"material": material_src, "radius_m": radius}
+    # the flags are checked here, so that an error names the flag and the
+    # value typed; the records check the converted values for library callers
+    positive = {"--a-um": args.a_um}
     if args.model == "feigel":
-        # feigel's own flags are reported ahead of the sphere's radius and mass
-        for flag, val in (("--lambda-cut-nm", args.lambda_cut_nm),
-                          ("--mu", args.mu)):
-            if not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{flag} must be positive and finite, "
-                                 f"got {val!r}")
         chi_scale = (args.chi_s0 if args.chi_s0 is not None
                      else material.me_coupling)
         rho = args.rho if args.rho is not None else material.mass_density
+        positive.update({"--lambda-cut-nm": args.lambda_cut_nm,
+                         "--mu": args.mu, "--rho": rho})
+        if not math.isfinite(chi_scale):  # the material's own is finite
+            raise ValueError(f"--chi-s0 must be finite, got {chi_scale!r}")
+    for flag, val in positive.items():
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"{flag} must be positive and finite, got {val!r}")
+    radius = args.a_um * 1e-6
+    inputs = {"material": material_src, "radius_m": radius}
+    if args.model == "feigel":
         material = MaterialSpec(epsilon=material.epsilon, mass_density=rho,
                                 me_coupling=chi_scale)
     sphere = SphereSpec(radius=radius, material=material)

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 
-from .special_functions import (ConvergenceError, _graded_edges, _panel_quad,
-                                _Record, _richardson)
+from .special_functions import (ConvergenceError, IntegralResult,
+                                _graded_edges, _panel_quad, _richardson)
 
-__all__ = ["KINDS", "FreqIntegralResult", "freq_closed_form", "freq_oracle",
-           "compare", "resolving_epsilon"]
+__all__ = ["KINDS", "freq_closed_form", "freq_oracle", "compare",
+           "resolving_epsilon"]
 
 KINDS = ("transverse", "one_longitudinal")
 
@@ -37,14 +37,6 @@ ORACLE_REL_TOL = 1e-5
 # which every run includes, pushes its error estimate past ORACLE_REL_TOL; the
 # floor is the 3e-5 from which freq_oracle is documented to converge.
 ORACLE_EPSILON_RANGE = (3e-5, 0.1)
-
-
-class FreqIntegralResult(_Record):
-    """Closed form vs regulated-numeric comparison for one (kind, k, kp) triple."""
-
-    closed_form: complex
-    numeric: complex
-    rel_error: float
 
 
 def _validate(kind: str, k: float, kp: float) -> None:
@@ -171,8 +163,9 @@ def freq_oracle(kind: str, k: float, kp: float, epsilon: float = 1e-3) -> comple
 
 
 def compare(kind: str, k: float, kp: float, epsilon: float = 1e-3
-            ) -> FreqIntegralResult:
-    """Closed form and oracle side by side, with their relative deviation."""
-    cf = freq_closed_form(kind, k, kp)
+            ) -> IntegralResult:
+    """The oracle's value, with its distance from the closed form as the
+    error estimate."""
     num = freq_oracle(kind, k, kp, epsilon)
-    return FreqIntegralResult(cf, num, abs(num - cf) / abs(cf))
+    return IntegralResult(num, abs(num - freq_closed_form(kind, k, kp)),
+                          "regulated_quadrature")

@@ -29,11 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_functions import (ConvergenceError, _gauss_panels, _panel_quad,
-                                _Record, _richardson, _sph_bessel_j012)
+from .special_functions import (ConvergenceError, IntegralResult,
+                                _gauss_panels, _panel_quad, _richardson,
+                                _sph_bessel_j012)
 
 __all__ = [
-    "IntegralResult",
     "DEFAULT_SCHEDULE",
     "TRIG_NAMES",
     "eval_trig",
@@ -59,29 +59,6 @@ _ODD_POWERS = (0, 1, 3, 5, 7)
 _EPS_FLOOR = DEFAULT_SCHEDULE[-1] / 4.0
 
 TRIG_NAMES = ("I0", "I1", "A", "C", "E1", "E2", "E3")
-
-
-class IntegralResult(_Record):
-    """Outcome of one constant evaluation.
-
-    value           extrapolated (or closed-route) number
-    error_estimate  accuracy estimate, >= 0.  On the regulated route it is
-                    the drop-one difference, which measures a 3-point
-                    extrapolation, not the reported 4-point one: on the
-                    default schedule it overstates the true error, taken
-                    against the exact values, 1100-1600x
-    method          'trig_reduction' or 'regulated_quadrature'
-    """
-
-    value: float
-    error_estimate: float
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be >= 0")
-        if self.method not in ("trig_reduction", "regulated_quadrature"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 # --- route (i): trigonometric reductions -----------------------------------

@@ -2,8 +2,8 @@
 
 A point scatterer with bare polarizability alpha, regularized static
 polarizability alpha0 <= alpha, and a transverse-regularization length gamma
-has the resonant scattering amplitude (lengths in cm, c0 = 1 internally, so
-frequencies appear as wavenumbers kappa = omega / c0)
+has the resonant scattering amplitude (SI, lengths in m; the formulas hold in
+any unit system, and frequencies enter as wavenumbers kappa = omega / c0)
 
     t0(kappa) = -4 pi gamma kappa^2 / (kappa0^2 - kappa^2 - (2/3) i gamma kappa0^2 kappa)
 
@@ -27,8 +27,7 @@ import numpy as np
 
 from .special_functions import (ConvergenceError, _eps_dot, _graded_edges,
                                 _panel_quad, _Record)
-from .units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM,
-                              _slow_velocity, to_gaussian)
+from .units_materials import CONSTANTS, _slow_velocity
 
 __all__ = [
     "DipoleSpec",
@@ -46,12 +45,12 @@ SPECTRAL_REL_TOL = 1e-5  # largest error estimate / |J| the quadrature accepts
 
 
 class DipoleSpec(_Record):
-    """Point-dipole parameters (Gaussian units).
+    """Point-dipole parameters (SI).
 
-    alpha    bare polarizability volume, cm^3
-    alpha0   regularized static polarizability, cm^3; alpha0 <= alpha because
+    alpha    bare polarizability volume, m^3
+    alpha0   regularized static polarizability, m^3; alpha0 <= alpha because
              the longitudinal counterterm only ever decreases it
-    gamma    transverse regularization length, cm
+    gamma    transverse regularization length, m
 
     The resonance omega0 (rad/s) is derived from (alpha0, gamma) — it is the
     unique value for which the spectral sum rule holds.
@@ -72,18 +71,18 @@ class DipoleSpec(_Record):
 
     @property
     def kappa0(self) -> float:
-        """Resonance wavenumber sqrt(4 pi gamma / alpha0), 1/cm."""
+        """Resonance wavenumber sqrt(4 pi gamma / alpha0), 1/m."""
         square = 4.0 * math.pi * self.gamma / self.alpha0
         if square == 0.0:
             raise FloatingPointError(
                 f"kappa0^2 = 4 pi gamma / alpha0 underflows to 0 at gamma = "
-                f"{self.gamma!r} cm, alpha0 = {self.alpha0!r} cm^3")
+                f"{self.gamma!r} m, alpha0 = {self.alpha0!r} m^3")
         return math.sqrt(square)
 
     @property
     def omega0(self) -> float:
         """Resonance frequency c0 * kappa0, rad/s."""
-        return CONSTANTS.c0_gaussian * self.kappa0
+        return CONSTANTS.c0_si * self.kappa0
 
     @property
     def damping_ratio(self) -> float:
@@ -92,10 +91,10 @@ class DipoleSpec(_Record):
 
 
 def _kappa(omega: float) -> float:
-    """The wavenumber omega / c0 (1/cm) of a frequency omega > 0 (rad/s)."""
+    """The wavenumber omega / c0 (1/m) of a frequency omega > 0 (rad/s)."""
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive, got {omega!r}")
-    return omega / CONSTANTS.c0_gaussian
+    return omega / CONSTANTS.c0_si
 
 
 def _t0_kappa(spec: DipoleSpec, kappa: float) -> complex:
@@ -105,19 +104,18 @@ def _t0_kappa(spec: DipoleSpec, kappa: float) -> complex:
 
 
 def _spectral_kernel(spec: DipoleSpec, kappa: float) -> float:
-    """Im(t0/kappa^2) in cm^3, the integrand of J = int Im(t0/kappa^2) dkappa."""
+    """Im(t0/kappa^2) in m^3, the integrand of J = int Im(t0/kappa^2) dkappa."""
     return (_t0_kappa(spec, kappa) / (kappa * kappa)).imag
 
 
 def _radiated_momentum(spec: DipoleSpec, j: float, v_si) -> np.ndarray:
     """(2 hbar / pi)(j / alpha)(v / c0) in kg m/s; j is J or its density."""
-    return (2.0 * CONSTANTS.hbar_gaussian / math.pi / spec.alpha * j
-            * (to_gaussian(v_si, "velocity") / CONSTANTS.c0_gaussian)
-            * _GAUSS_TO_SI_MOMENTUM)
+    return (2.0 * CONSTANTS.hbar_si / math.pi / spec.alpha * j
+            * (v_si / CONSTANTS.c0_si))
 
 
 def t0(spec: DipoleSpec, omega: float) -> complex:
-    """Summed scattering amplitude at frequency omega (rad/s); value in cm.
+    """Summed scattering amplitude at frequency omega (rad/s); value in m.
 
     Vanishes as omega^2 at low frequency; exactly -6 pi i / kappa0 on
     resonance; Im t0 < 0 for all omega > 0 (radiation always removes energy).
@@ -128,7 +126,7 @@ def t0(spec: DipoleSpec, omega: float) -> complex:
 def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
     """Summed 3x3 t-matrix of the moving dipole, first order in v/c0.
 
-    k and kp are incoming/outgoing wavevectors in 1/cm; v is the lab velocity
+    k and kp are incoming/outgoing wavevectors in 1/m; v is the lab velocity
     in m/s (|v|/c0 < 0.01).  The motion enters through the generator
     M_ij = eps_ijk (v/c0)_k as
 
@@ -156,12 +154,12 @@ def p_rad_spectral(spec: DipoleSpec, omega: float, v) -> np.ndarray:
     the c0 = 1 form is (2 hbar / pi) Im(t0 / (alpha omega^2)) v.
     """
     # J's density per unit omega, as d kappa = d omega / c0
-    density = _spectral_kernel(spec, _kappa(omega)) / CONSTANTS.c0_gaussian
+    density = _spectral_kernel(spec, _kappa(omega)) / CONSTANTS.c0_si
     return _radiated_momentum(spec, density, _slow_velocity(v))
 
 
 def spectral_integral_exact(spec: DipoleSpec) -> float:
-    """Closed form of J = int_0^inf Im(t0/kappa^2) dkappa, in cm^2.
+    """Closed form of J = int_0^inf Im(t0/kappa^2) dkappa, in m^2.
 
     With x = (2/3) gamma kappa0 and theta = 2 arcsin(x/2),
     J = -2 pi gamma (pi - theta) / (kappa0 cos(theta/2)); the arcsin form
@@ -179,12 +177,12 @@ def spectral_integral_exact(spec: DipoleSpec) -> float:
 
 def spectral_integral_target(spec: DipoleSpec) -> float:
     """The sum-rule value -(pi/2) alpha0 kappa0 that J approaches as the
-    resonance narrows (relative deviation ~ x/pi), in cm^2."""
+    resonance narrows (relative deviation ~ x/pi), in m^2."""
     return -0.5 * math.pi * spec.alpha0 * spec.kappa0
 
 
 def spectral_integral_quadrature(spec: DipoleSpec) -> float:
-    """J = int_0^inf Im(t0/kappa^2) dkappa by direct quadrature, in cm^2.
+    """J = int_0^inf Im(t0/kappa^2) dkappa by direct quadrature, in m^2.
 
     Compactifies with kappa = kappa0 tan(theta) — the integrand decays as
     1/kappa^2, so the tail becomes polynomial — and integrates over theta in
@@ -198,7 +196,7 @@ def spectral_integral_quadrature(spec: DipoleSpec) -> float:
     if inner == 0.0:
         raise FloatingPointError(
             f"the central panel half-width 1e-3 (2/3) gamma kappa0 underflows "
-            f"to 0 at gamma = {spec.gamma!r} cm, kappa0 = {k0!r} 1/cm")
+            f"to 0 at gamma = {spec.gamma!r} m, kappa0 = {k0!r} 1/m")
     quarter = 0.25 * math.pi
     edges = quarter + _graded_edges(-quarter, quarter, inner)
     total, err = _panel_quad(  # dkappa = k0 dtheta / cos(theta)^2

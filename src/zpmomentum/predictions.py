@@ -18,11 +18,10 @@ replay() rebuilds the Prediction bit-exactly.  The control case is a vector:
                       microscopic calculation of the same quantity gives zero.
 * empty_vacuum      — the control case: no scatterer, exactly zero.
 
-Sign conventions downstream of the constant eta are reported as computed; the
-digests note where the computed signs differ from the reference literature
-values (which quote eta > 0, while the reconciled constant set gives
-eta < 0).  Zeros keep their sign here; the CLI reports print them unsigned.
-All public inputs and outputs are SI.
+Signs downstream of eta are reported as computed, and a digest carries the
+eta-sign note of tensor_assembly when eta < 0.  Zeros keep their sign here;
+the CLI reports print them unsigned.  All public inputs and outputs are SI,
+except the material's Gaussian verdet_v0 and chirality_g.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from .special_functions import _Record
 from .units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM, FieldConfig,
                               MaterialSpec, SphereSpec, _slow_velocity,
                               to_gaussian)
-from .tensor_assembly import (PERTURBATIVE_WINDOW, ChiTensor, axial_vector,
-                              closed_form_p_rad, eta)
+from .tensor_assembly import (_ETA_SIGN_NOTE, PERTURBATIVE_WINDOW, ChiTensor,
+                              axial_vector, closed_form_p_rad, eta)
 
 __all__ = [
     "Prediction",
@@ -51,9 +50,6 @@ __all__ = [
 _PERTURBATIVE_NOTE = (f"dielectric contrast |epsilon-1| > {PERTURBATIVE_WINDOW}"
                       ": closed form extrapolated beyond its perturbative "
                       "window; order-of-magnitude only")
-_ETA_SIGN_NOTE = ("computed eta is negative while the literature reference "
-                  "value is quoted positive; signs here follow the computed "
-                  "contraction")
 MAGNETO_CHIRAL_COEFF = -0.005098
 
 

@@ -43,6 +43,9 @@ __all__ = [
 # Literature reference values that the consistency diagnostics compare against
 # (magnitudes as printed; the sign conventions are part of what gets checked).
 REFERENCE_ETA = 0.007909
+_ETA_SIGN_NOTE = ("computed eta is negative while the literature reference "
+                  "value is quoted positive; signs here follow the computed "
+                  "contraction")
 REFERENCE_MAGNITUDES = {"I0": 0.589, "I1": 4.123, "A": 1.374, "C": -1.767,
                         "E": 19.242}
 

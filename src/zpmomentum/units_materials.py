@@ -1,10 +1,10 @@
 """Physical constants, SI-to-Gaussian unit conversion, and input specifications.
 
-Internally the numerical core works in Gaussian (CGS) units, usually with
-lengths in centimeters; all boundary values (CLI flags, material files,
-reported results) are SI.  This module holds the constant values, a
-table-driven SI-to-Gaussian converter, and the validated records
-describing materials, spheres and external field configurations.
+The package computes in SI.  Gaussian (CGS) units remain only in the
+magneto-chiral estimate, whose published coefficient is a Gaussian product,
+and in the dipole report's two spectral-integral rows, printed in cm^2.  This
+module holds the constants, the SI-to-Gaussian factors those two read, and the
+validated records of materials, spheres and external field configurations.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ class PhysicalConstants(_Record):
 
 CONSTANTS = PhysicalConstants()
 
-# dimension tag -> multiplicative factor SI -> Gaussian; the package's only
-# unit factors, one per quantity it converts
+# dimension tag -> multiplicative factor SI -> Gaussian, one per quantity
+# converted to or from Gaussian units
 _CONVERSIONS: dict[str, float] = {
     "length": 1e2,           # m -> cm
-    "volume": 1e6,           # m^3 -> cm^3
-    "velocity": 1e2,         # m/s -> cm/s
+    "area": 1e4,             # m^2 -> cm^2
     "momentum": 1e5,         # kg m/s -> g cm/s
     "magnetic_field": 1e4,   # T -> G
 }

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import zpmomentum
 from zpmomentum import oscillatory_integrals as osc
-from zpmomentum.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK,
+from zpmomentum.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, RunReport,
                             _parse_schedule, _parse_vec3, build_parser,
                             freq_check_pairs, main)
 from zpmomentum.contour_frequency import freq_oracle
@@ -49,6 +49,15 @@ def rows_by_name(report):
 
 
 # --- basic plumbing ---------------------------------------------------------
+
+def test_report_refuses_a_non_finite_value():
+    report = RunReport("eta", {})
+    with pytest.raises(FloatingPointError, match="eta is not finite"):
+        report.add("eta", float("nan"))
+    with pytest.raises(FloatingPointError, match="eta is not finite"):
+        report.add("eta", 1.0, error=float("inf"))
+    assert report.results == []
+
 
 def test_empty_vacuum_report(capsys):
     report = run_json(capsys, ["empty-vacuum"])
@@ -284,6 +293,16 @@ def test_material_file_with_non_number_value_exits_2(tmp_path, capsys, value):
     assert err.startswith("error: ") and "epsilon must be a number" in err
 
 
+def test_material_file_holding_an_array_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1.2, 1000.0]")
+    code, out, err = run_capture(capsys, ["predict", "moving-sphere",
+                                          "--material", str(path),
+                                          "--a-um", "1", "--v", "1,0,0"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: material file {path} must contain a JSON object\n"
+
+
 def test_material_file_with_too_large_integer_exits_2(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"epsilon": 1' + "0" * 400
@@ -327,6 +346,25 @@ def test_magneto_chiral_cli_carries_caveat(tmp_path, capsys):
                                _magneto_chiral_material(tmp_path),
                                "--a-um", "1", "--b", "0,0,1"])
     assert "macroscopic_model_probably_wrong" in report["warnings"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "me-sphere", "--a-um", "-1"],
+     "--a-um must be positive and finite, got -1.0"),
+    (["predict", "moving-sphere", "--a-um", "inf", "--v", "1,0,0"],
+     "--a-um must be positive and finite, got inf"),
+    (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "100",
+      "--rho", "0"], "--rho must be positive and finite, got 0.0"),
+    (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "100",
+      "--rho", "nan"], "--rho must be positive and finite, got nan"),
+    (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "100",
+      "--chi-s0", "inf"], "--chi-s0 must be finite, got inf"),
+])
+def test_sphere_input_errors_name_the_flag(capsys, argv, message):
+    # the flag and the value as typed, not the converted record field
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {message}\n"
 
 
 def test_bad_vector_flag_exits_2(capsys):
@@ -403,16 +441,16 @@ def test_numerical_failure_names_the_command(capsys, argv, command):
     (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
       "1e107", "--b=1,0,0"],
      "predict magneto-chiral: a^3 overflows a float at a = 1e+101 m"),
-    # 4 pi gamma / alpha0 = 4 pi 1e-298 cm / 1e306 cm^3 is below the
+    # 4 pi gamma / alpha0 = 4 pi 1e-300 m / 1e300 m^3 is below the
     # smallest float
     (["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma", "1e-300"],
      "dipole: kappa0^2 = 4 pi gamma / alpha0 underflows to 0 at gamma = "
-     "1.0000000000000001e-298 cm, alpha0 = 1e+306 cm^3"),
-    # kappa0 = 3.5e-150 1/cm is a float, but (2/3) gamma kappa0 is not
+     "1e-300 m, alpha0 = 1e+300 m^3"),
+    # kappa0 = 3.5e-148 1/m is a float, but (2/3) gamma kappa0 is not
     (["dipole", "--alpha", "1e94", "--alpha0", "1e94", "--gamma", "1e-202"],
      "dipole: the central panel half-width 1e-3 (2/3) gamma kappa0 "
-     "underflows to 0 at gamma = 1e-200 cm, kappa0 = 3.544907701811032e-150 "
-     "1/cm"),
+     "underflows to 0 at gamma = 1e-202 m, kappa0 = 3.544907701811032e-148 "
+     "1/m"),
 ])
 def test_numerical_failure_names_the_quantity(capsys, tmp_path, argv,
                                               message):

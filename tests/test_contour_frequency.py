@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zpmomentum import contour_frequency
 from zpmomentum.contour_frequency import (KINDS, compare, freq_closed_form,
                                           freq_oracle, resolving_epsilon)
 from zpmomentum.special_functions import ConvergenceError
@@ -66,8 +67,8 @@ def test_input_validation():
 @pytest.mark.parametrize("kind", KINDS)
 def test_oracle_matches_closed_form_on_hard_pairs(kind, k, kp):
     res = compare(kind, k, kp, epsilon=1e-3)
-    assert res.rel_error <= 1e-5
-    assert res.closed_form == freq_closed_form(kind, k, kp)
+    assert res.error_estimate <= 1e-5 * abs(freq_closed_form(kind, k, kp))
+    assert res.value == freq_oracle(kind, k, kp, epsilon=1e-3)
 
 
 def test_oracle_refuses_unresolvable_pole_separation():
@@ -85,8 +86,15 @@ def test_oracle_resolves_close_poles_at_the_resolving_regulator(kind, gap):
     k, kp = 3.7, 3.7 * (1.0 + gap)
     eps = resolving_epsilon(k, kp)
     assert eps == pytest.approx(0.05 * gap, rel=1e-6)
-    assert compare(kind, k, kp, eps).rel_error <= 1e-5
+    res = compare(kind, k, kp, eps)
+    assert res.error_estimate <= 1e-5 * abs(freq_closed_form(kind, k, kp))
     assert resolving_epsilon(3.7, 3.7) == 1e-3
+
+
+def test_oracle_error_when_tolerance_unreachable(monkeypatch):
+    monkeypatch.setattr(contour_frequency, "ORACLE_REL_TOL", 1e-16)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        freq_oracle("transverse", 2.0, 1.0, epsilon=1e-3)
 
 
 def test_oracle_refuses_extreme_wavenumber_ratio():
@@ -99,7 +107,8 @@ def test_oracle_matches_closed_form_on_random_pairs(rng):
         k, kp = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
         for kind in KINDS:
             res = compare(kind, float(k), float(kp), epsilon=1e-3)
-            assert res.rel_error <= 1e-5, (kind, k, kp, res.rel_error)
+            rel = res.error_estimate / abs(freq_closed_form(kind, k, kp))
+            assert rel <= 1e-5, (kind, k, kp, rel)
 
 
 def test_oracle_result_is_nearly_imaginary():
@@ -108,6 +117,10 @@ def test_oracle_result_is_nearly_imaginary():
 
 
 def test_compare_populates_relative_error_consistently():
+    # compare returns the oracle's value and, as its error estimate, the
+    # distance from the closed form, as freq-check reports them
     res = compare("one_longitudinal", 0.9, 1.7, epsilon=1e-3)
-    recomputed = abs(res.numeric - res.closed_form) / abs(res.closed_form)
-    assert res.rel_error == pytest.approx(recomputed, rel=1e-12)
+    closed = freq_closed_form("one_longitudinal", 0.9, 1.7)
+    assert res.value == freq_oracle("one_longitudinal", 0.9, 1.7, 1e-3)
+    assert res.error_estimate == abs(res.value - closed)
+    assert res.method == "regulated_quadrature"

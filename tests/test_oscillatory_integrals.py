@@ -383,7 +383,7 @@ def test_constant_table_matches_both_routes():
 
 
 def test_result_error_estimate_validation():
-    from zpmomentum.oscillatory_integrals import IntegralResult
+    from zpmomentum.special_functions import IntegralResult
     with pytest.raises(ValueError):
         IntegralResult(value=1.0, error_estimate=-1.0,
                        method="trig_reduction")

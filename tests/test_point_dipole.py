@@ -15,8 +15,8 @@ from zpmomentum.special_functions import ConvergenceError
 from zpmomentum.units_materials import CONSTANTS
 
 NARROW = DipoleSpec(alpha=1.0, alpha0=1.0, gamma=1e-4)
-# alpha 1e-30 m^3, alpha0 5e-31 m^3, gamma 1e-12 m: |J| is about 4e-17 cm^2
-ATOMIC = DipoleSpec(alpha=1e-24, alpha0=5e-25, gamma=1e-10)
+# alpha 1e-30 m^3, alpha0 5e-31 m^3, gamma 1e-12 m: |J| is about 4e-21 m^2
+ATOMIC = DipoleSpec(alpha=1e-30, alpha0=5e-31, gamma=1e-12)
 
 
 def random_narrow_spec(rng):
@@ -29,7 +29,7 @@ def random_narrow_spec(rng):
 def test_spec_validation_and_derived_quantities():
     spec = DipoleSpec(alpha=2.0, alpha0=1.0, gamma=1e-4)
     assert spec.kappa0 == pytest.approx(math.sqrt(4.0 * math.pi * 1e-4), rel=1e-15)
-    assert spec.omega0 == pytest.approx(CONSTANTS.c0_gaussian * spec.kappa0,
+    assert spec.omega0 == pytest.approx(CONSTANTS.c0_si * spec.kappa0,
                                         rel=1e-15)
     assert spec.damping_ratio == pytest.approx(2.0 / 3.0 * 1e-4 * spec.kappa0,
                                                rel=1e-15)
@@ -49,7 +49,7 @@ def test_t0_on_resonance():
 def test_t0_low_frequency_limit():
     # t0 -> -alpha0 kappa^2 as kappa -> 0
     kappa = 1e-6 * NARROW.kappa0
-    omega = kappa * CONSTANTS.c0_gaussian
+    omega = kappa * CONSTANTS.c0_si
     assert t0(NARROW, omega) == pytest.approx(-NARROW.alpha0 * kappa**2,
                                               rel=1e-9)
 
@@ -58,7 +58,7 @@ def test_t0_is_dissipative_everywhere(rng):
     for _ in range(50):
         spec = random_narrow_spec(rng)
         kappa = spec.kappa0 * float(10.0 ** rng.uniform(-3, 3))
-        omega = kappa * CONSTANTS.c0_gaussian
+        omega = kappa * CONSTANTS.c0_si
         assert t0(spec, omega).imag < 0.0
 
 
@@ -80,7 +80,7 @@ def test_t_matrix_at_rest_is_scalar():
 
 def test_t_matrix_linear_in_velocity():
     omega = 0.7 * NARROW.omega0
-    kappa = omega / CONSTANTS.c0_gaussian
+    kappa = omega / CONSTANTS.c0_si
     k = kappa * np.array([0.0, 0.0, 1.0])
     kp = kappa * np.array([1.0, 0.0, 0.0])
     v = np.array([3.0, -2.0, 1.0]) * 1e4
@@ -100,7 +100,7 @@ def test_t_matrix_forward_correction_symmetric_traceless():
     # For kp = k the velocity correction reduces to
     # -(t0/kappa)[k v + v k - 2 (k.v) 1]: symmetric, and traceless when v | k.
     omega = NARROW.omega0
-    kappa = omega / CONSTANTS.c0_gaussian
+    kappa = omega / CONSTANTS.c0_si
     k = kappa * np.array([0.0, 0.0, 1.0])
     v = np.array([5.0, 0.0, 0.0])  # orthogonal to k
     corr = t_matrix(NARROW, omega, k, k, v) - t0(NARROW, omega) * np.eye(3)
@@ -193,7 +193,7 @@ def test_p_rad_total_vanishes_at_rest():
 def test_mass_shift_formula_and_scale():
     # a 10 eV resonance with alpha0 = alpha loses hbar omega0 / c0^2
     omega0_si = 10.0 * CONSTANTS.ev_in_joule / CONSTANTS.hbar_si
-    kappa0 = omega0_si / CONSTANTS.c0_gaussian        # 1/cm
+    kappa0 = omega0_si / CONSTANTS.c0_si              # 1/m
     gamma = 1e-5
     alpha0 = 4.0 * math.pi * gamma / kappa0**2
     spec = DipoleSpec(alpha=alpha0, alpha0=alpha0, gamma=gamma)

@@ -252,6 +252,12 @@ def test_replay_survives_json_round_trip():
     assert np.array_equal(again.momentum, pred.momentum)
 
 
+def test_replay_refuses_an_unknown_model():
+    digest = {"model": "levitating_sphere", "inputs": {}, "constants": {}}
+    with pytest.raises(ValueError, match="unknown model 'levitating_sphere'"):
+        replay(digest)
+
+
 def test_digest_is_complete():
     pred = first_born(feigel_sphere(), crossed_chi(FEIGEL_CHI), mode="cutoff",
                       k_cut=FEIGEL_K_CUT)

@@ -13,8 +13,7 @@ from zpmomentum.units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM,
 
 def test_known_conversion_factors():
     assert to_gaussian(1.0, "length") == 100.0            # m -> cm
-    assert to_gaussian(1.0, "volume") == 1e6              # m^3 -> cm^3
-    assert to_gaussian(1.0, "velocity") == 100.0          # m/s -> cm/s
+    assert to_gaussian(1.0, "area") == 1e4                # m^2 -> cm^2
     assert to_gaussian(1.0, "momentum") == 1e5            # kg m/s -> g cm/s
     assert to_gaussian(1.0, "magnetic_field") == 1e4      # T -> G
     # the inverse is the same double as the literal it replaced
