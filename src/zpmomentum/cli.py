@@ -8,8 +8,8 @@ or FileNotFoundError), 3 numerical failure (any ArithmeticError: no
 convergence, or a float overflow, division by zero or invalid operation).
 Inputs and rows are SI, except the radius in micrometers, the cutoff
 wavelength in nanometers, hbar omega0 in eV and the dipole's two
-spectral-integral rows in cm^2.  Each handler imports the layers it runs, so
-a command loads no module it does not use.
+spectral-integral rows, printed in cm^2.  Each handler imports the layers it
+runs, so a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -81,11 +81,8 @@ class RunReport:
         return "\n".join(lines)
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        return self.to_text()
+        return {"json": self.to_json, "csv": self.to_csv}.get(
+            fmt, self.to_text)()
 
 
 def _parse_vec3(text: str) -> np.ndarray:
@@ -311,7 +308,7 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
     from .point_dipole import (DipoleSpec, mass_shift,
                                spectral_integral_quadrature,
                                spectral_integral_target)
-    from .units_materials import CONSTANTS, to_gaussian
+    from .units_materials import CONSTANTS
     spec = DipoleSpec(alpha=args.alpha, alpha0=args.alpha0, gamma=args.gamma)
     hbar_omega0_ev = (CONSTANTS.hbar_si * spec.omega0 / CONSTANTS.ev_in_joule)
     if args.hbar_omega0_eV is not None:
@@ -333,9 +330,9 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
     report.add("mass_shift_kg", shift, 0.0, "closed_form")
     report.add("mass_shift_electron_masses",
                shift / CONSTANTS.electron_mass_si, 0.0, "derived")
-    # J in cm^2, the unit the report has always printed it in
-    j_quad = to_gaussian(spectral_integral_quadrature(spec), "area")
-    j_target = to_gaussian(spectral_integral_target(spec), "area")
+    # J in cm^2 (1e4 cm^2 per m^2), the unit the report has always printed
+    j_quad = spectral_integral_quadrature(spec) * 1e4
+    j_target = spectral_integral_target(spec) * 1e4
     rel = abs(j_quad - j_target) / abs(j_target)
     report.add("spectral_integral", j_quad, 0.0, "regulated_quadrature")
     report.add("spectral_integral_target", j_target, 0.0, "closed_form")

@@ -39,11 +39,18 @@ ORACLE_REL_TOL = 1e-5
 ORACLE_EPSILON_RANGE = (3e-5, 0.1)
 
 
-def _validate(kind: str, k: float, kp: float) -> None:
+def _validate(kind: str, k: float, kp: float, epsilon: float = 1e-3) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _validate_pair(k, kp, epsilon)
+
+
+def _validate_pair(k: float, kp: float, epsilon: float) -> None:
     if not (math.isfinite(k) and k > 0 and math.isfinite(kp) and kp > 0):
         raise ValueError(f"wavenumbers must be positive, got k={k!r}, kp={kp!r}")
+    top = ORACLE_EPSILON_RANGE[1]
+    if not (0.0 < epsilon <= top):
+        raise ValueError(f"epsilon must lie in (0, {top:g}], got {epsilon!r}")
 
 
 def freq_closed_form(kind: str, k: float, kp: float) -> complex:
@@ -74,7 +81,9 @@ def resolving_epsilon(k: float, kp: float, epsilon: float = 1e-3) -> float:
     """A regulator up to epsilon at which freq_oracle resolves (k, kp):
     0.05 |a - b| min(a, b) in the rescaled poles, unless they meet.  The
     refusal in _regulated_single starts near 0.09 |a - b| min(a, b), so the
-    factor 0.05 leaves a margin."""
+    factor 0.05 leaves a margin.  Raises ValueError on the wavenumbers and
+    regulators freq_oracle refuses."""
+    _validate_pair(k, kp, epsilon)
     _, a, b, meet = _rescaled_poles(k, kp)
     return epsilon if meet else min(epsilon, 0.05 * abs(a - b) * min(a, b))
 
@@ -140,10 +149,7 @@ def freq_oracle(kind: str, k: float, kp: float, epsilon: float = 1e-3) -> comple
     converge at no regulator, and below 3e-5 rounding at the degenerate
     triple pole pushes the error estimate past ORACLE_REL_TOL.
     """
-    _validate(kind, k, kp)
-    top = ORACLE_EPSILON_RANGE[1]
-    if not (0.0 < epsilon <= top):
-        raise ValueError(f"epsilon must lie in (0, {top:g}], got {epsilon!r}")
+    _validate(kind, k, kp, epsilon)
     ratio = max(k, kp) / min(k, kp)
     if ratio > 101.0:
         raise ValueError(

@@ -97,15 +97,8 @@ def _trig_E3(f):
         - np.sin(2 * f) ** 2 * np.cos(5 * f))
 
 
-_TRIG_FORMS = {
-    "I0": _trig_I0,
-    "I1": _trig_I1,
-    "A": _trig_A,
-    "C": _trig_C,
-    "E1": _trig_E1,
-    "E2": _trig_E2,
-    "E3": _trig_E3,
-}
+_TRIG_FORMS = dict(zip(TRIG_NAMES, (_trig_I0, _trig_I1, _trig_A, _trig_C,
+                                    _trig_E1, _trig_E2, _trig_E3)))
 
 
 def eval_trig(name: str) -> IntegralResult:

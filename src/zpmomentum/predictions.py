@@ -13,15 +13,15 @@ replay() rebuilds the Prediction bit-exactly.  The control case is a vector:
                       fields, from the second-order closed form.
 * moving_sphere     — zero-point momentum radiated by a uniformly moving
                       dielectric sphere, and the implied mass shift.
-* magneto_chiral    — macroscopic magneto-chiral estimate; always carries the
-                      macroscopic_model_probably_wrong caveat because the
-                      microscopic calculation of the same quantity gives zero.
+* magneto_chiral    — macroscopic magneto-chiral estimate, in SI; always
+                      carries the macroscopic_model_probably_wrong caveat,
+                      as the microscopic calculation of it gives zero.
 * empty_vacuum      — the control case: no scatterer, exactly zero.
 
 Signs downstream of eta are reported as computed, and a digest carries the
 eta-sign note of tensor_assembly when eta < 0.  Zeros keep their sign here;
-the CLI reports print them unsigned.  All public inputs and outputs are SI,
-except the material's Gaussian verdet_v0 and chirality_g.
+the CLI reports print them unsigned.  All inputs and outputs are SI, except
+the material's Gaussian verdet_v0 and chirality_g.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import math
 import numpy as np
 
 from .special_functions import _Record
-from .units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM, FieldConfig,
-                              MaterialSpec, SphereSpec, _slow_velocity,
-                              to_gaussian)
+from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
+                              SphereSpec, _slow_velocity)
 from .tensor_assembly import (_ETA_SIGN_NOTE, PERTURBATIVE_WINDOW, ChiTensor,
                               axial_vector, closed_form_p_rad, eta)
 
@@ -81,9 +80,15 @@ def _sphere_prediction(model: str, sphere: SphereSpec, momentum: np.ndarray,
               "mass_density": mat.mass_density, **inputs}
     digest = {"model": model, "inputs": inputs, "constants": constants,
               "notes": list(notes)}
-    return Prediction(model=model, momentum=momentum,
-                      velocity=momentum / sphere.mass(), mass_shift=mass_shift,
-                      inputs_digest=digest)
+    mass = sphere.mass()
+    try:
+        with np.errstate(over="raise"):
+            velocity = momentum / mass
+    except FloatingPointError:
+        raise FloatingPointError(f"velocity = momentum / mass overflows a "
+                                 f"float at mass = {mass!r} kg") from None
+    return Prediction(model=model, momentum=momentum, velocity=velocity,
+                      mass_shift=mass_shift, inputs_digest=digest)
 
 
 def first_born(sphere: SphereSpec, chi: ChiTensor, mode: str = "dimensional",
@@ -205,33 +210,26 @@ def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
 def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
     """Macroscopic magneto-chiral momentum estimate in a static field B (tesla).
 
-    momentum = -0.005098 hbar V0 c0^2 g / a^3 * B, evaluated as an opaque
-    Gaussian-unit product (V0 and g are taken from the material file in
-    Gaussian units, B is converted tesla -> gauss, the result is read as
-    g cm/s) — the coefficient's original units were never published more
-    precisely.  The prominent caveat flag in the digest is not optional: the
-    microscopic version of this quantity vanishes identically, so the
-    macroscopic estimate is probably wrong.
+    momentum = -0.005098 hbar V0 c0^2 g / a^3 * B, a published Gaussian
+    product, evaluated with hbar, c0, a and B in SI and with V0 and g in the
+    Gaussian units of the material file.  The prominent caveat flag in the
+    digest is not optional: the microscopic version of this quantity
+    vanishes identically, so the macroscopic estimate is probably wrong.
     """
     mat = sphere.material
     if mat.verdet_v0 == 0.0 or mat.chirality_g == 0.0:
         raise ValueError(
             "magneto_chiral requires verdet_v0 and chirality_g in the material")
     b_si = np.asarray(b_field, dtype=float)
-    a_cm = to_gaussian(sphere.radius, "length")
-    try:
-        a_cm3 = a_cm**3
-    except OverflowError:
-        raise OverflowError(f"a^3 overflows a float at a = {sphere.radius!r} "
-                            "m") from None
-    b_gauss = to_gaussian(b_si, "magnetic_field")
-    momentum_gauss = (MAGNETO_CHIRAL_COEFF * CONSTANTS.hbar_gaussian
-                      * mat.verdet_v0 * CONSTANTS.c0_gaussian**2
-                      * mat.chirality_g / a_cm3) * b_gauss
-    momentum = momentum_gauss * _GAUSS_TO_SI_MOMENTUM
+    # The coefficient takes V0 g in Gaussian units, so they stay as given.
+    # The Gaussian product, read in kg m/s, is 1e4 times the SI product:
+    # 1e7 (hbar, erg/J) x 1e4 (c0^2, cm^2/m^2) x 1e4 (B, G/T) x 1e-5
+    # (kg m/s per g cm/s) / 1e6 (a^3, cm^3/m^3).
+    momentum = (1e4 * MAGNETO_CHIRAL_COEFF * CONSTANTS.hbar_si * mat.verdet_v0
+                * CONSTANTS.c0_si**2 * mat.chirality_g
+                / sphere.radius**3) * b_si
     consts = {"coefficient": MAGNETO_CHIRAL_COEFF,
-              "hbar_gaussian": CONSTANTS.hbar_gaussian,
-              "c0_gaussian": CONSTANTS.c0_gaussian,
+              "hbar_si": CONSTANTS.hbar_si, "c0_si": CONSTANTS.c0_si,
               "macroscopic_model_probably_wrong": True}
     return _sphere_prediction(
         "magneto_chiral", sphere, momentum, consts,

@@ -1,10 +1,10 @@
-"""Physical constants, SI-to-Gaussian unit conversion, and input specifications.
+"""Physical constants and validated input specifications.
 
-The package computes in SI.  Gaussian (CGS) units remain only in the
-magneto-chiral estimate, whose published coefficient is a Gaussian product,
-and in the dipole report's two spectral-integral rows, printed in cm^2.  This
-module holds the constants, the SI-to-Gaussian factors those two read, and the
-validated records of materials, spheres and external field configurations.
+The package computes in SI.  Its only non-SI inputs are the material's
+verdet_v0 and chirality_g, which the magneto-chiral estimate takes in Gaussian
+units because its published coefficient is a Gaussian product.  This module
+holds the SI constants and the validated records of materials, spheres and
+external field configurations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .special_functions import _Record
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
-    "to_gaussian",
     "MaterialSpec",
     "SphereSpec",
     "FieldConfig",
@@ -30,42 +29,16 @@ __all__ = [
 
 
 class PhysicalConstants(_Record):
-    """Fundamental constants in SI and Gaussian units (CODATA 2018 values)."""
+    """Fundamental constants in SI units (CODATA 2018 values)."""
 
     hbar_si: float = 1.054571817e-34        # J s
-    hbar_gaussian: float = 1.054571817e-27  # erg s
     c0_si: float = 2.99792458e8             # m/s
-    c0_gaussian: float = 2.99792458e10      # cm/s
     electron_mass_si: float = 9.1093837015e-31  # kg
     ev_in_joule: float = 1.602176634e-19    # J per eV
     bohr_radius_si: float = 5.29177210903e-11  # m
 
 
 CONSTANTS = PhysicalConstants()
-
-# dimension tag -> multiplicative factor SI -> Gaussian, one per quantity
-# converted to or from Gaussian units
-_CONVERSIONS: dict[str, float] = {
-    "length": 1e2,           # m -> cm
-    "area": 1e4,             # m^2 -> cm^2
-    "momentum": 1e5,         # kg m/s -> g cm/s
-    "magnetic_field": 1e4,   # T -> G
-}
-# the one conversion back: g cm/s -> kg m/s, exactly the double nearest 1e-5
-_GAUSS_TO_SI_MOMENTUM = 1.0 / _CONVERSIONS["momentum"]
-
-
-def to_gaussian(value, dimension: str):
-    """Convert an SI value (a float or an array) to Gaussian units.
-    E.g. 1 'length' (m) -> 100 (cm)."""
-    try:
-        factor = _CONVERSIONS[dimension]
-    except KeyError:
-        known = ", ".join(sorted(_CONVERSIONS))
-        raise ValueError(
-            f"unknown dimension {dimension!r}; known dimensions: {known}"
-        ) from None
-    return value * factor
 
 
 class MaterialSpec(_Record):

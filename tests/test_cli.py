@@ -398,7 +398,7 @@ def _reject_constant(token):
       "1e-300", "--b", "0,0,1"], EXIT_INPUT),
     # float overflow and underflow
     (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
-      "1e107", "--b", "0,0,1"], EXIT_NUMERICAL),
+      "1e-100", "--b", "0,0,1"], EXIT_NUMERICAL),
     (["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "1e-80"],
      EXIT_NUMERICAL),
     (["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma", "1e-300"],
@@ -437,10 +437,12 @@ def test_numerical_failure_names_the_command(capsys, argv, command):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # a = 1e101 m is 1e103 cm, whose cube exceeds the largest float
+    # a = 1e-106 m leaves a subnormal mass, and the momentum over it
+    # exceeds the largest float
     (["predict", "magneto-chiral", "--material", "MC_MATERIAL", "--a-um",
-      "1e107", "--b=1,0,0"],
-     "predict magneto-chiral: a^3 overflows a float at a = 1e+101 m"),
+      "1e-100", "--b=1,0,0"],
+     "predict magneto-chiral: velocity = momentum / mass overflows a float "
+     "at mass = 4.18878736e-315 kg"),
     # 4 pi gamma / alpha0 = 4 pi 1e-300 m / 1e300 m^3 is below the
     # smallest float
     (["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma", "1e-300"],
@@ -451,6 +453,13 @@ def test_numerical_failure_names_the_command(capsys, argv, command):
      "dipole: the central panel half-width 1e-3 (2/3) gamma kappa0 "
      "underflows to 0 at gamma = 1e-202 m, kappa0 = 3.544907701811032e-148 "
      "1/m"),
+    # every sphere model divides by the mass through one helper
+    (["predict", "me-sphere", "--material", "fegao3", "--a-um", "1e-100"],
+     "predict me-sphere: velocity = momentum / mass overflows a float at "
+     "mass = 1.8849543114e-314 kg"),
+    (["predict", "moving-sphere", "--a-um", "1e-100", "--v=1,2,3"],
+     "predict moving-sphere: velocity = momentum / mass overflows a float "
+     "at mass = 4.18878736e-315 kg"),
 ])
 def test_numerical_failure_names_the_quantity(capsys, tmp_path, argv,
                                               message):
@@ -459,6 +468,15 @@ def test_numerical_failure_names_the_quantity(capsys, tmp_path, argv,
     code, out, err = run_capture(capsys, argv)
     assert (code, out) == (EXIT_NUMERICAL, "")
     assert err == f"numerical failure: {message}\n"
+
+
+def test_magneto_chiral_momentum_underflows_to_zero_rows(capsys, tmp_path):
+    # at a = 1e101 m the momentum, about 1e-348 kg m/s, is below the
+    # smallest float: every row reads 0.0 and the command succeeds
+    report = run_json(capsys, ["predict", "magneto-chiral", "--material",
+                               _magneto_chiral_material(tmp_path), "--a-um",
+                               "1e107", "--b", "0,0,1"])
+    assert [row["value"] for row in report["results"]] == [0.0] * 8
 
 
 def test_huge_field_orientations_give_the_unit_rows(capsys):
@@ -563,6 +581,8 @@ def mc_material(tmp_path_factory):
 @given(argv=CLI_ARGV)
 @example(argv=["predict", "magneto-chiral", "--material", "MC_MATERIAL",
                "--a-um", "1e107", "--b", "0,0,1"])
+@example(argv=["predict", "magneto-chiral", "--material", "MC_MATERIAL",
+               "--a-um", "1e-100", "--b", "0,0,1"])
 @example(argv=["predict", "feigel", "--a-um", "1", "--lambda-cut-nm",
                "1e-80"])
 @example(argv=["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma",

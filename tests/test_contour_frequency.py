@@ -102,6 +102,27 @@ def test_oracle_refuses_extreme_wavenumber_ratio():
         freq_oracle("one_longitudinal", 100.0, 0.01, epsilon=1e-3)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_ratio_bound_is_101(kind):
+    # the validated range ends at a wavenumber ratio of 101
+    res = compare(kind, 101.0, 1.0, epsilon=1e-3)
+    assert res.error_estimate <= 1e-5 * abs(freq_closed_form(kind, 101.0, 1.0))
+    with pytest.raises(ValueError, match="ratio 102 "):
+        freq_oracle(kind, 102.0, 1.0, epsilon=1e-3)
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 2.0, -1.0), (1.0, 2.0, math.nan), (1.0, 2.0, 0.0), (1.0, 2.0, 0.2),
+    (1.0, math.nan), (1.0, math.inf), (-1.0, 2.0), (0.0, 1.0)])
+def test_resolving_epsilon_refuses_what_the_oracle_refuses(args):
+    # a regulator for an input the oracle refuses would be meaningless: both
+    # refuse it as an input error, not as a numerical failure
+    with pytest.raises(ValueError):
+        resolving_epsilon(*args)
+    with pytest.raises(ValueError):
+        freq_oracle("transverse", *args)
+
+
 def test_oracle_matches_closed_form_on_random_pairs(rng):
     for _ in range(10):
         k, kp = 10.0 ** rng.uniform(-1.0, 1.0, size=2)

@@ -11,8 +11,8 @@ from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               eval_bruteforce, eval_trig,
                                               reconciled_constants)
-from zpmomentum.special_functions import (_gauss_panels, _richardson,
-                                          sph_bessel_j)
+from zpmomentum.special_functions import (ConvergenceError, _gauss_panels,
+                                          _richardson, sph_bessel_j)
 from zpmomentum.tensor_assembly import solve_D1_D3
 
 KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
@@ -329,6 +329,31 @@ def test_schedule_validation():
         osc._validate_schedule((0.1, 0.05, 1e-6))
     floor = DEFAULT_SCHEDULE[-1] / 4.0
     assert osc._validate_schedule((0.1, 0.05, floor))[-1] == floor
+
+
+def test_schedule_floor_is_sharp():
+    # the floor DEFAULT_SCHEDULE[-1] / 4 is accepted, the float below refused
+    assert osc._validate_schedule((0.1, 0.05, 0.003125))[-1] == 0.003125
+    with pytest.raises(ValueError, match="must lie in"):
+        osc._validate_schedule((0.1, 0.05, math.nextafter(0.003125, 0.0)))
+
+
+@pytest.mark.parametrize("ratio", [1.001, 0.999])
+def test_drop_one_residual_bound_is_5_percent(monkeypatch, ratio):
+    # 1 + c eps^3 extrapolates to exactly 1 through the powers 0, 1, 3; the
+    # line through eps = 0.1 and 0.05 that dropping 0.025 leaves meets eps = 0
+    # at 1 - 7.5e-4 c, so c puts the drop-one residual at ratio x 5%
+    c = ratio * 0.05 / 7.5e-4
+    monkeypatch.setattr(osc, "_regulated_pass",
+                        lambda eps: {"D": 1.0 + c * eps**3})
+    schedule = (0.1, 0.05, 0.025)
+    if ratio > 1.0:
+        with pytest.raises(ConvergenceError, match=r"unstable.*\(5\.0% of"):
+            eval_bruteforce("D", schedule)
+    else:
+        res = eval_bruteforce("D", schedule)
+        assert res.value == pytest.approx(1.0, rel=1e-12)
+        assert res.error_estimate == pytest.approx(0.999 * 0.05, rel=1e-9)
 
 
 def test_drop_one_stability_below_1_percent():

@@ -203,6 +203,25 @@ def test_magneto_chiral_field_and_radius_scaling():
     assert np.allclose(p2, p1 / 8.0, rtol=1e-12)  # 1/a^3
 
 
+def test_magneto_chiral_si_product_matches_the_gaussian_chain(rng):
+    # the published product evaluated as it is written: hbar in erg s, c0 in
+    # cm/s, a in cm and B in gauss, the result in g cm/s times 1e-5 kg m/s
+    hbar_erg_s, c0_cm_s = 1.054571817e-27, 2.99792458e10
+    for _ in range(200):
+        a = 10.0 ** rng.uniform(math.log10(5e-8), math.log10(5e-5))
+        v0, g = (rng.choice([-1.0, 1.0], 2)
+                 * 10.0 ** rng.uniform(-6.0, -2.0, 2))
+        b = rng.normal(size=3)
+        b *= rng.uniform(0.0, 10.0) / np.linalg.norm(b)
+        mat = MaterialSpec(epsilon=1.5, mass_density=1000.0, verdet_v0=v0,
+                           chirality_g=g)
+        reference = (-0.005098 * hbar_erg_s * v0 * c0_cm_s**2 * g
+                     / (a * 1e2)**3) * (b * 1e4) * 1e-5
+        momentum = magneto_chiral(SphereSpec(radius=a, material=mat),
+                                  b).momentum
+        np.testing.assert_allclose(momentum, reference, rtol=2e-15, atol=0.0)
+
+
 def test_magneto_chiral_requires_material_coefficients():
     bare = SphereSpec(radius=1e-6,
                       material=MaterialSpec(epsilon=1.5, mass_density=1000.0))

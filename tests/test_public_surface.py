@@ -35,7 +35,8 @@ LAYERS = [name for name in MODULES[1:]
 def test_package_exports_every_layer_name():
     # the package list is derived from the seven layer lists, so a name a
     # module declares is reachable from the package, as the same object
-    from zpmomentum import TRIG_NAMES, resolving_epsilon, to_gaussian  # noqa
+    from zpmomentum import (TRIG_NAMES, material_from_json,  # noqa
+                            resolving_epsilon)
     assert len(LAYERS) == 7
     modules = [importlib.import_module(name) for name in LAYERS]
     declared = [name for module in modules for name in module.__all__]

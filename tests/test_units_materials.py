@@ -1,37 +1,12 @@
-"""Unit conversion, material IO, and input validation."""
+"""Material IO and input validation."""
 
 import json
 import math
 
 import pytest
 
-from zpmomentum.units_materials import (CONSTANTS, _GAUSS_TO_SI_MOMENTUM,
-                                        FieldConfig, MaterialSpec, SphereSpec,
-                                        material_from_json, preset_path,
-                                        to_gaussian)
-
-
-def test_known_conversion_factors():
-    assert to_gaussian(1.0, "length") == 100.0            # m -> cm
-    assert to_gaussian(1.0, "area") == 1e4                # m^2 -> cm^2
-    assert to_gaussian(1.0, "momentum") == 1e5            # kg m/s -> g cm/s
-    assert to_gaussian(1.0, "magnetic_field") == 1e4      # T -> G
-    # the inverse is the same double as the literal it replaced
-    assert _GAUSS_TO_SI_MOMENTUM == 1e-5                  # g cm/s -> kg m/s
-
-
-def test_constants_are_consistent_across_systems():
-    assert CONSTANTS.hbar_gaussian == pytest.approx(
-        CONSTANTS.hbar_si * 1e7, rel=1e-15)               # J s -> erg s
-    assert CONSTANTS.c0_gaussian == pytest.approx(
-        CONSTANTS.c0_si * 1e2, rel=1e-15)                 # m/s -> cm/s
-
-
-def test_unknown_dimension_raises():
-    with pytest.raises(ValueError, match="unknown dimension 'charge'"):
-        to_gaussian(1.0, "charge")
-    with pytest.raises(ValueError, match="unknown dimension ''"):
-        to_gaussian(1.0, "")
+from zpmomentum.units_materials import (FieldConfig, MaterialSpec, SphereSpec,
+                                        material_from_json, preset_path)
 
 
 def test_material_validation():
