@@ -1,12 +1,39 @@
-"""Material IO and input validation."""
+"""Constants, material IO, and input validation."""
 
 import json
 import math
 
 import pytest
 
-from zpmomentum.units_materials import (FieldConfig, MaterialSpec, SphereSpec,
-                                        material_from_json, preset_path)
+from zpmomentum.predictions import MAGNETO_CHIRAL_COEFF, magneto_chiral
+from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
+                                        SphereSpec, material_from_json,
+                                        preset_path)
+
+
+def test_known_conversion_factors():
+    # the unit factors the magneto-chiral estimate folds into its single 1e4:
+    # hbar J -> erg s, c0^2 and a^3 m -> cm, B T -> G, momentum g cm/s -> kg m/s
+    erg_per_joule, cm_per_m, gauss_per_tesla, kg_m_per_g_cm = 1e7, 1e2, 1e4, 1e-5
+    factor = (erg_per_joule * cm_per_m**2 * gauss_per_tesla * kg_m_per_g_cm
+              / cm_per_m**3)
+    assert factor == pytest.approx(1e4, rel=1e-15)
+    v0, g, a = 1e-3, -2e-4, 1e-6
+    mat = MaterialSpec(epsilon=1.5, mass_density=1000.0, verdet_v0=v0,
+                       chirality_g=g)
+    si_product = (MAGNETO_CHIRAL_COEFF * CONSTANTS.hbar_si * v0
+                  * CONSTANTS.c0_si**2 * g / a**3)
+    momentum = magneto_chiral(SphereSpec(radius=a, material=mat),
+                              (0.0, 0.0, 1.0)).momentum
+    assert momentum[0] == momentum[1] == 0.0
+    assert momentum[2] == pytest.approx(factor * si_product, rel=1e-15)
+
+
+def test_constants_are_consistent_across_systems():
+    # the SI constants read back the erg s and cm/s values of the published
+    # Gaussian coefficient
+    assert CONSTANTS.hbar_si * 1e7 == pytest.approx(1.054571817e-27, rel=1e-15)
+    assert CONSTANTS.c0_si * 1e2 == pytest.approx(2.99792458e10, rel=1e-15)
 
 
 def test_material_validation():
