@@ -5,7 +5,7 @@ quantized field around a small sphere, the closed-form momentum and drift
 predictions that follow, and the moving point-dipole mass shift, with
 numerical cross-checks for every closed form.
 
-The package re-exports the public names of its seven layer modules; each
+The package re-exports the public names of its eight layer modules; each
 module's ``__all__`` is the one declaration of its surface.  The layers load
 on first use: importing the package alone loads none of them, nor numpy.
 """
@@ -14,14 +14,14 @@ import importlib
 
 __version__ = "0.1.0"
 
-_LAYERS = ("units_materials", "special_functions", "contour_frequency",
-           "oscillatory_integrals", "tensor_assembly", "point_dipole",
-           "predictions")
+_LAYERS = ("base", "units_materials", "special_functions",
+           "contour_frequency", "oscillatory_integrals", "tensor_assembly",
+           "point_dipole", "predictions")
 
 
 def _owners() -> dict:
     """Every re-exported name and the layer module that declares it; imports
-    all seven layers."""
+    all eight layers."""
     modules = [importlib.import_module(f"{__name__}.{layer}")
                for layer in _LAYERS]
     return {name: module for module in modules for name in module.__all__}

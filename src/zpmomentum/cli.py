@@ -9,7 +9,8 @@ convergence, or a float overflow, division by zero or invalid operation).
 Inputs and rows are SI, except the radius in micrometers, the cutoff
 wavelength in nanometers, hbar omega0 in eV and the dipole's two
 spectral-integral rows, printed in cm^2.  Each handler imports the layers it
-runs, so a command loads no module it does not use.
+runs, so a command loads no module it does not use, and no numpy if it runs
+none.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 
@@ -85,7 +84,7 @@ class RunReport:
             fmt, self.to_text)()
 
 
-def _parse_vec3(text: str) -> np.ndarray:
+def _parse_vec3(text: str) -> tuple:
     from .units_materials import _as_vec3
     return _as_vec3([float(p) for p in text.split(",")], "vector")
 
@@ -199,6 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --- subcommand handlers ---------------------------------------------------
 
+def _numpy_raises(handler):
+    """handler, with numpy's overflow, division by zero and invalid operations
+    raising FloatingPointError instead of warning and carrying inf or nan on;
+    underflow stays silent, since the exponential sum relies on it."""
+    def run(args):
+        import numpy as np
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(args)
+    return run
+
+
+@_numpy_raises
 def _cmd_constants(args) -> tuple[RunReport, int]:
     from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                         eval_bruteforce, eval_trig)
@@ -265,11 +276,13 @@ def _cmd_eta(args) -> tuple[RunReport, int]:
 
 def freq_check_pairs(seed: int, n: int) -> list[tuple[float, float]]:
     """The three fixed (k, kp) pairs, then n drawn log-uniformly in [0.1, 10]."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     return [(1.0, 1.0), (2.0, 1.0), (0.1, 10.0)] + [
         tuple(map(float, 10.0 ** rng.uniform(-1.0, 1.0, 2))) for _ in range(n)]
 
 
+@_numpy_raises
 def _cmd_freq_check(args) -> tuple[RunReport, int]:
     from .contour_frequency import (KINDS, ORACLE_EPSILON_RANGE, compare,
                                     freq_closed_form, resolving_epsilon)
@@ -304,6 +317,7 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
     return report, EXIT_OK
 
 
+@_numpy_raises
 def _cmd_dipole(args) -> tuple[RunReport, int]:
     from .point_dipole import (DipoleSpec, mass_shift,
                                spectral_integral_quadrature,
@@ -345,11 +359,11 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
 
 
 def _prediction_rows(report: RunReport, pred) -> None:
+    from .base import _norm
     for axis, p_val, v_val in zip("xyz", pred.momentum, pred.velocity):
         report.add(f"momentum_{axis}_kg_m_s", p_val, 0.0, "closed_form")
         report.add(f"velocity_{axis}_m_s", v_val, 0.0, "closed_form")
-    report.add("speed_m_s", float(np.linalg.norm(pred.velocity)), 0.0,
-               "derived")
+    report.add("speed_m_s", _norm(pred.velocity), 0.0, "derived")
     report.add("mass_shift_kg", pred.mass_shift, 0.0, "closed_form")
     report.warnings.extend(pred.inputs_digest["notes"])
     report.inputs["digest"] = pred.inputs_digest
@@ -407,8 +421,7 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
 def _cmd_empty_vacuum(args) -> tuple[RunReport, int]:
     from .predictions import empty_vacuum_momentum
     report = RunReport("empty-vacuum", {})
-    mom = empty_vacuum_momentum()
-    for axis, val in zip("xyz", mom):
+    for axis, val in zip("xyz", empty_vacuum_momentum()):
         report.add(f"momentum_{axis}_kg_m_s", val, 0.0, "exact")
     return report, EXIT_OK
 
@@ -419,12 +432,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = f"{args.subcommand} {getattr(args, 'model', '')}".rstrip()
     try:
-        # Overflow, division by zero and invalid operations in numpy raise
-        # FloatingPointError here instead of warning and carrying inf or nan
-        # on; underflow stays silent, since the exponential sum relies on it.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            report, code = args.handler(args)
-            output = report.render(args.format)
+        report, code = args.handler(args)
+        output = report.render(args.format)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 
-from .special_functions import (ConvergenceError, IntegralResult,
-                                _graded_edges, _panel_quad, _richardson)
+from .base import ConvergenceError, IntegralResult
+from .special_functions import _graded_edges, _panel_quad, _richardson
 
 __all__ = ["KINDS", "freq_closed_form", "freq_oracle", "compare",
            "resolving_epsilon"]

@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special_functions import (ConvergenceError, IntegralResult,
-                                _gauss_panels, _panel_quad, _richardson,
+from .base import ConvergenceError, IntegralResult
+from .special_functions import (_gauss_panels, _panel_quad, _richardson,
                                 _sph_bessel_j012)
 
 __all__ = [

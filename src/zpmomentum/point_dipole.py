@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .special_functions import (ConvergenceError, _eps_dot, _graded_edges,
-                                _panel_quad, _Record)
+from .base import ConvergenceError, _eps_dot, _Record
+from .special_functions import _graded_edges, _panel_quad
 from .units_materials import CONSTANTS, _slow_velocity
 
 __all__ = [
@@ -111,7 +111,7 @@ def _spectral_kernel(spec: DipoleSpec, kappa: float) -> float:
 def _radiated_momentum(spec: DipoleSpec, j: float, v_si) -> np.ndarray:
     """(2 hbar / pi)(j / alpha)(v / c0) in kg m/s; j is J or its density."""
     return (2.0 * CONSTANTS.hbar_si / math.pi / spec.alpha * j
-            * (v_si / CONSTANTS.c0_si))
+            * np.divide(v_si, CONSTANTS.c0_si))
 
 
 def t0(spec: DipoleSpec, omega: float) -> complex:
@@ -140,9 +140,9 @@ def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
     kappa = _kappa(omega)
     k = np.asarray(k, dtype=float)
     kp = np.asarray(kp, dtype=float)
-    m = _eps_dot(_slow_velocity(v) / CONSTANTS.c0_si)
+    m = np.array(_eps_dot(np.divide(_slow_velocity(v), CONSTANTS.c0_si)))
     amp = _t0_kappa(spec, kappa)
-    phi_k, phi_kp = 1j * _eps_dot(k), 1j * _eps_dot(kp)
+    phi_k, phi_kp = 1j * np.array(_eps_dot(k)), 1j * np.array(_eps_dot(kp))
     correction = (-1j * phi_k @ m.T + 1j * m @ phi_kp) / kappa
     return amp * (np.eye(3) + correction)
 

@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .special_functions import _Record
+from .base import _finite, _norm, _Record
 from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
-                              SphereSpec, _slow_velocity)
+                              SphereSpec, _as_vec3, _slow_velocity)
 from .tensor_assembly import (_ETA_SIGN_NOTE, PERTURBATIVE_WINDOW, ChiTensor,
                               axial_vector, closed_form_p_rad, eta)
 
@@ -55,21 +53,21 @@ MAGNETO_CHIRAL_COEFF = -0.005098
 class Prediction(_Record):
     """One model evaluation.
 
-    momentum     3-vector, kg m/s
-    velocity     3-vector, m/s (momentum / sphere mass for sphere models)
+    momentum     3-tuple, kg m/s
+    velocity     3-tuple, m/s (momentum / sphere mass for sphere models)
     mass_shift   kg; 0 when the model has no mass interpretation
     inputs_digest  complete record: model, raw inputs, constants used, notes
     model        which estimate produced this
     """
 
     model: str
-    momentum: np.ndarray
-    velocity: np.ndarray
+    momentum: tuple
+    velocity: tuple
     mass_shift: float
     inputs_digest: dict
 
 
-def _sphere_prediction(model: str, sphere: SphereSpec, momentum: np.ndarray,
+def _sphere_prediction(model: str, sphere: SphereSpec, momentum: tuple,
                        constants: dict, notes: list[str],
                        mass_shift: float = 0.0, **inputs) -> Prediction:
     """The Prediction every sphere model returns: velocity is momentum over
@@ -81,12 +79,10 @@ def _sphere_prediction(model: str, sphere: SphereSpec, momentum: np.ndarray,
     digest = {"model": model, "inputs": inputs, "constants": constants,
               "notes": list(notes)}
     mass = sphere.mass()
-    try:
-        with np.errstate(over="raise"):
-            velocity = momentum / mass
-    except FloatingPointError:
-        raise FloatingPointError(f"velocity = momentum / mass overflows a "
-                                 f"float at mass = {mass!r} kg") from None
+    _finite((*momentum, mass_shift), f"momentum {momentum!r} kg m/s or "
+            f"mass_shift {mass_shift!r} kg overflows a float")
+    velocity = _finite(tuple(p / mass for p in momentum), "velocity = momentum"
+                       f" / mass overflows a float at mass = {mass!r} kg")
     return Prediction(model=model, momentum=momentum, velocity=velocity,
                       mass_shift=mass_shift, inputs_digest=digest)
 
@@ -108,28 +104,30 @@ def first_born(sphere: SphereSpec, chi: ChiTensor, mode: str = "dimensional",
         raise ValueError(f"mode must be 'dimensional' or 'cutoff', got {mode!r}")
     notes: list[str] = []
     if mode == "dimensional":
-        momentum = np.zeros(3)
+        momentum = (0.0, 0.0, 0.0)
         notes.append("dimensional regularization: odd k-integral is exactly zero")
         k_cut_rec = 0.0
     else:
         if k_cut is None or not (math.isfinite(k_cut) and k_cut > 0):
             raise ValueError("cutoff mode requires k_cut > 0")
+        if not (math.isfinite(mu) and mu > 0):
+            raise ValueError(f"mu must be positive and finite, got {mu!r}")
         try:
             k_cut4 = k_cut**4
         except OverflowError:
             raise OverflowError(f"k_cut^4 overflows a float at k_cut = "
                                 f"{k_cut!r} 1/m") from None
-        # chi S0 as a vector: half the Levi-Civita trace of chi
-        chi_s0 = -0.5 * axial_vector(chi.matrix)
+        # p_density from chi S0 as a vector: half the Levi-Civita trace of chi
         density = (1.0 / (32.0 * math.pi**3)
                    * (1.0 / mu + sphere.material.epsilon)
-                   * CONSTANTS.hbar_si * k_cut4) * chi_s0
-        momentum = density * sphere.volume
+                   * CONSTANTS.hbar_si * k_cut4)
+        momentum = tuple(density * (-0.5 * w) * sphere.volume
+                         for w in axial_vector(chi.matrix))
         k_cut_rec = float(k_cut)
     return _sphere_prediction(
         "first_born", sphere, momentum, {"hbar_si": CONSTANTS.hbar_si}, notes,
-        chi_matrix=chi.matrix.tolist(), chi_kind=chi.kind, mode=mode,
-        k_cut=k_cut_rec, mu=mu)
+        chi_matrix=[list(row) for row in chi.matrix], chi_kind=chi.kind,
+        mode=mode, k_cut=k_cut_rec, mu=mu)
 
 
 def _eta_and_notes(sphere: SphereSpec, eta_value: float | None
@@ -141,16 +139,16 @@ def _eta_and_notes(sphere: SphereSpec, eta_value: float | None
     return ev, notes
 
 
-def _direction(vec: np.ndarray) -> np.ndarray:
+def _direction(vec: tuple) -> tuple:
     """vec / |vec|.  Below 2^-500 the squares in |vec| would underflow, above
     2^500 they would overflow, so vec is first scaled by 2^600 or 2^-600:
     exact, and it leaves the direction unchanged."""
-    size = np.max(np.abs(vec))
-    if size < 2.0**-500:
-        vec = vec * 2.0**600
-    elif size > 2.0**500:
-        vec = vec * 2.0**-600
-    return vec / np.linalg.norm(vec)
+    size = max(map(abs, vec))
+    scale = (2.0**600 if size < 2.0**-500
+             else 2.0**-600 if size > 2.0**500 else 1.0)
+    vec = tuple(x * scale for x in vec)
+    norm = _norm(vec)
+    return tuple(x / norm for x in vec)
 
 
 def me_sphere_velocity(sphere: SphereSpec, fields: FieldConfig,
@@ -166,18 +164,17 @@ def me_sphere_velocity(sphere: SphereSpec, fields: FieldConfig,
     reference sign convention recorded in the digest notes.
     """
     e0, b0 = fields.e0, fields.b0
-    if not (np.any(e0) and np.any(b0)):
+    if not (any(e0) and any(b0)):
         raise ValueError("me_sphere needs nonzero e0 and b0 orientations")
     e_hat, b_hat = _direction(e0), _direction(b0)
     ev, notes = _eta_and_notes(sphere, eta_value)
     chi = ChiTensor.magneto_electric(e_hat, b_hat, sphere.material.me_coupling)
     # sphere momentum is minus the radiated momentum
-    momentum = -closed_form_p_rad(sphere, chi, eta_value=ev)
+    momentum = tuple(-p for p in closed_form_p_rad(sphere, chi, eta_value=ev))
     return _sphere_prediction(
         "me_sphere", sphere, momentum,
         {"eta": ev, "hbar_si": CONSTANTS.hbar_si}, notes,
-        me_coupling=sphere.material.me_coupling, e0=e0.tolist(),
-        b0=b0.tolist())
+        me_coupling=sphere.material.me_coupling, e0=list(e0), b0=list(b0))
 
 
 def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
@@ -204,7 +201,7 @@ def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
     momentum = closed_form_p_rad(sphere, chi, eta_value=ev)
     consts = {"eta": ev, "hbar_si": CONSTANTS.hbar_si, "c0_si": CONSTANTS.c0_si}
     return _sphere_prediction("moving_sphere", sphere, momentum, consts, notes,
-                              mass_shift=shift, v=v_si.tolist())
+                              mass_shift=shift, v=list(v_si))
 
 
 def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
@@ -220,29 +217,29 @@ def magneto_chiral(sphere: SphereSpec, b_field) -> Prediction:
     if mat.verdet_v0 == 0.0 or mat.chirality_g == 0.0:
         raise ValueError(
             "magneto_chiral requires verdet_v0 and chirality_g in the material")
-    b_si = np.asarray(b_field, dtype=float)
+    b_si = _as_vec3(b_field, "b_field")
     # The coefficient takes V0 g in Gaussian units, so they stay as given.
     # The Gaussian product, read in kg m/s, is 1e4 times the SI product:
     # 1e7 (hbar, erg/J) x 1e4 (c0^2, cm^2/m^2) x 1e4 (B, G/T) x 1e-5
     # (kg m/s per g cm/s) / 1e6 (a^3, cm^3/m^3).
-    momentum = (1e4 * MAGNETO_CHIRAL_COEFF * CONSTANTS.hbar_si * mat.verdet_v0
-                * CONSTANTS.c0_si**2 * mat.chirality_g
-                / sphere.radius**3) * b_si
+    scale = (1e4 * MAGNETO_CHIRAL_COEFF * CONSTANTS.hbar_si * mat.verdet_v0
+             * CONSTANTS.c0_si**2 * mat.chirality_g / sphere.radius**3)
+    momentum = tuple(scale * b for b in b_si)
     consts = {"coefficient": MAGNETO_CHIRAL_COEFF,
               "hbar_si": CONSTANTS.hbar_si, "c0_si": CONSTANTS.c0_si,
               "macroscopic_model_probably_wrong": True}
     return _sphere_prediction(
         "magneto_chiral", sphere, momentum, consts,
         ["macroscopic_model_probably_wrong"], verdet_v0=mat.verdet_v0,
-        chirality_g=mat.chirality_g, b_field=b_si.tolist())
+        chirality_g=mat.chirality_g, b_field=list(b_si))
 
 
-def empty_vacuum_momentum() -> np.ndarray:
+def empty_vacuum_momentum() -> tuple:
     """Zero-point momentum of empty space: exactly (0, 0, 0), returned
     without a sum.  The mode sum is odd in k, so on any k-grid with inversion
     symmetry every +k term would cancel its -k partner exactly.
     """
-    return np.zeros(3)
+    return (0.0, 0.0, 0.0)
 
 
 def replay(digest: dict) -> Prediction:
@@ -261,20 +258,19 @@ def replay(digest: dict) -> Prediction:
         return SphereSpec(radius=ins["radius"], material=mat)
 
     if model == "first_born":
-        chi = ChiTensor(matrix=np.array(ins["chi_matrix"]), kind=ins["chi_kind"])
+        chi = ChiTensor(matrix=ins["chi_matrix"], kind=ins["chi_kind"])
         k_cut = ins["k_cut"] if ins["mode"] == "cutoff" else None
         return first_born(rebuild_sphere(), chi, mode=ins["mode"],
                           k_cut=k_cut, mu=ins["mu"])
     if model == "me_sphere":
-        fields = FieldConfig(e0=np.array(ins["e0"]), b0=np.array(ins["b0"]))
         return me_sphere_velocity(
-            rebuild_sphere(me_coupling=ins["me_coupling"]), fields,
-            eta_value=consts["eta"])
+            rebuild_sphere(me_coupling=ins["me_coupling"]),
+            FieldConfig(e0=ins["e0"], b0=ins["b0"]), eta_value=consts["eta"])
     if model == "moving_sphere":
-        return moving_sphere(rebuild_sphere(), np.array(ins["v"]),
+        return moving_sphere(rebuild_sphere(), ins["v"],
                              eta_value=consts["eta"])
     if model == "magneto_chiral":
         sphere = rebuild_sphere(verdet_v0=ins["verdet_v0"],
                                 chirality_g=ins["chirality_g"])
-        return magneto_chiral(sphere, np.array(ins["b_field"]))
+        return magneto_chiral(sphere, ins["b_field"])
     raise ValueError(f"unknown model {model!r} in digest")

@@ -1,8 +1,8 @@
-"""Spherical Bessel functions of low order, and what the other modules share:
-the one quadrature rule (fixed Gauss-Legendre points on each panel of a set of
-edges), the one Richardson extrapolation, the one Levi-Civita tensor, the one
-ConvergenceError, the base of the frozen records and IntegralResult, the one
-record a checked route returns.
+"""Spherical Bessel functions of low order, and the numerics the quadrature
+routes share: the one quadrature rule (fixed Gauss-Legendre points on each
+panel of a set of edges) and the one Richardson extrapolation.  The pieces
+the layers share without numpy (records, ConvergenceError, the Levi-Civita
+tensor) live in module base, so the closed-form path never loads this one.
 
 The vacuum-mode integrands only ever need j0, j1 and j2.  These are written
 out explicitly (with small-argument series) rather than routed through the
@@ -17,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["sph_bessel_j", "SERIES_CROSSOVER", "ConvergenceError",
-           "IntegralResult"]
+__all__ = ["sph_bessel_j", "SERIES_CROSSOVER"]
 
 # Below this |x| the closed forms lose digits to cancellation: j2 subtracts
 # terms of size ~3/x^2 to produce a result of size x^2/15, so its relative
@@ -26,95 +25,6 @@ __all__ = ["sph_bessel_j", "SERIES_CROSSOVER", "ConvergenceError",
 # 0.5 keeps the closed forms comfortably accurate, and the truncated series
 # are converged to ~1e-16 relative over the whole series branch.
 SERIES_CROSSOVER = 0.5
-
-
-class ConvergenceError(ArithmeticError):
-    """A numerical evaluation did not reach its required accuracy."""
-
-
-class _Record:
-    """Base of the package's frozen records.
-
-    A subclass's annotated class attributes are its fields, in order, and a
-    value assigned to one is its default.  Fields are given by position or
-    keyword; __post_init__ then checks them, and may store a normalised
-    value with object.__setattr__.  Records of one class are equal when
-    their fields are, and a field cannot be assigned after construction.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        cls = type(self)
-        names = cls.__annotations__
-        given = dict(zip(names, args))
-        if len(args) > len(names) or given.keys() & kwargs.keys():
-            raise TypeError(f"{cls.__name__}: too many or repeated fields")
-        values = {name: getattr(cls, name) for name in names
-                  if hasattr(cls, name)}
-        values.update(given, **kwargs)
-        wrong = values.keys() ^ names.keys()
-        if wrong:
-            raise TypeError(f"{cls.__name__}: missing or unknown fields "
-                            f"{sorted(wrong)}")
-        self.__dict__.update(values)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, n) for n in type(self).__annotations__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}{self._fields()!r}"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} "
-                             "cannot be set or deleted")
-
-    __delattr__ = __setattr__
-
-
-class IntegralResult(_Record):
-    """Outcome of one checked route: a radial constant or a frequency integral.
-
-    value           the route's number (complex for a frequency integral)
-    error_estimate  accuracy estimate, >= 0: for a frequency integral the
-                    distance from its closed form; for a regulated constant
-                    the drop-one difference, which measures a 3-point
-                    extrapolation, not the reported 4-point one, and on the
-                    default schedule overstates the true error 1100-1600x
-    method          'trig_reduction' or 'regulated_quadrature'
-    """
-
-    value: float
-    error_estimate: float
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be >= 0")
-        if self.method not in ("trig_reduction", "regulated_quadrature"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-# The rank-3 alternating tensor eps_ijk.
-_EPS3 = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
-                  [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                  [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
-
-
-def _eps_dot(v) -> np.ndarray:
-    """The matrix eps_ijk v_k.  Adding 0.0 turns every -0.0 into +0.0, so
-    the entries match a sum accumulated from +0.0."""
-    return np.einsum("ijk,k->ij", _EPS3, v) + 0.0
 
 
 def _jn_series(n: int, x: np.ndarray, x2: np.ndarray) -> np.ndarray:

@@ -15,16 +15,15 @@ and eta is a single pure number, eta = (I0 - I1 + C/3 - A/3 + D/3 - E/2) /
 (192 pi^2).  This module builds both sides: the explicit tensor contractions
 (second_born_momentum) and the closed form (closed_form_p_rad, eta), plus a
 consistency diagnostic for the one constant (D) that has no published value.
+Vectors are 3-tuples of floats; only second_born_momentum imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .special_functions import _EPS3, _Record, _eps_dot
-from .units_materials import CONSTANTS, SphereSpec
+from .base import _EPS3, _dot, _eps_dot, _finite, _Record
+from .units_materials import CONSTANTS, SphereSpec, _as_vec3
 
 __all__ = [
     "ChiTensor",
@@ -81,12 +80,14 @@ def solve_D1_D3(D: float, E: float) -> tuple[float, float]:
     return (3.0 * E - D) / 30.0, (2.0 * D - E) / 15.0
 
 
-def axial_vector(matrix: np.ndarray) -> np.ndarray:
+def axial_vector(matrix) -> tuple:
     """w_i = sum_{n,m} eps_{inm} M_{mn}: the axial vector of (the antisymmetric
-    part of) a 3x3 matrix.  Each component is a difference of transposed
-    entries among exact zeros, so it vanishes exactly for symmetric M; adding
-    0.0 turns a -0.0 into +0.0, as in _eps_dot."""
-    return np.einsum("inm,mn->i", _EPS3, np.asarray(matrix, dtype=float)) + 0.0
+    part of) a finite 3x3 matrix.  Each component is a difference of
+    transposed entries among exact zeros, so it vanishes exactly, as +0.0,
+    for symmetric M."""
+    flat_mt = sum(zip(*ChiTensor(matrix).matrix), ())  # M_mn at [3 n + m]
+    return _finite(tuple(_dot(sum(plane, ()), flat_mt) for plane in _EPS3),
+                   "axial vector w_i = eps_inm chi_mn overflows a float")
 
 
 class ChiTensor(_Record):
@@ -97,42 +98,44 @@ class ChiTensor(_Record):
     antisymmetric, chiral matrices are multiples of the identity.
     """
 
-    matrix: np.ndarray
+    matrix: tuple
     kind: str = "general"
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-            raise ValueError("chi matrix must be a finite real 3x3 array")
+        m = tuple(_as_vec3(row, "chi matrix row") for row in self.matrix)
+        if len(m) != 3:
+            raise ValueError(f"chi matrix must have 3 rows, got {len(m)}")
         object.__setattr__(self, "matrix", m)
         if self.kind not in CHI_KINDS:
             raise ValueError(f"kind must be one of {CHI_KINDS}, got {self.kind!r}")
-        scale = max(1e-300, float(np.max(np.abs(m))))
+        tol = 1e-12 * max(1e-300, max(abs(x) for row in m for x in row))
+        pairs = [(i, j) for i in range(3) for j in range(3)]
         if self.kind in ("magneto_electric", "moving_medium"):
-            if np.max(np.abs(m + m.T)) > 1e-12 * scale:
+            if any(abs(m[i][j] + m[j][i]) > tol for i, j in pairs):
                 raise ValueError(f"{self.kind} chi must be antisymmetric")
         elif self.kind == "chiral":
-            if np.max(np.abs(m - m[0, 0] * np.eye(3))) > 1e-12 * scale:
+            if any(abs(m[i][j] - m[0][0] * (i == j)) > tol for i, j in pairs):
                 raise ValueError("chiral chi must be a multiple of the identity")
 
     @classmethod
     def magneto_electric(cls, e_vec, b_vec, g_em: float) -> "ChiTensor":
         """chi_ij = g_em (E_i B_j - E_j B_i) for given field orientations."""
-        e = np.asarray(e_vec, dtype=float)
-        b = np.asarray(b_vec, dtype=float)
-        m = g_em * (np.outer(e, b) - np.outer(b, e))
-        return cls(matrix=m, kind="magneto_electric")
+        e, b = _as_vec3(e_vec, "e_vec"), _as_vec3(b_vec, "b_vec")
+        return cls(matrix=[[g_em * (ei * bj - bi * ej) for ej, bj in zip(e, b)]
+                           for ei, bi in zip(e, b)], kind="magneto_electric")
 
     @classmethod
     def moving_medium(cls, epsilon: float, velocity_si) -> "ChiTensor":
         """chi_ij = (1 - epsilon) eps_ijk v_k / c0 for a medium moving at v (m/s)."""
-        v = np.asarray(velocity_si, dtype=float) / CONSTANTS.c0_si
-        return cls(matrix=_eps_dot((1.0 - epsilon) * v), kind="moving_medium")
+        v = _as_vec3(velocity_si, "velocity_si")
+        return cls(matrix=_eps_dot([(1.0 - epsilon) * (x / CONSTANTS.c0_si)
+                                    for x in v]), kind="moving_medium")
 
     @classmethod
     def chiral(cls, g: float) -> "ChiTensor":
         """chi_ij = g delta_ij (isotropic chirality)."""
-        return cls(matrix=g * np.eye(3), kind="chiral")
+        return cls(matrix=[[g * (i == j) for j in range(3)] for i in range(3)],
+                   kind="chiral")
 
 
 class BornMomentumBreakdown(_Record):
@@ -142,10 +145,10 @@ class BornMomentumBreakdown(_Record):
     contrib_2: two longitudinal propagators;  total = sum of the three.
     """
 
-    contrib_0: np.ndarray
-    contrib_1: np.ndarray
-    contrib_2: np.ndarray
-    total: np.ndarray
+    contrib_0: tuple
+    contrib_1: tuple
+    contrib_2: tuple
+    total: tuple
 
 
 def regularized_K(a: float) -> float:
@@ -255,11 +258,12 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
         raise ValueError(
             f"|epsilon - 1| = {abs(eps_r - 1.0):.3g} exceeds {PERTURBATIVE_WINDOW}"
             "; the second-order expansion is not trustworthy there")
+    import numpy as np  # only the tensor path runs numpy
     c = _EXACT_CONSTANTS if constants is None else constants
     K = regularized_K(sphere.radius)
     contrast = eps_r - 1.0
     hbar = CONSTANTS.hbar_si
-    m = chi.matrix
+    m, eps = np.array(chi.matrix), np.array(_EPS3)
 
     D1, D3 = solve_D1_D3(c["D"], c["E"])
     a1 = D1 + (c["C"] - c["A"]) / 15.0
@@ -270,10 +274,10 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
     # coeff1 [a1 chi_mn (d_ij eps_nlm + d_il eps_njm) + a3 (eps_mli chi_jm + eps_mji chi_lm)]
     coeff0 = -K / (48.0 * math.pi**4) * contrast * (c["I0"] - c["I1"])
     coeff1 = K / (16.0 * math.pi**4) * contrast
-    u = np.einsum("nlm,mn->l", _EPS3, m)
-    half = np.stack([coeff0 * np.einsum("jmi,lm->ijl", _EPS3, m),
+    u = np.einsum("nlm,mn->l", eps, m)
+    half = np.stack([coeff0 * np.einsum("jmi,lm->ijl", eps, m),
                      coeff1 * (a1 * np.einsum("ij,l->ijl", np.eye(3), u)
-                               + a3 * np.einsum("mli,jm->ijl", _EPS3, m))])
+                               + a3 * np.einsum("mli,jm->ijl", eps, m))])
     t = half + half.swapaxes(2, 3)
     # the P_i-type contraction T_ijj - T_jij of each
     contrib_0, contrib_1 = hbar * (np.einsum("kijj->ki", t)
@@ -281,21 +285,24 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
 
     # two-longitudinal piece arrives pre-contracted: -K E/(32 pi^4) (eps-1) w
     contrib_2 = hbar * (-K * c["E"] / (32.0 * math.pi**4) * contrast
-                        ) * axial_vector(m)
+                        ) * np.array(axial_vector(chi.matrix))
 
     total = contrib_0 + contrib_1 + contrib_2
-    return BornMomentumBreakdown(contrib_0=contrib_0, contrib_1=contrib_1,
-                                 contrib_2=contrib_2, total=total)
+    return BornMomentumBreakdown(*(tuple(part.tolist()) for part in (
+        contrib_0, contrib_1, contrib_2, total)))
 
 
 def closed_form_p_rad(sphere: SphereSpec, chi: ChiTensor,
-                      eta_value: float | None = None) -> np.ndarray:
+                      eta_value: float | None = None) -> tuple:
     """P_rad = -eta (hbar/a) (epsilon - 1) w, the collapsed form of the tensor
     path (SI kg m/s).  Identical to second_born_momentum().total when the same
     constant set feeds both; exposed separately so order-of-magnitude
     predictions can extrapolate it outside the strict perturbative window.
     """
     ev = eta() if eta_value is None else eta_value
-    w = axial_vector(chi.matrix)
-    contrast = sphere.material.epsilon - 1.0
-    return -ev * (CONSTANTS.hbar_si / sphere.radius) * contrast * w
+    if not math.isfinite(ev):
+        raise ValueError(f"eta must be finite, got {ev!r}")
+    scale = -ev * (CONSTANTS.hbar_si / sphere.radius) * (
+        sphere.material.epsilon - 1.0)
+    return _finite(tuple(scale * x for x in axial_vector(chi.matrix)),
+                   "P_rad = -eta (hbar/a)(epsilon-1) w overflows a float")

@@ -13,9 +13,7 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
-from .special_functions import _Record
+from .base import _norm, _Record
 
 __all__ = [
     "PhysicalConstants",
@@ -96,38 +94,41 @@ class SphereSpec(_Record):
         return self.material.mass_density * self.volume
 
 
-def _as_vec3(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def _as_vec3(value, name: str) -> tuple:
+    try:
+        vec = tuple(map(float, value))
+    except TypeError:  # not a sequence, or an entry that is not a number
+        vec = ()
+    if len(vec) != 3:
+        raise ValueError(f"{name} must be a 3-vector, got {value!r}")
+    if not all(map(math.isfinite, vec)):
         raise ValueError(f"{name} must be finite")
-    return arr
+    return vec
 
 
 class FieldConfig(_Record):
     """Orientations of the static external fields.
 
-    e0        orientation of the static electric field, a finite 3-vector
-    b0        orientation of the static magnetic field, a finite 3-vector
+    e0        orientation of the static electric field, 3 finite floats
+    b0        orientation of the static magnetic field, 3 finite floats
 
     The models read only the directions: the field magnitudes are folded
     into the material's me_coupling.
     """
 
-    e0: np.ndarray
-    b0: np.ndarray
+    e0: tuple
+    b0: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e0", _as_vec3(self.e0, "e0"))
         object.__setattr__(self, "b0", _as_vec3(self.b0, "b0"))
 
 
-def _slow_velocity(v) -> np.ndarray:
-    """v (m/s) as a float array, refused at |v|/c0 >= 0.01: every
-    moving-body formula in the package is first order in v/c0."""
-    v_si = np.asarray(v, dtype=float)
-    if np.linalg.norm(v_si) / CONSTANTS.c0_si >= 0.01:
+def _slow_velocity(v) -> tuple:
+    """v (m/s) as a 3-tuple of finite floats, refused at |v|/c0 >= 0.01:
+    every moving-body formula in the package is first order in v/c0."""
+    v_si = _as_vec3(v, "v")
+    if _norm(v_si) / CONSTANTS.c0_si >= 0.01:
         raise ValueError("|v|/c0 must stay below 0.01")
     return v_si
 

@@ -121,7 +121,7 @@ def test_criterion_4_tensor_momentum_matches_closed_form():
         if scale == 0.0:
             assert np.array_equal(total, np.zeros(3))
             continue
-        rel = np.linalg.norm(total - closed) / scale
+        rel = np.linalg.norm(np.subtract(total, closed)) / scale
         assert rel <= 1e-6, (chi.kind, rel)
         worst = max(worst, rel)
     zeros = np.zeros(3)

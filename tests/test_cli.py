@@ -24,7 +24,7 @@ from zpmomentum.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, RunReport,
                             _parse_schedule, _parse_vec3, build_parser,
                             freq_check_pairs, main)
 from zpmomentum.contour_frequency import freq_oracle
-from zpmomentum.special_functions import ConvergenceError
+from zpmomentum.base import ConvergenceError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from zpmomentum import contour_frequency
 from zpmomentum.contour_frequency import (KINDS, compare, freq_closed_form,
                                           freq_oracle, resolving_epsilon)
-from zpmomentum.special_functions import ConvergenceError
+from zpmomentum.base import ConvergenceError
 
 
 def test_closed_form_spot_values():

@@ -64,16 +64,26 @@ CASES = {
     "me_sphere_json": ME_SPHERE + ["--format", "json"],
     "me_sphere_csv": ME_SPHERE + ["--format", "csv"],
     "me_sphere_negative_radius": ["predict", "me-sphere", "--a-um", "-1"],
+    # off-axis vectors pin the plain sum of squares in |e0|, |b0| and speed
+    "me_sphere_off_axis": ME_SPHERE + ["--e0-dir=1,2,3", "--b0-dir=-2,0.5,1"],
     "moving_sphere": ["predict", "moving-sphere", "--a-um", "1",
                       "--v", "1,0,0"],
+    "moving_sphere_off_axis": ["predict", "moving-sphere", "--a-um", "1",
+                               "--v=1,2,3"],
     "magneto_chiral": ["predict", "magneto-chiral", "--material",
                        MC_MATERIAL, "--a-um", "1", "--b", "0,0,1"],
+    "magneto_chiral_speed_overflow": ["predict", "magneto-chiral",
+                                      "--material", MC_MATERIAL, "--a-um",
+                                      "1e-3", "--b=1e300,0,0"],
     "feigel": FEIGEL + ["--chi-s0", "1e-11", "--rho", "1000"],
     "feigel_dimensional": FEIGEL + ["--mode", "dimensional"],
     "feigel_zero_rho": FEIGEL + ["--rho", "0"],
     "feigel_infinite_chi_s0": FEIGEL + ["--chi-s0", "inf"],
     "feigel_k_cut_overflow": ["predict", "feigel", "--a-um", "1",
                               "--lambda-cut-nm", "1e-80"],
+    "feigel_momentum_overflow": ["predict", "feigel", "--a-um", "1",
+                                 "--lambda-cut-nm", "1e-3", "--chi-s0",
+                                 "1e300"],
     "empty_vacuum": ["empty-vacuum"],
 }
 

@@ -11,8 +11,9 @@ from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               eval_bruteforce, eval_trig,
                                               reconciled_constants)
-from zpmomentum.special_functions import (ConvergenceError, _gauss_panels,
-                                          _richardson, sph_bessel_j)
+from zpmomentum.base import ConvergenceError
+from zpmomentum.special_functions import (_gauss_panels, _richardson,
+                                          sph_bessel_j)
 from zpmomentum.tensor_assembly import solve_D1_D3
 
 KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
@@ -408,7 +409,7 @@ def test_constant_table_matches_both_routes():
 
 
 def test_result_error_estimate_validation():
-    from zpmomentum.special_functions import IntegralResult
+    from zpmomentum.base import IntegralResult
     with pytest.raises(ValueError):
         IntegralResult(value=1.0, error_estimate=-1.0,
                        method="trig_reduction")

@@ -11,7 +11,7 @@ from zpmomentum.point_dipole import (DipoleSpec, mass_shift,
                                      spectral_integral_exact,
                                      spectral_integral_quadrature,
                                      spectral_integral_target, t0, t_matrix)
-from zpmomentum.special_functions import ConvergenceError
+from zpmomentum.base import ConvergenceError
 from zpmomentum.units_materials import CONSTANTS
 
 NARROW = DipoleSpec(alpha=1.0, alpha0=1.0, gamma=1e-4)

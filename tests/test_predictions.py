@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zpmomentum.predictions import (empty_vacuum_momentum, first_born,
-                                    magneto_chiral, me_sphere_velocity,
-                                    moving_sphere, replay)
-from zpmomentum.tensor_assembly import ChiTensor, second_born_momentum
+from zpmomentum.predictions import (Prediction, empty_vacuum_momentum,
+                                    first_born, magneto_chiral,
+                                    me_sphere_velocity, moving_sphere, replay)
+from zpmomentum.tensor_assembly import (ChiTensor, axial_vector,
+                                        closed_form_p_rad,
+                                        second_born_momentum)
 from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
                                         SphereSpec, material_from_json,
                                         preset_path)
@@ -62,11 +65,12 @@ def test_first_born_cutoff_scalings():
                       mode="cutoff", k_cut=FEIGEL_K_CUT)
     harder = first_born(feigel_sphere(), crossed_chi(FEIGEL_CHI),
                         mode="cutoff", k_cut=2.0 * FEIGEL_K_CUT)
-    assert np.array_equal(harder.momentum, 16.0 * base.momentum)  # k_cut^4
+    base_p = np.array(base.momentum)
+    assert np.array_equal(harder.momentum, 16.0 * base_p)  # k_cut^4
     bigger = first_born(feigel_sphere(radius=2e-6), crossed_chi(FEIGEL_CHI),
                         mode="cutoff", k_cut=FEIGEL_K_CUT)
     # momentum grows with the volume; the speed is radius-independent
-    assert np.allclose(bigger.momentum, 8.0 * base.momentum, rtol=1e-12)
+    assert np.allclose(bigger.momentum, 8.0 * base_p, rtol=1e-12)
     assert np.allclose(bigger.velocity, base.velocity, rtol=1e-12)
 
 
@@ -78,7 +82,8 @@ def test_me_sphere_literature_magnitude():
     pred = me_sphere_velocity(sphere, FieldConfig(e0=(1, 0, 0), b0=(0, 1, 0)))
     speed = np.linalg.norm(pred.velocity)
     assert 1e-21 <= speed <= 1e-19  # 1e-20 m/s within a factor 10
-    assert np.array_equal(pred.velocity, pred.momentum / sphere.mass())
+    assert np.array_equal(pred.velocity,
+                          np.array(pred.momentum) / sphere.mass())
 
 
 def test_me_sphere_parallel_fields_give_zero():
@@ -107,7 +112,7 @@ def test_me_sphere_momentum_scales_inversely_with_radius():
     mat = MaterialSpec(epsilon=1.3, mass_density=1000.0, me_coupling=1e-6)
     p1 = me_sphere_velocity(SphereSpec(radius=1e-6, material=mat), fields)
     p2 = me_sphere_velocity(SphereSpec(radius=2e-6, material=mat), fields)
-    assert np.allclose(p2.momentum, 0.5 * p1.momentum, rtol=1e-12)
+    assert np.allclose(p2.momentum, 0.5 * np.array(p1.momentum), rtol=1e-12)
 
 
 # --- moving sphere ----------------------------------------------------------
@@ -166,7 +171,7 @@ def test_moving_sphere_matches_tensor_path(rng):
         pred = moving_sphere(sphere, v)
         tensor = second_born_momentum(sphere,
                                       ChiTensor.moving_medium(eps, v)).total
-        assert np.linalg.norm(pred.momentum - tensor) <= \
+        assert np.linalg.norm(np.subtract(pred.momentum, tensor)) <= \
             1e-6 * np.linalg.norm(tensor)
 
 
@@ -190,7 +195,7 @@ def test_magneto_chiral_enantiomer_sign_flip():
     p = magneto_chiral(sphere, (0, 0, 1)).momentum
     p_mirror = magneto_chiral(SphereSpec(radius=1e-6, material=mirrored),
                               (0, 0, 1)).momentum
-    assert np.array_equal(p_mirror, -p)
+    assert np.array_equal(p_mirror, -np.array(p))
 
 
 def test_magneto_chiral_field_and_radius_scaling():
@@ -200,7 +205,7 @@ def test_magneto_chiral_field_and_radius_scaling():
     p1 = magneto_chiral(sphere, (0, 0, 1)).momentum
     p2 = magneto_chiral(SphereSpec(radius=2e-6, material=MC_MATERIAL),
                         (0, 0, 1)).momentum
-    assert np.allclose(p2, p1 / 8.0, rtol=1e-12)  # 1/a^3
+    assert np.allclose(p2, np.array(p1) / 8.0, rtol=1e-12)  # 1/a^3
 
 
 def test_magneto_chiral_si_product_matches_the_gaussian_chain(rng):
@@ -233,9 +238,11 @@ def test_magneto_chiral_requires_material_coefficients():
 
 def test_empty_vacuum_momentum_is_exactly_zero_and_fresh():
     out = empty_vacuum_momentum()
-    assert np.array_equal(out, np.zeros(3))
-    out[0] = 1.0  # mutating the returned array must not leak into later calls
-    assert np.array_equal(empty_vacuum_momentum(), np.zeros(3))
+    assert out == (0.0, 0.0, 0.0)
+    assert all(math.copysign(1.0, x) == 1.0 for x in out)
+    with pytest.raises(TypeError):  # a tuple: no caller can change it
+        out[0] = 1.0
+    assert empty_vacuum_momentum() == (0.0, 0.0, 0.0)
 
 
 def test_replay_is_bit_exact_for_every_model():
@@ -254,6 +261,7 @@ def test_replay_is_bit_exact_for_every_model():
     ]
     for pred in preds:
         again = replay(pred.inputs_digest)
+        assert again == pred and hash(again) == hash(pred), pred.model
         assert again.model == pred.model
         assert np.array_equal(again.momentum, pred.momentum), pred.model
         assert np.array_equal(again.velocity, pred.velocity), pred.model
@@ -268,6 +276,7 @@ def test_replay_survives_json_round_trip():
                          (1.0, 2.0, 3.0))
     digest = json.loads(json.dumps(pred.inputs_digest))
     again = replay(digest)
+    assert again == pred
     assert np.array_equal(again.momentum, pred.momentum)
 
 
@@ -284,3 +293,120 @@ def test_digest_is_complete():
     assert set(digest) >= {"model", "inputs", "constants", "notes"}
     assert digest["model"] == "first_born"
     assert "hbar_si" in digest["constants"]
+
+
+# --- the error contract of the closed-form callables ------------------------
+
+HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e300, 5e-324,
+           1e-300, 1e-100, 1e100, 1e300, 1.7976931348623157e308)
+hostile = st.one_of(st.sampled_from(HOSTILE), st.floats())
+
+
+def _mostly(ordinary, other):
+    """other one draw in eight, ordinary otherwise, so that most draws get
+    past the input checks to the arithmetic."""
+    return st.integers(0, 7).flatmap(lambda i: other if i == 0 else ordinary)
+
+
+number = _mostly(st.floats(-10.0, 10.0), hostile)
+positive = _mostly(st.floats(-107.0, 100.0).map(lambda e: 10.0 ** e),
+                   hostile)
+vector = _mostly(st.tuples(number, number, number),
+                 st.lists(number, max_size=4))
+matrix = _mostly(st.tuples(vector, vector, vector),
+                 st.lists(vector, max_size=4))
+kind = st.sampled_from(["general", "magneto_electric", "moving_medium",
+                        "chiral", "bespoke"])
+
+
+@st.composite
+def spheres(draw):
+    material = MaterialSpec(
+        epsilon=draw(number), mass_density=draw(positive),
+        me_coupling=draw(number), verdet_v0=draw(number),
+        chirality_g=draw(number))
+    return SphereSpec(radius=draw(positive), material=material)
+
+
+@st.composite
+def chis(draw):
+    return draw(st.sampled_from([
+        lambda: ChiTensor(draw(matrix), kind=draw(kind)),
+        lambda: ChiTensor.magneto_electric(draw(vector), draw(vector),
+                                           draw(number)),
+        lambda: ChiTensor.moving_medium(draw(number), draw(vector)),
+        lambda: ChiTensor.chiral(draw(number))]))()
+
+
+CLOSED_FORM_CALLS = {
+    "ChiTensor": lambda d: d(chis()),
+    "FieldConfig": lambda d: FieldConfig(e0=d(vector), b0=d(vector)),
+    "axial_vector": lambda d: axial_vector(d(matrix)),
+    "closed_form_p_rad": lambda d: closed_form_p_rad(
+        d(spheres()), d(chis()), eta_value=d(st.none() | number)),
+    "first_born": lambda d: first_born(
+        d(spheres()), d(chis()), mode=d(st.sampled_from(
+            ["cutoff", "dimensional"])), k_cut=d(positive), mu=d(number)),
+    "me_sphere_velocity": lambda d: me_sphere_velocity(
+        d(spheres()), FieldConfig(e0=d(vector), b0=d(vector)),
+        eta_value=d(st.none() | number)),
+    "moving_sphere": lambda d: moving_sphere(
+        d(spheres()), d(vector), eta_value=d(st.none() | number)),
+    "magneto_chiral": lambda d: magneto_chiral(d(spheres()), d(vector)),
+}
+
+
+def _floats_of(out):
+    """Every float a closed-form callable returned, checking the types."""
+    if isinstance(out, ChiTensor):
+        assert type(out.matrix) is tuple and len(out.matrix) == 3
+        return sum(out.matrix, ())
+    if isinstance(out, FieldConfig):
+        return out.e0 + out.b0
+    if isinstance(out, Prediction):
+        return out.momentum + out.velocity + (out.mass_shift,)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(CLOSED_FORM_CALLS)))
+def test_closed_form_callables_return_finite_tuples_or_refuse(data, name):
+    # a refusal is a ValueError (input) or an ArithmeticError (overflow);
+    # a TypeError or IndexError would be a defect, and fails the test
+    try:
+        out = CLOSED_FORM_CALLS[name](data.draw)
+    except (ValueError, ArithmeticError):
+        return
+    values = _floats_of(out)
+    assert type(values) is tuple and len(values) in (3, 6, 7, 9)
+    assert all(type(x) is float and math.isfinite(x) for x in values)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: axial_vector([[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]]),
+     FloatingPointError, "axial vector w_i = eps_inm chi_mn overflows"),
+    (lambda: closed_form_p_rad(SphereSpec(radius=1e-100,
+                                          material=MC_MATERIAL),
+                               crossed_chi(1e300)),
+     FloatingPointError, "P_rad = -eta .* overflows a float"),
+    (lambda: closed_form_p_rad(feigel_sphere(), crossed_chi(1.0),
+                               eta_value=math.nan),
+     ValueError, "eta must be finite, got nan"),
+    (lambda: first_born(feigel_sphere(), crossed_chi(1e300), mode="cutoff",
+                        k_cut=1e12),
+     FloatingPointError, r"momentum \(.*inf\) kg m/s .* overflows a float"),
+    (lambda: first_born(feigel_sphere(), crossed_chi(1.0), mode="cutoff",
+                        k_cut=1e6, mu=0.0),
+     ValueError, "mu must be positive and finite, got 0.0"),
+    (lambda: moving_sphere(feigel_sphere(), (math.nan, 0.0, 0.0)),
+     ValueError, "v must be finite"),
+    (lambda: magneto_chiral(SphereSpec(radius=1e-6, material=MC_MATERIAL),
+                            (1.0, math.inf, 0.0)),
+     ValueError, "b_field must be finite"),
+], ids=["axial_vector", "closed_form_p_rad", "eta_value", "first_born",
+        "mu", "moving_sphere", "magneto_chiral"])
+def test_plain_float_failures_name_their_quantity(call, error, message):
+    # plain float arithmetic overflows to inf silently, so each result that
+    # could is checked; a non-finite input is refused before any arithmetic
+    with pytest.raises(error, match=message):
+        call()

@@ -1,6 +1,6 @@
 """The declared public surface: every name in an ``__all__`` exists, the
 package needs nothing beyond numpy, and it loads each layer only when a name
-or a command needs it."""
+or a command needs it; the closed-form commands load no numpy."""
 
 import importlib
 import json
@@ -33,11 +33,11 @@ LAYERS = [name for name in MODULES[1:]
 
 
 def test_package_exports_every_layer_name():
-    # the package list is derived from the seven layer lists, so a name a
+    # the package list is derived from the eight layer lists, so a name a
     # module declares is reachable from the package, as the same object
     from zpmomentum import (TRIG_NAMES, material_from_json,  # noqa
                             resolving_epsilon)
-    assert len(LAYERS) == 7
+    assert len(LAYERS) == 8
     modules = [importlib.import_module(name) for name in LAYERS]
     declared = [name for module in modules for name in module.__all__]
     assert sorted(zpmomentum.__all__) == sorted(["__version__"] + declared)
@@ -56,8 +56,9 @@ def test_no_name_in_two_layer_lists():
 
 # One fresh interpreter reports what each step loads: the bare package
 # import, each command with the zpmomentum modules, csv and dataclasses
-# unloaded before it (and the commands after which numpy.polynomial is
-# loaded), then every module (for scipy), the star import and dir().
+# unloaded before it (and the commands after which numpy or numpy.polynomial
+# is loaded), then every module (for scipy), the star import and dir().
+# numpy cannot be unloaded, so the commands without it run first.
 STDLIB = ("csv", "dataclasses")
 PROBE = """
 import contextlib, io, json, sys
@@ -67,17 +68,19 @@ import zpmomentum
 stdlib = json.loads(sys.argv[3])
 report = {"import": loaded("zpmomentum.")
           + ["numpy"] * ("numpy" in sys.modules), "polynomial": [],
-          "stdlib": {}}
-for argv in json.loads(sys.argv[1]):
+          "numpy": [], "stdlib": {}}
+for key, argv in json.loads(sys.argv[1]):
     for name in loaded("zpmomentum") + [m for m in stdlib if m in sys.modules]:
         del sys.modules[name]
     from zpmomentum.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    report[" ".join(argv)] = [m.split(".")[1] for m in loaded("zpmomentum.")]
-    report["stdlib"][" ".join(argv)] = [m for m in stdlib if m in sys.modules]
-    if "numpy.polynomial" in sys.modules:
-        report["polynomial"].append(" ".join(argv))
+    report[key] = [m.split(".")[1] for m in loaded("zpmomentum.")]
+    report["stdlib"][key] = [m for m in stdlib if m in sys.modules]
+    for module, name in (("numpy", "numpy"), ("numpy.polynomial",
+                                              "polynomial")):
+        if module in sys.modules:
+            report[name].append(key)
 import importlib, zpmomentum
 for name in json.loads(sys.argv[2]):
     importlib.import_module(name)
@@ -91,26 +94,32 @@ print(json.dumps(report))
 """
 
 # The layer modules each command loads, cli and its own layers included:
-# predict, eta and empty-vacuum load neither the quadrature routes nor the
-# frequency oracle nor the dipole, constants loads neither of the last two
-# nor the predictions, and freq-check and dipole load no prediction.
+# predict, eta and empty-vacuum load neither special_functions (nor numpy)
+# nor the quadrature routes nor the frequency oracle nor the dipole,
+# constants loads neither of the last two nor the predictions, and
+# freq-check and dipole load no prediction.
+PREDICT = ["base", "cli", "predictions", "tensor_assembly", "units_materials"]
+NUMPY_FREE = {
+    "predict me-sphere --a-um 1": PREDICT,
+    "predict moving-sphere --a-um 1 --v 1,0,0": PREDICT,
+    "predict magneto-chiral --material MC_MATERIAL --a-um 1 --b 0,0,1":
+        PREDICT,
+    "predict feigel --a-um 1 --lambda-cut-nm 100 --chi-s0 1e-11": PREDICT,
+    "eta": ["base", "cli", "tensor_assembly", "units_materials"],
+    "empty-vacuum --format csv": PREDICT,
+}
 COMMAND_LAYERS = {
-    "constants": ["cli", "oscillatory_integrals", "special_functions",
+    **NUMPY_FREE,
+    "constants": ["base", "cli", "oscillatory_integrals", "special_functions",
                   "tensor_assembly", "units_materials"],
-    "eta": ["cli", "special_functions", "tensor_assembly", "units_materials"],
-    "predict me-sphere --a-um 1": [
-        "cli", "predictions", "special_functions", "tensor_assembly",
-        "units_materials"],
-    "predict moving-sphere --a-um 1 --v 1,0,0": [
-        "cli", "predictions", "special_functions", "tensor_assembly",
-        "units_materials"],
-    "freq-check --pairs 2": ["cli", "contour_frequency", "special_functions"],
+    "freq-check --pairs 2": ["base", "cli", "contour_frequency",
+                             "special_functions"],
     "dipole --alpha 1 --alpha0 1 --gamma 1": [
-        "cli", "point_dipole", "special_functions", "units_materials"],
-    "empty-vacuum --format csv": [
-        "cli", "predictions", "special_functions", "tensor_assembly",
+        "base", "cli", "point_dipole", "special_functions",
         "units_materials"],
 }
+MC_MATERIAL = str(Path(__file__).resolve().parent / "golden"
+                  / "magneto_chiral_material.json")
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +128,9 @@ def probe():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    commands = json.dumps([argv.split() for argv in COMMAND_LAYERS])
+    commands = json.dumps([
+        (key, [MC_MATERIAL if a == "MC_MATERIAL" else a for a in key.split()])
+        for key in COMMAND_LAYERS])
     out = subprocess.run([sys.executable, "-c", PROBE, commands,
                           json.dumps(MODULES), json.dumps(STDLIB)],
                          capture_output=True, text=True, timeout=60, env=env)
@@ -141,6 +152,12 @@ def test_package_import_loads_no_layer(probe):
 @pytest.mark.parametrize("argv", list(COMMAND_LAYERS))
 def test_command_loads_only_its_layers(probe, argv):
     assert probe[argv] == COMMAND_LAYERS[argv]
+
+
+def test_closed_form_commands_load_no_numpy(probe):
+    # each runs before any numpy command, and the probe sees numpy once one
+    # of those has run
+    assert probe["numpy"] == list(COMMAND_LAYERS)[len(NUMPY_FREE):]
 
 
 def test_no_command_loads_dataclasses(probe):

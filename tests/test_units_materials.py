@@ -85,8 +85,10 @@ def test_records_are_frozen_values():
                 lambda: MaterialSpec(1.3, 2000.0, density=1.0)):
         with pytest.raises(TypeError):
             bad()
-    # a normalising check still runs: FieldConfig stores float arrays
-    assert FieldConfig(e0=(1, 0, 0), b0=[0, 1, 0]).e0.dtype == float
+    # a normalising check still runs: FieldConfig stores tuples of floats
+    fields = FieldConfig(e0=(1, 0, 0), b0=[0, 1, 0])
+    assert fields.e0 == (1.0, 0.0, 0.0) and fields.b0 == (0.0, 1.0, 0.0)
+    assert all(type(x) is float for x in fields.e0 + fields.b0)
 
 
 def test_field_config_rejects_bad_vectors():
@@ -94,6 +96,10 @@ def test_field_config_rejects_bad_vectors():
         FieldConfig(e0=(1.0, 2.0), b0=(0.0, 1.0, 0.0))
     with pytest.raises(ValueError, match="b0 must be finite"):
         FieldConfig(e0=(1.0, 0.0, 0.0), b0=(1.0, float("nan"), 0.0))
+    # a scalar or an entry that is no number is an input error too
+    for bad in (5.0, (1.0, None, 0.0)):
+        with pytest.raises(ValueError, match="e0 must be a 3-vector"):
+            FieldConfig(e0=bad, b0=(0.0, 1.0, 0.0))
 
 
 def test_material_json_round_trip(tmp_path):
