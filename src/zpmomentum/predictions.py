@@ -122,7 +122,7 @@ def first_born(sphere: SphereSpec, chi: ChiTensor, mode: str = "dimensional",
                    * (1.0 / mu + sphere.material.epsilon)
                    * CONSTANTS.hbar_si * k_cut4)
         momentum = tuple(density * (-0.5 * w) * sphere.volume
-                         for w in axial_vector(chi.matrix))
+                         for w in axial_vector(chi))
         k_cut_rec = float(k_cut)
     return _sphere_prediction(
         "first_born", sphere, momentum, {"hbar_si": CONSTANTS.hbar_si}, notes,
@@ -191,9 +191,13 @@ def moving_sphere(sphere: SphereSpec, v, eta_value: float | None = None
     """
     v_si = _slow_velocity(v)
     ev, notes = _eta_and_notes(sphere, eta_value)
-    contrast = sphere.material.epsilon - 1.0
+    try:
+        contrast2 = (sphere.material.epsilon - 1.0)**2
+    except OverflowError:
+        raise OverflowError(f"(epsilon - 1)^2 overflows a float at epsilon = "
+                            f"{sphere.material.epsilon!r}") from None
     shift = (-2.0 * ev * CONSTANTS.hbar_si
-             / (sphere.radius * CONSTANTS.c0_si) * contrast**2)
+             / (sphere.radius * CONSTANTS.c0_si) * contrast2)
     if shift > 0:
         notes.append("mass_shift > 0 (increase); the reference sign "
                      "convention expects a reduction")

@@ -82,10 +82,11 @@ def solve_D1_D3(D: float, E: float) -> tuple[float, float]:
 
 def axial_vector(matrix) -> tuple:
     """w_i = sum_{n,m} eps_{inm} M_{mn}: the axial vector of (the antisymmetric
-    part of) a finite 3x3 matrix.  Each component is a difference of
-    transposed entries among exact zeros, so it vanishes exactly, as +0.0,
-    for symmetric M."""
-    flat_mt = sum(zip(*ChiTensor(matrix).matrix), ())  # M_mn at [3 n + m]
+    part of) a finite 3x3 matrix, or of a ChiTensor's matrix, which is not
+    checked again.  Each component is a difference of transposed entries
+    among exact zeros, so it vanishes exactly, as +0.0, for symmetric M."""
+    chi = matrix if isinstance(matrix, ChiTensor) else ChiTensor(matrix)
+    flat_mt = sum(zip(*chi.matrix), ())  # M_mn at [3 n + m]
     return _finite(tuple(_dot(sum(plane, ()), flat_mt) for plane in _EPS3),
                    "axial vector w_i = eps_inm chi_mn overflows a float")
 
@@ -285,7 +286,7 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
 
     # two-longitudinal piece arrives pre-contracted: -K E/(32 pi^4) (eps-1) w
     contrib_2 = hbar * (-K * c["E"] / (32.0 * math.pi**4) * contrast
-                        ) * np.array(axial_vector(chi.matrix))
+                        ) * np.array(axial_vector(chi))
 
     total = contrib_0 + contrib_1 + contrib_2
     return BornMomentumBreakdown(*(tuple(part.tolist()) for part in (
@@ -304,5 +305,5 @@ def closed_form_p_rad(sphere: SphereSpec, chi: ChiTensor,
         raise ValueError(f"eta must be finite, got {ev!r}")
     scale = -ev * (CONSTANTS.hbar_si / sphere.radius) * (
         sphere.material.epsilon - 1.0)
-    return _finite(tuple(scale * x for x in axial_vector(chi.matrix)),
+    return _finite(tuple(scale * x for x in axial_vector(chi)),
                    "P_rad = -eta (hbar/a)(epsilon-1) w overflows a float")

@@ -32,6 +32,7 @@ from zpmomentum.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PRESETS = Path(zpmomentum.__file__).resolve().parent / "presets"
 MC_MATERIAL = str(GOLDEN / "magneto_chiral_material.json")
+HUGE_EPSILON = str(GOLDEN / "huge_epsilon_material.json")
 ATOMIC = ["dipole", "--alpha", "1e-29", "--alpha0", "5e-30", "--gamma", "1e-10"]
 ME_SPHERE = ["predict", "me-sphere", "--material", "fegao3", "--a-um", "1"]
 FEIGEL = ["predict", "feigel", "--a-um", "1", "--lambda-cut-nm", "100"]
@@ -70,6 +71,9 @@ CASES = {
                       "--v", "1,0,0"],
     "moving_sphere_off_axis": ["predict", "moving-sphere", "--a-um", "1",
                                "--v=1,2,3"],
+    "moving_sphere_contrast_overflow": ["predict", "moving-sphere",
+                                        "--material", HUGE_EPSILON,
+                                        "--a-um", "1", "--v", "0,0,0"],
     "magneto_chiral": ["predict", "magneto-chiral", "--material",
                        MC_MATERIAL, "--a-um", "1", "--b", "0,0,1"],
     "magneto_chiral_speed_overflow": ["predict", "magneto-chiral",

@@ -403,8 +403,12 @@ def test_closed_form_callables_return_finite_tuples_or_refuse(data, name):
     (lambda: magneto_chiral(SphereSpec(radius=1e-6, material=MC_MATERIAL),
                             (1.0, math.inf, 0.0)),
      ValueError, "b_field must be finite"),
+    (lambda: moving_sphere(SphereSpec(radius=1e-6, material=MaterialSpec(
+        epsilon=1e200, mass_density=1000.0)), (0.0, 0.0, 0.0)),
+     OverflowError,
+     r"\(epsilon - 1\)\^2 overflows a float at epsilon = 1e\+200"),
 ], ids=["axial_vector", "closed_form_p_rad", "eta_value", "first_born",
-        "mu", "moving_sphere", "magneto_chiral"])
+        "mu", "moving_sphere", "magneto_chiral", "contrast_squared"])
 def test_plain_float_failures_name_their_quantity(call, error, message):
     # plain float arithmetic overflows to inf silently, so each result that
     # could is checked; a non-finite input is refused before any arithmetic

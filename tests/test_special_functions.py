@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import Polynomial
-from numpy.polynomial.legendre import leggauss
 from scipy.special import spherical_jn
 
+from zpmomentum.cli import main
 from zpmomentum.special_functions import (SERIES_CROSSOVER, _graded_edges,
                                           _legendre_rule, _panel_quad,
                                           sph_bessel_j)
@@ -61,15 +62,63 @@ def test_unsupported_order_raises():
 
 # --- the panel rule -----------------------------------------------------------
 
+def _legendre_rule_40_digits(n):
+    """Gauss-Legendre nodes (ascending) and weights in 40-digit arithmetic:
+    Newton's method on the recurrence for P_n until the step is below
+    1e-35, and the weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    def legendre(z):  # P_n(z) and P_n'(z)
+        below, p = mpmath.mpf(1), z
+        for k in range(2, n + 1):
+            below, p = p, ((2 * k - 1) * z * p - (k - 1) * below) / k
+        return p, n * (below - z * p) / (1 - z * z)
+
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for i in range(n, 0, -1):
+            z = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + 0.5))
+            step = 1
+            while abs(step) > mpmath.mpf(10) ** -35:
+                p, slope = legendre(z)
+                step = p / slope
+                z -= step
+            nodes.append(z)
+            weights.append(2 / ((1 - z * z) * legendre(z)[1] ** 2))
+        # n distinct roots: the weights integrate 1 exactly
+        assert abs(mpmath.fsum(weights) - 2) < mpmath.mpf(10) ** -30
+    return (np.array([float(z) for z in nodes]),
+            np.array([float(w) for w in weights]))
+
+
 @pytest.mark.parametrize("n", [8, 15, 16, 20, 30, 32, 40])
-def test_legendre_rule_matches_leggauss(n):
+def test_legendre_rule_matches_a_40_digit_rule(n):
     # every point count the package integrates with (n and n/2 of each
-    # _panel_quad call, and the regulated pass's 8): nodes within 2 ulp,
-    # weights within 1e-14 relative
+    # _panel_quad call, and the regulated pass's 8): nodes within 1 ulp of
+    # the 40-digit nodes, weights within 2e-14 relative (leggauss's weights
+    # are up to 7e-13 off at n = 40)
     x, w = _legendre_rule(n)
-    ref_x, ref_w = leggauss(n)
-    assert np.all(np.abs(x - ref_x) <= 2.0 * np.spacing(np.abs(ref_x)))
-    np.testing.assert_allclose(w, ref_w, rtol=1e-14, atol=0.0)
+    ref_x, ref_w = _legendre_rule_40_digits(n)
+    assert np.all(np.abs(x - ref_x) <= np.spacing(np.abs(ref_x)))
+    np.testing.assert_allclose(w, ref_w, rtol=2e-14, atol=0.0)
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"numpy.linalg.{name} called")
+    return refused
+
+
+def test_rule_calls_no_lapack(monkeypatch):
+    # the rule is built afresh under each patch; dipole then runs no LAPACK
+    # at all, and constants only the Richardson solve
+    _legendre_rule.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse("eigvalsh"))
+    monkeypatch.setattr(np.linalg, "solve", _refuse("solve"))
+    assert main(["dipole", "--alpha", "1e-29", "--alpha0", "5e-30",
+                 "--gamma", "1e-10"]) == 0
+    _legendre_rule.cache_clear()
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse("eigvalsh"))
+    assert main(["constants"]) == 0
 
 
 @pytest.mark.parametrize("n", [8, 30, 32, 40])
