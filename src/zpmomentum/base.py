@@ -67,11 +67,12 @@ class IntegralResult(_Record):
     """Outcome of one checked route: a radial constant or a frequency integral.
 
     value           the route's number (complex for a frequency integral)
-    error_estimate  accuracy estimate, >= 0: for a frequency integral the
-                    distance from its closed form; for a regulated constant
-                    the drop-one difference, which measures a 3-point
-                    extrapolation, not the reported 4-point one, and on the
-                    default schedule overstates the true error 1100-1600x
+    error_estimate  accuracy estimate, >= 0: 0 for a trig reduction, which
+                    is exact; for a frequency integral the distance from its
+                    closed form; for a regulated constant the drop-one
+                    difference, which measures a 3-point extrapolation, not
+                    the reported 4-point one, and on the default schedule
+                    overstates the true error 1100-1600x
     method          'trig_reduction' or 'regulated_quadrature'
     """
 
@@ -80,7 +81,7 @@ class IntegralResult(_Record):
     method: str
 
     def __post_init__(self) -> None:
-        if self.error_estimate < 0:
+        if not self.error_estimate >= 0:  # nan too
             raise ValueError("error_estimate must be >= 0")
         if self.method not in ("trig_reduction", "regulated_quadrature"):
             raise ValueError(f"unknown method {self.method!r}")

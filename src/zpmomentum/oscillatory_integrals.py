@@ -9,9 +9,9 @@ exponential regulator e^{-eps (p+q)} followed by extrapolation eps -> 0.
 Two routes are implemented and kept strictly separate:
 
 * eval_trig: closed-form polar-coordinate reductions to elementary 1-D
-  trigonometric integrals on [0, pi/2], evaluated by Gauss-Legendre
-  quadrature.  These exist for I0, I1, A, C and for the three pieces E1, E2,
-  E3 of E.
+  trigonometric integrals on [0, pi/2], integrated exactly: each is a
+  rational multiple of pi, with no quadrature.  These exist for I0, I1, A, C
+  and for the three pieces E1, E2, E3 of E.
 * eval_bruteforce: direct regulated double quadrature of the defining (p, q)
   kernels of all six constants, with Richardson extrapolation in the
   regulator.
@@ -30,8 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .base import ConvergenceError, IntegralResult
-from .special_functions import (_gauss_panels, _panel_quad, _richardson,
-                                _sph_bessel_j012)
+from .special_functions import _gauss_panels, _richardson, _sph_bessel_j012
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -58,64 +57,57 @@ _ODD_POWERS = (0, 1, 3, 5, 7)
 # RSS with or without this floor in the schedule.
 _EPS_FLOOR = DEFAULT_SCHEDULE[-1] / 4.0
 
-TRIG_NAMES = ("I0", "I1", "A", "C", "E1", "E2", "E3")
-
 
 # --- route (i): trigonometric reductions -----------------------------------
+#
+# Each reduction is a trigonometric polynomial in the polar angle f, stated
+# once as terms (integer coefficient, product of factors cN = cos(N f) and
+# sN = sin(N f)).  E1 is twice I1's reduction (see eval_bruteforce).
 
-def _trig_I0(f):
-    return -12.0 * np.cos(5 * f) * np.cos(f) * np.sin(f) ** 4
-
-
-def _trig_I1(f):
-    return -6.0 * np.sin(f) ** 2 * np.cos(f) * (
-        3.0 * np.sin(2 * f) * np.sin(5 * f) + 2.0 * np.cos(3 * f))
-
-
-def _trig_A(f):
-    return 4.0 * np.sin(f) ** 2 * np.cos(f) * np.cos(2 * f) * (
-        2.0 * np.cos(3 * f) + 3.0 * np.sin(2 * f) * np.sin(5 * f))
-
-
-def _trig_C(f):
-    return 24.0 * np.sin(f) ** 4 * np.cos(f) * np.cos(5 * f) * np.cos(2 * f)
-
-
-def _trig_E1(f):
-    return 2.0 * _trig_I1(f)
-
-
-def _trig_E2(f):
-    return -4.0 * np.cos(f) ** 2 * (
-        3.0 + 1.5 * np.sin(2 * f) * np.sin(4 * f)
-        + 3.0 * np.sin(f) * np.sin(3 * f) + np.cos(f) * np.cos(3 * f))
-
-
-def _trig_E3(f):
-    return 6.0 * np.cos(f) * (
-        6.0 * np.cos(f) - 2.0 * np.cos(2 * f) * np.cos(3 * f)
-        - np.sin(2 * f) ** 2 * np.cos(5 * f))
-
-
-_TRIG_FORMS = dict(zip(TRIG_NAMES, (_trig_I0, _trig_I1, _trig_A, _trig_C,
-                                    _trig_E1, _trig_E2, _trig_E3)))
+_I1_TERMS = ((-18, "s1 s1 c1 s2 s5"), (-12, "s1 s1 c1 c3"))
+_TRIG_REDUCTIONS = {
+    "I0": ((-12, "c5 c1 s1 s1 s1 s1"),),
+    "I1": _I1_TERMS,
+    "A": ((8, "s1 s1 c1 c2 c3"), (12, "s1 s1 c1 c2 s2 s5")),
+    "C": ((24, "s1 s1 s1 s1 c1 c5 c2"),),
+    "E1": tuple((2 * k, factors) for k, factors in _I1_TERMS),
+    "E2": ((-12, "c1 c1"), (-6, "c1 c1 s2 s4"), (-12, "c1 c1 s1 s3"),
+           (-4, "c1 c1 c1 c3")),
+    "E3": ((36, "c1 c1"), (-12, "c1 c2 c3"), (-6, "c1 s2 s2 c5")),
+}
+TRIG_NAMES = tuple(_TRIG_REDUCTIONS)
 
 
 def eval_trig(name: str) -> IntegralResult:
-    """Evaluate a constant through its 1-D trigonometric reduction on [0, pi/2].
+    """A constant from its trigonometric reduction, integrated exactly on
+    [0, pi/2].
 
     Available for I0, I1, A, C and the three additive pieces E1, E2, E3 of E.
-    One 32-point Gauss-Legendre panel integrates these trigonometric
-    polynomials to rounding; its error estimate, the gap to 16 points, stays
-    far below the 1e-10 budget these constants need downstream.
+    With z = e^{if}, cN = (z^N + z^-N)/2 and sN = (z^N - z^-N)/(2i), so a
+    reduction is a Laurent polynomial sum_k a_k z^k.  Int_0^{pi/2} z^k df is
+    pi/2 for k = 0 and the rational (i^k - 1)/(ik) otherwise; in every
+    reduction the rational parts of z^k and z^-k cancel (the tests prove
+    it), so the integral is pi/2 times a_0.  Each a_k is a Gaussian dyadic
+    rational of a few bits, so complex floats multiply the factors out
+    exactly, and the error estimate is 0.
     """
     try:
-        integrand = _TRIG_FORMS[name]
-    except KeyError:
+        terms = _TRIG_REDUCTIONS[name]
+    except (KeyError, TypeError):
         raise ValueError(
             f"no trig reduction for {name!r}; available: {TRIG_NAMES}") from None
-    value, abserr = _panel_quad(integrand, (0.0, math.pi / 2.0), 32)
-    return IntegralResult(value=value, error_estimate=abserr,
+    a0 = 0.0
+    for coeff, factors in terms:
+        poly = {0: complex(coeff)}  # exponent k -> a_k
+        for factor in factors.split():
+            n, weight = int(factor[1:]), 0.5 if factor[0] == "c" else -0.5j
+            product = {}
+            for k, a in poly.items():
+                for m, b in ((n, weight), (-n, weight.conjugate())):
+                    product[k + m] = product.get(k + m, 0.0) + a * b
+            poly = product
+        a0 += poly.get(0, 0.0).real
+    return IntegralResult(value=a0 / 2.0 * math.pi, error_estimate=0.0,
                           method="trig_reduction")
 
 
@@ -253,7 +245,11 @@ def _regulated_pass(eps: float) -> dict[str, float]:
 
 
 def _validate_schedule(schedule) -> tuple[float, ...]:
-    sched = tuple(float(e) for e in schedule)
+    try:
+        sched = tuple(float(e) for e in schedule)
+    except TypeError:
+        raise ValueError(
+            f"schedule must be a sequence of numbers: {schedule!r}") from None
     if len(sched) < 3:
         raise ValueError(
             "at least three regulator values are needed to extrapolate and "
@@ -309,7 +305,7 @@ def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
     """
     try:
         parts = _ASSEMBLY[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(
             f"no radial kernel named {name!r}; "
             f"available: {tuple(_ASSEMBLY)}") from None
@@ -330,9 +326,9 @@ def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
 
 
 def reconciled_constants() -> dict[str, float]:
-    """The constant set used downstream: a copy of the exact table, whose
-    entries the tests check against eval_trig and against the regulated
-    quadrature, signs included.  The table lives with its one reader,
-    tensor_assembly, so that the predictions load no quadrature."""
+    """The constant set used downstream: a copy of the exact table.  Its I0,
+    I1, A and C equal eval_trig's bit for bit, and the tests check every
+    entry against the regulated quadrature, signs included.  The table lives
+    with its one reader, tensor_assembly, so the predictions load no route."""
     from .tensor_assembly import _EXACT_CONSTANTS
     return dict(_EXACT_CONSTANTS)

@@ -98,7 +98,7 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         return p, n * (below - x * p) / ((1.0 - x) * (1.0 + x))
 
     x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(10):  # 4 or 5 steps for every n the package uses
+    for _ in range(10):  # 4 or 5 steps for n = 8, 15, 20, 30, 40, all in use
         p, slope = legendre(x)
         step = p / slope
         x = x - step

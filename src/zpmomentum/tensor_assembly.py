@@ -56,8 +56,8 @@ PERTURBATIVE_WINDOW = 0.5  # largest |epsilon - 1| the second order is trusted a
 # against both routes of oscillatory_integrals, whose reconciled_constants()
 # returns a copy of it.
 _EXACT_CONSTANTS: dict[str, float] = {
-    # I0, I1, A, C: closed forms of the trig reductions; the regulated
-    # quadrature of each defining kernel confirms sign and magnitude.
+    # I0, I1, A, C: equal bit for bit to eval_trig's exact integrals; the
+    # regulated quadrature of each defining kernel confirms sign and magnitude.
     "I0": -3.0 * math.pi / 16.0,
     "I1": 21.0 * math.pi / 16.0,
     "A": 7.0 * math.pi / 16.0,
@@ -161,7 +161,8 @@ def regularized_K(a: float) -> float:
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"radius must be positive, got {a!r}")
-    return -math.pi**2 / (12.0 * a)
+    return _finite((-math.pi**2 / (12.0 * a),),
+                   f"K = -pi^2/(12 a) overflows a float at a = {a!r}")[0]
 
 
 def eta(constants: dict | None = None) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,9 +44,110 @@ PRINTED_MAGNITUDES = {
 @pytest.mark.parametrize("name", TRIG_NAMES)
 def test_trig_route_matches_closed_forms(name):
     res = eval_trig(name)
-    assert res.value == pytest.approx(TRIG_CLOSED_FORMS[name], rel=1e-10)
-    assert res.error_estimate <= 1e-10
+    assert res.value == TRIG_CLOSED_FORMS[name]
+    assert res.error_estimate == 0.0
     assert res.method == "trig_reduction"
+
+
+# The seven reductions as numpy functions of the polar angle f, the form the
+# route integrated by quadrature before it read them as data; a reference
+# for the data forms.
+def _trig_I0(f):
+    return -12.0 * np.cos(5 * f) * np.cos(f) * np.sin(f) ** 4
+
+
+def _trig_I1(f):
+    return -6.0 * np.sin(f) ** 2 * np.cos(f) * (
+        3.0 * np.sin(2 * f) * np.sin(5 * f) + 2.0 * np.cos(3 * f))
+
+
+def _trig_A(f):
+    return 4.0 * np.sin(f) ** 2 * np.cos(f) * np.cos(2 * f) * (
+        2.0 * np.cos(3 * f) + 3.0 * np.sin(2 * f) * np.sin(5 * f))
+
+
+def _trig_C(f):
+    return 24.0 * np.sin(f) ** 4 * np.cos(f) * np.cos(5 * f) * np.cos(2 * f)
+
+
+def _trig_E1(f):
+    return 2.0 * _trig_I1(f)
+
+
+def _trig_E2(f):
+    return -4.0 * np.cos(f) ** 2 * (
+        3.0 + 1.5 * np.sin(2 * f) * np.sin(4 * f)
+        + 3.0 * np.sin(f) * np.sin(3 * f) + np.cos(f) * np.cos(3 * f))
+
+
+def _trig_E3(f):
+    return 6.0 * np.cos(f) * (
+        6.0 * np.cos(f) - 2.0 * np.cos(2 * f) * np.cos(3 * f)
+        - np.sin(2 * f) ** 2 * np.cos(5 * f))
+
+
+NUMPY_TRIG_FORMS = dict(zip(TRIG_NAMES, (_trig_I0, _trig_I1, _trig_A,
+                                         _trig_C, _trig_E1, _trig_E2,
+                                         _trig_E3)))
+
+
+@pytest.mark.parametrize("name", TRIG_NAMES)
+def test_trig_data_forms_match_the_numpy_forms(name):
+    # the terms (k, "cN sM ...") evaluated in floats at 1001 angles
+    f = np.linspace(0.0, math.pi / 2.0, 1001)
+    trig = {"c": np.cos, "s": np.sin}
+    data = sum(k * np.prod([trig[t[0]](int(t[1:]) * f)
+                            for t in factors.split()], axis=0)
+               for k, factors in osc._TRIG_REDUCTIONS[name])
+    reference = NUMPY_TRIG_FORMS[name](f)
+    assert np.abs(data - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def _product(u, v):
+    """Product of two trigonometric polynomials {("c" or "s", n >= 0):
+    Fraction}, by the product-to-sum formulas."""
+    out = {}
+
+    def add(kind, n, coeff):
+        if n < 0:  # cos(-x) = cos x, sin(-x) = -sin x
+            n, coeff = -n, coeff if kind == "c" else -coeff
+        if kind == "c" or n:
+            out[kind, n] = out.get((kind, n), 0) + coeff
+
+    for (ku, a), x in u.items():
+        for (kv, b), y in v.items():
+            half = x * y / 2
+            if ku == kv:  # cos a cos b or sin a sin b
+                add("c", a - b, half)
+                add("c", a + b, half if ku == "c" else -half)
+            else:         # sin a cos b or cos a sin b
+                add("s", a + b, half)
+                add("s", a - b, half if ku == "s" else -half)
+    return out
+
+
+# Int_0^{pi/2} cos(n f) df and sin(n f) df for n > 0, by n mod 4, times n
+COS_INTEGRAL, SIN_INTEGRAL = (0, 1, 0, -1), (0, 1, 2, 1)
+
+
+@pytest.mark.parametrize("name", TRIG_NAMES)
+def test_trig_route_is_exact(name):
+    """Each reduction, expanded into cos(n f) and sin(n f) in exact
+    rationals, integrates on [0, pi/2] to q pi + r with r exactly 0, and the
+    route returns float(q) * pi bit for bit."""
+    total = {}
+    for k, factors in osc._TRIG_REDUCTIONS[name]:
+        term = {("c", 0): Fraction(k)}
+        for t in factors.split():
+            term = _product(term, {(t[0], int(t[1:])): Fraction(1)})
+        for key, coeff in term.items():
+            total[key] = total.get(key, 0) + coeff
+    q = total.pop(("c", 0), Fraction(0)) / 2
+    r = sum(coeff * Fraction((COS_INTEGRAL if kind == "c"
+                              else SIN_INTEGRAL)[n % 4], n)
+            for (kind, n), coeff in total.items())
+    assert r == 0
+    assert eval_trig(name).value == float(q) * math.pi
 
 
 @pytest.mark.parametrize("name", TRIG_NAMES)
@@ -59,6 +161,8 @@ def test_trig_unknown_name_raises():
         eval_trig("D")  # D has no trig reduction
     with pytest.raises(ValueError):
         eval_trig("Z9")
+    with pytest.raises(ValueError, match="no trig reduction"):
+        eval_trig(["I0"])  # unhashable
 
 
 @pytest.mark.parametrize("name", ["I0", "I1", "A", "C"])
@@ -240,7 +344,7 @@ def test_floor_pass_peak_memory():
 # Radial kernels c p^a j_m(p) q^b j_n(q) / (p+q), as (c, a, m, b, n); the
 # derivation is in the eval_bruteforce docstring.
 E_PIECE_KERNELS = {
-    "E1": (3.0, 3, 1, 3, 1),   # twice I1's kernel, what _trig_E1 reduces
+    "E1": (3.0, 3, 1, 3, 1),   # twice I1's kernel, what E1's terms reduce
     "E2": (-2.0, 2, 1, 3, 2),  # mixed part of the defining integrand
     "E3": (1.0, 3, 2, 3, 2),   # n-n part of the defining integrand
 }
@@ -303,6 +407,8 @@ def test_e_bruteforce_extrapolation_is_internally_stable():
 def test_bruteforce_unknown_name_raises():
     with pytest.raises(ValueError):
         eval_bruteforce("I2")
+    with pytest.raises(ValueError, match="no radial kernel"):
+        eval_bruteforce(["I0"])  # unhashable
 
 
 def test_schedule_validation():
@@ -330,6 +436,10 @@ def test_schedule_validation():
         osc._validate_schedule((0.1, 0.05, 1e-6))
     floor = DEFAULT_SCHEDULE[-1] / 4.0
     assert osc._validate_schedule((0.1, 0.05, floor))[-1] == floor
+    # a schedule that is not a sequence of numbers is an input error too
+    for bad in (5, None, (0.1, None, 0.025)):
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            eval_bruteforce("I0", bad)
 
 
 def test_schedule_floor_is_sharp():
@@ -398,8 +508,9 @@ def test_constant_table_matches_both_routes():
     table = reconciled_constants()
     trig = {name: eval_trig(name).value for name in TRIG_NAMES}
     trig["E"] = trig["E1"] + trig["E2"] + trig["E3"]
-    for name in ("I0", "I1", "A", "C", "E"):
-        assert table[name] == pytest.approx(trig[name], rel=1e-10), name
+    for name in ("I0", "I1", "A", "C"):
+        assert table[name] == trig[name], name
+    assert table["E"] == pytest.approx(trig["E"], rel=1e-10)
 
     brute = {name: eval_bruteforce(name) for name in KERNEL_NAMES}
     assert abs(table["D"] - brute["D"].value) <= brute["D"].error_estimate
@@ -416,3 +527,6 @@ def test_result_error_estimate_validation():
     with pytest.raises(ValueError):
         IntegralResult(value=1.0, error_estimate=0.0,
                        method="guesswork")
+    with pytest.raises(ValueError):
+        IntegralResult(value=1.0, error_estimate=math.nan,
+                       method="trig_reduction")

@@ -10,7 +10,7 @@ from zpmomentum.predictions import (Prediction, empty_vacuum_momentum,
                                     first_born, magneto_chiral,
                                     me_sphere_velocity, moving_sphere, replay)
 from zpmomentum.tensor_assembly import (ChiTensor, axial_vector,
-                                        closed_form_p_rad,
+                                        closed_form_p_rad, regularized_K,
                                         second_born_momentum)
 from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
                                         SphereSpec, material_from_json,
@@ -407,8 +407,11 @@ def test_closed_form_callables_return_finite_tuples_or_refuse(data, name):
         epsilon=1e200, mass_density=1000.0)), (0.0, 0.0, 0.0)),
      OverflowError,
      r"\(epsilon - 1\)\^2 overflows a float at epsilon = 1e\+200"),
+    (lambda: regularized_K(1e-320),
+     FloatingPointError, r"K = -pi\^2/\(12 a\) overflows a float at a = 1e-320"),
 ], ids=["axial_vector", "closed_form_p_rad", "eta_value", "first_born",
-        "mu", "moving_sphere", "magneto_chiral", "contrast_squared"])
+        "mu", "moving_sphere", "magneto_chiral", "contrast_squared",
+        "regularized_K"])
 def test_plain_float_failures_name_their_quantity(call, error, message):
     # plain float arithmetic overflows to inf silently, so each result that
     # could is checked; a non-finite input is refused before any arithmetic

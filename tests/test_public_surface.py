@@ -55,11 +55,11 @@ def test_no_name_in_two_layer_lists():
 
 
 # One fresh interpreter reports what each step loads: the bare package
-# import, each command with the zpmomentum modules, csv and dataclasses
+# import, each command with the zpmomentum modules and the STDLIB modules
 # unloaded before it (and the commands after which numpy or numpy.polynomial
 # is loaded), then every module (for scipy), the star import and dir().
 # numpy cannot be unloaded, so the commands without it run first.
-STDLIB = ("csv", "dataclasses")
+STDLIB = ("csv", "dataclasses", "fractions", "decimal")
 PROBE = """
 import contextlib, io, json, sys
 def loaded(prefix):
@@ -165,6 +165,13 @@ def test_no_command_loads_dataclasses(probe):
     # dataclass decorator
     assert [argv for argv, mods in probe["stdlib"].items()
             if "dataclasses" in mods] == []
+
+
+def test_no_command_loads_fractions_or_decimal(probe):
+    # the trig route integrates exactly in complex floats, so no command
+    # pays for rational or decimal arithmetic
+    assert [argv for argv, mods in probe["stdlib"].items()
+            if {"fractions", "decimal"} & set(mods)] == []
 
 
 def test_only_csv_output_loads_csv(probe):

@@ -92,9 +92,10 @@ def _legendre_rule_40_digits(n):
 @pytest.mark.parametrize("n", [8, 15, 16, 20, 30, 32, 40])
 def test_legendre_rule_matches_a_40_digit_rule(n):
     # every point count the package integrates with (n and n/2 of each
-    # _panel_quad call, and the regulated pass's 8): nodes within 1 ulp of
-    # the 40-digit nodes, weights within 2e-14 relative (leggauss's weights
-    # are up to 7e-13 off at n = 40)
+    # _panel_quad call, and the regulated pass's 8), and 16 and 32, which
+    # no route uses since the trig route integrates exactly: nodes within
+    # 1 ulp of the 40-digit nodes, weights within 2e-14 relative (leggauss's
+    # weights are up to 7e-13 off at n = 40)
     x, w = _legendre_rule(n)
     ref_x, ref_w = _legendre_rule_40_digits(n)
     assert np.all(np.abs(x - ref_x) <= np.spacing(np.abs(ref_x)))
