@@ -9,8 +9,8 @@ convergence, or a float overflow, division by zero or invalid operation).
 Inputs and rows are SI, except the radius in micrometers, the cutoff
 wavelength in nanometers, hbar omega0 in eV and the dipole's two
 spectral-integral rows, printed in cm^2.  Each handler imports the layers it
-runs, so a command loads no module it does not use, and no numpy if it runs
-none.
+runs, so a command loads no module it does not use; only the two cross-checks,
+constants and freq-check, load numpy.
 """
 
 from __future__ import annotations
@@ -199,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
 # --- subcommand handlers ---------------------------------------------------
 
 def _numpy_raises(handler):
-    """handler, with numpy's overflow, division by zero and invalid operations
-    raising FloatingPointError instead of warning and carrying inf or nan on;
-    underflow stays silent, since the exponential sum relies on it."""
+    """handler (constants or freq-check, the two that run numpy), with numpy's
+    overflow, division by zero and invalid operations raising FloatingPointError
+    instead of carrying inf or nan on; the exponential sum needs underflow silent."""
     def run(args):
         import numpy as np
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -317,10 +317,8 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
     return report, EXIT_OK
 
 
-@_numpy_raises
 def _cmd_dipole(args) -> tuple[RunReport, int]:
-    from .point_dipole import (DipoleSpec, mass_shift,
-                               spectral_integral_quadrature,
+    from .point_dipole import (DipoleSpec, mass_shift, spectral_integral_exact,
                                spectral_integral_target)
     from .units_materials import CONSTANTS
     spec = DipoleSpec(alpha=args.alpha, alpha0=args.alpha0, gamma=args.gamma)
@@ -345,10 +343,10 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
     report.add("mass_shift_electron_masses",
                shift / CONSTANTS.electron_mass_si, 0.0, "derived")
     # J in cm^2 (1e4 cm^2 per m^2), the unit the report has always printed
-    j_quad = spectral_integral_quadrature(spec) * 1e4
+    j = spectral_integral_exact(spec) * 1e4
     j_target = spectral_integral_target(spec) * 1e4
-    rel = abs(j_quad - j_target) / abs(j_target)
-    report.add("spectral_integral", j_quad, 0.0, "regulated_quadrature")
+    rel = abs(j - j_target) / abs(j_target)
+    report.add("spectral_integral", j, 0.0, "closed_form")
     report.add("spectral_integral_target", j_target, 0.0, "closed_form")
     report.add("spectral_rel_deviation", rel, 0.0, "derived")
     if spec.damping_ratio > 0.05:

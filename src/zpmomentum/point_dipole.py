@@ -17,16 +17,16 @@ its frequency integral obeys
 
 so the total radiated momentum is -(alpha0/alpha)(hbar omega0 / c0^2) v: the
 dipole behaves as if its mass changed by -(alpha0/alpha) hbar omega0 / c0^2.
+
+Only t_matrix, the momenta and the quadrature of J run numpy, imported in
+their own bodies; the rest, and so the `dipole` command, use plain floats.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .base import ConvergenceError, _eps_dot, _Record
-from .special_functions import _graded_edges, _panel_quad
+from .base import ConvergenceError, _eps_dot, _finite, _Record
 from .units_materials import CONSTANTS, _slow_velocity
 
 __all__ = [
@@ -73,9 +73,10 @@ class DipoleSpec(_Record):
     def kappa0(self) -> float:
         """Resonance wavenumber sqrt(4 pi gamma / alpha0), 1/m."""
         square = 4.0 * math.pi * self.gamma / self.alpha0
-        if square == 0.0:
+        if square in (0.0, math.inf):
             raise FloatingPointError(
-                f"kappa0^2 = 4 pi gamma / alpha0 underflows to 0 at gamma = "
+                "kappa0^2 = 4 pi gamma / alpha0 "
+                f"{'overflows' if square else 'underflows to 0'} at gamma = "
                 f"{self.gamma!r} m, alpha0 = {self.alpha0!r} m^3")
         return math.sqrt(square)
 
@@ -87,7 +88,9 @@ class DipoleSpec(_Record):
     @property
     def damping_ratio(self) -> float:
         """x = (2/3) gamma kappa0, the fractional resonance width (dimensionless)."""
-        return 2.0 / 3.0 * self.gamma * self.kappa0
+        x = 2.0 / 3.0 * self.gamma * self.kappa0
+        return _finite((x,), "damping_ratio = (2/3) gamma kappa0 overflows at "
+                             f"gamma = {self.gamma!r} m")[0]
 
 
 def _kappa(omega: float) -> float:
@@ -97,19 +100,15 @@ def _kappa(omega: float) -> float:
     return omega / CONSTANTS.c0_si
 
 
-def _t0_kappa(spec: DipoleSpec, kappa: float) -> complex:
-    k0 = spec.kappa0
-    denom = k0 * k0 - kappa * kappa - (2.0 / 3.0) * 1j * spec.gamma * k0 * k0 * kappa
-    return -4.0 * math.pi * spec.gamma * kappa * kappa / denom
-
-
-def _spectral_kernel(spec: DipoleSpec, kappa: float) -> float:
-    """Im(t0/kappa^2) in m^3, the integrand of J = int Im(t0/kappa^2) dkappa."""
-    return (_t0_kappa(spec, kappa) / (kappa * kappa)).imag
+def _spectral_kernel(spec: DipoleSpec, r, d):
+    """Im(t0/kappa^2) = Im(alpha0 / (d + i x r)) in m^3 at kappa = r kappa0, the
+    integrand of J; the caller forms d = r^2 - 1 free of cancellation."""
+    return (spec.alpha0 / (d + 1j * spec.damping_ratio * r)).imag
 
 
 def _radiated_momentum(spec: DipoleSpec, j: float, v_si) -> np.ndarray:
     """(2 hbar / pi)(j / alpha)(v / c0) in kg m/s; j is J or its density."""
+    import numpy as np
     return (2.0 * CONSTANTS.hbar_si / math.pi / spec.alpha * j
             * np.divide(v_si, CONSTANTS.c0_si))
 
@@ -120,7 +119,9 @@ def t0(spec: DipoleSpec, omega: float) -> complex:
     Vanishes as omega^2 at low frequency; exactly -6 pi i / kappa0 on
     resonance; Im t0 < 0 for all omega > 0 (radiation always removes energy).
     """
-    return _t0_kappa(spec, _kappa(omega))
+    kappa, k0 = _kappa(omega), spec.kappa0
+    denom = k0 * k0 - kappa * kappa - (2.0 / 3.0) * 1j * spec.gamma * k0 * k0 * kappa
+    return -4.0 * math.pi * spec.gamma * kappa * kappa / denom
 
 
 def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
@@ -137,11 +138,12 @@ def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
     is the symmetric traceless-for-orthogonal-v matrix
     -(t0/kappa)[k v + v k - 2 (k.v) 1].
     """
+    import numpy as np
     kappa = _kappa(omega)
     k = np.asarray(k, dtype=float)
     kp = np.asarray(kp, dtype=float)
     m = np.array(_eps_dot(np.divide(_slow_velocity(v), CONSTANTS.c0_si)))
-    amp = _t0_kappa(spec, kappa)
+    amp = t0(spec, omega)
     phi_k, phi_kp = 1j * np.array(_eps_dot(k)), 1j * np.array(_eps_dot(kp))
     correction = (-1j * phi_k @ m.T + 1j * m @ phi_kp) / kappa
     return amp * (np.eye(3) + correction)
@@ -154,54 +156,59 @@ def p_rad_spectral(spec: DipoleSpec, omega: float, v) -> np.ndarray:
     the c0 = 1 form is (2 hbar / pi) Im(t0 / (alpha omega^2)) v.
     """
     # J's density per unit omega, as d kappa = d omega / c0
-    density = _spectral_kernel(spec, _kappa(omega)) / CONSTANTS.c0_si
+    r = _kappa(omega) / spec.kappa0
+    density = _spectral_kernel(spec, r, (r - 1.0) * (r + 1.0)) / CONSTANTS.c0_si
     return _radiated_momentum(spec, density, _slow_velocity(v))
 
 
 def spectral_integral_exact(spec: DipoleSpec) -> float:
-    """Closed form of J = int_0^inf Im(t0/kappa^2) dkappa, in m^2.
-
-    With x = (2/3) gamma kappa0 and theta = 2 arcsin(x/2),
-    J = -2 pi gamma (pi - theta) / (kappa0 cos(theta/2)); the arcsin form
-    stays accurate at small damping where 1 - cos theta would lose digits.
-    """
-    x = spec.damping_ratio
-    if x >= 2.0:
-        raise ValueError(
-            f"damping_ratio = {x:.3g} >= 2: overdamped resonance, the "
-            "underdamped closed form does not apply")
-    theta = 2.0 * math.asin(0.5 * x)
-    return (-2.0 * math.pi * spec.gamma * (math.pi - theta)
-            / (spec.kappa0 * math.cos(0.5 * theta)))
+    """Closed form of J = int_0^inf Im(t0/kappa^2) dkappa in m^2, for every
+    damping ratio x >= 0: J = -4 pi gamma g(x/2) / kappa0, with g(y) equal to
+    acos(y) / sqrt(1 - y^2) below 1, 1 at 1 and acosh(y) / sqrt(y^2 - 1)
+    above (overdamped).  The roots of 1 - y and 1 + y are taken apart, so no
+    square overflows; g(0) = pi/2 gives the sum-rule target."""
+    y, g = 0.5 * spec.damping_ratio, 1.0  # g(1) = 1
+    if y < 1.0:
+        g = math.acos(y) / (math.sqrt(1.0 - y) * math.sqrt(1.0 + y))
+    elif y > 1.0:
+        g = math.acosh(y) / (math.sqrt(y - 1.0) * math.sqrt(y + 1.0))
+    return -4.0 * math.pi * spec.gamma / spec.kappa0 * g
 
 
 def spectral_integral_target(spec: DipoleSpec) -> float:
     """The sum-rule value -(pi/2) alpha0 kappa0 that J approaches as the
     resonance narrows (relative deviation ~ x/pi), in m^2."""
-    return -0.5 * math.pi * spec.alpha0 * spec.kappa0
+    return _finite((-0.5 * math.pi * (spec.alpha0 * spec.kappa0),),
+                   "the sum-rule target -(pi/2) alpha0 kappa0 overflows")[0]
 
 
 def spectral_integral_quadrature(spec: DipoleSpec) -> float:
     """J = int_0^inf Im(t0/kappa^2) dkappa by direct quadrature, in m^2.
 
-    Compactifies with kappa = kappa0 tan(theta) — the integrand decays as
-    1/kappa^2, so the tail becomes polynomial — and integrates over theta in
-    (0, pi/2) with 30 Gauss-Legendre points on panels that double in width
-    away from a central panel at theta = pi/4, 1e-3 damping_ratio wide on
-    each side, so a narrow resonance peak is resolved.  Raises
+    Compactifies with kappa = kappa0 tan(phi + pi/4) — the integrand decays
+    as 1/kappa^2, so the tail becomes polynomial — and integrates over phi in
+    (-pi/4, pi/4) with 30 Gauss-Legendre points on panels that double in
+    width away from a central panel at the resonance phi = 0, 1e-3
+    damping_ratio wide on each side.  With t = tan phi, r = kappa/kappa0 =
+    (1 + t)/(1 - t) and r^2 - 1 is the product 4t/(1 - t)^2, which keeps its
+    digits at the resonance, where the difference cancels.  Raises
     ConvergenceError when the error estimate exceeds SPECTRAL_REL_TOL |J|.
     """
+    import numpy as np
+    from .special_functions import _graded_edges, _panel_quad
     k0 = spec.kappa0
     inner = 1e-3 * spec.damping_ratio
     if inner == 0.0:
         raise FloatingPointError(
             f"the central panel half-width 1e-3 (2/3) gamma kappa0 underflows "
             f"to 0 at gamma = {spec.gamma!r} m, kappa0 = {k0!r} 1/m")
-    quarter = 0.25 * math.pi
-    edges = quarter + _graded_edges(-quarter, quarter, inner)
-    total, err = _panel_quad(  # dkappa = k0 dtheta / cos(theta)^2
-        lambda th: _spectral_kernel(spec, k0 * np.tan(th)) * k0 / np.cos(th)**2,
-        edges, 30)
+
+    def integrand(phi):  # dkappa = k0 (1 + r^2) dphi
+        t = np.tan(phi)
+        r = (1.0 + t) / (1.0 - t)
+        return _spectral_kernel(spec, r, 4.0 * t / (1.0 - t)**2) * k0 * (1.0 + r * r)
+    edges = _graded_edges(-0.25 * math.pi, 0.25 * math.pi, inner)
+    total, err = _panel_quad(integrand, edges, 30)
     if err > SPECTRAL_REL_TOL * abs(total):
         raise ConvergenceError(
             f"spectral integral did not converge: residual {err:.2e} "

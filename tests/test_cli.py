@@ -24,6 +24,7 @@ from zpmomentum.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, RunReport,
                             _parse_schedule, _parse_vec3, build_parser,
                             freq_check_pairs, main)
 from zpmomentum.contour_frequency import freq_oracle
+from zpmomentum.point_dipole import DipoleSpec, spectral_integral_exact
 from zpmomentum.base import ConvergenceError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -448,11 +449,11 @@ def test_numerical_failure_names_the_command(capsys, argv, command):
     (["dipole", "--alpha", "1e300", "--alpha0", "1e300", "--gamma", "1e-300"],
      "dipole: kappa0^2 = 4 pi gamma / alpha0 underflows to 0 at gamma = "
      "1e-300 m, alpha0 = 1e+300 m^3"),
-    # kappa0 = 3.5e-148 1/m is a float, but (2/3) gamma kappa0 is not
-    (["dipole", "--alpha", "1e94", "--alpha0", "1e94", "--gamma", "1e-202"],
-     "dipole: the central panel half-width 1e-3 (2/3) gamma kappa0 "
-     "underflows to 0 at gamma = 1e-202 m, kappa0 = 3.544907701811032e-148 "
-     "1/m"),
+    # 4 pi gamma / alpha0 = 4 pi 1e300 m / 1e-300 m^3 exceeds the largest
+    # float
+    (["dipole", "--alpha", "1", "--alpha0", "1e-300", "--gamma", "1e300"],
+     "dipole: kappa0^2 = 4 pi gamma / alpha0 overflows at gamma = 1e+300 m, "
+     "alpha0 = 1e-300 m^3"),
     # every sphere model divides by the mass through one helper
     (["predict", "me-sphere", "--material", "fegao3", "--a-um", "1e-100"],
      "predict me-sphere: velocity = momentum / mass overflows a float at "
@@ -460,6 +461,10 @@ def test_numerical_failure_names_the_command(capsys, argv, command):
     (["predict", "moving-sphere", "--a-um", "1e-100", "--v=1,2,3"],
      "predict moving-sphere: velocity = momentum / mass overflows a float "
      "at mass = 4.18878736e-315 kg"),
+    # kappa0 = 3.5e150 1/m is a float, but (2/3) gamma kappa0 is not
+    (["dipole", "--alpha", "1", "--alpha0", "1", "--gamma", "1e300"],
+     "dipole: damping_ratio = (2/3) gamma kappa0 overflows at gamma = "
+     "1e+300 m"),
 ])
 def test_numerical_failure_names_the_quantity(capsys, tmp_path, argv,
                                               message):
@@ -688,19 +693,22 @@ def test_predict_documented_domain_exits_0(mc_material, argv):
 
 @settings(max_examples=25, deadline=None)
 @given(alpha0_cm3=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
-       damping=st.floats(-4.0, -2.0).map(lambda e: 10.0 ** e),
+       damping=st.floats(-14.0, math.log10(26.0)).map(lambda e: 10.0 ** e),
        ratio=st.floats(0.1, 1.0))
 def test_dipole_documented_domain_exits_0(alpha0_cm3, damping, ratio):
-    # the range bench/run.py scans: alpha0 of 0.01 to 100 cm^3, a damping
-    # ratio x = (2/3) gamma sqrt(4 pi gamma / alpha0) of 1e-4 to 1e-2, and
-    # alpha0 / alpha of 0.1 to 1
+    # alpha0 of 0.01 to 100 cm^3 (the range bench/run.py scans), a damping
+    # ratio x = (2/3) gamma sqrt(4 pi gamma / alpha0) of 1e-14 to 26, under-
+    # and overdamped, and alpha0 / alpha of 0.1 to 1
     gamma_cm = (1.5 * damping / math.sqrt(4.0 * math.pi / alpha0_cm3)
                 ) ** (2.0 / 3.0)
-    code, report = _main_json([
-        "dipole", "--alpha", repr(alpha0_cm3 / ratio * 1e-6),
-        "--alpha0", repr(alpha0_cm3 * 1e-6), "--gamma", repr(gamma_cm * 1e-2)])
+    argv = ["--alpha", repr(alpha0_cm3 / ratio * 1e-6), "--alpha0",
+            repr(alpha0_cm3 * 1e-6), "--gamma", repr(gamma_cm * 1e-2)]
+    code, report = _main_json(["dipole", *argv])
     assert code == EXIT_OK
     jsonschema.validate(report, SCHEMA)
+    spec = DipoleSpec(*map(float, argv[1::2]))
+    rows = {row["name"]: row["value"] for row in report["results"]}
+    assert rows["spectral_integral"] == spectral_integral_exact(spec) * 1e4
 
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-3"],

@@ -54,11 +54,15 @@ CASES = {
     "dipole_csv": ATOMIC + ["--format", "csv"],
     "dipole_broad": ["dipole", "--alpha", "2e-6", "--alpha0", "1e-6",
                      "--gamma", "1.2e-3"],
+    # x = 2.4e300, far into the overdamped branch of J's closed form
+    "dipole_overdamped": ["dipole", "--alpha", "1", "--alpha0", "1",
+                          "--gamma", "1e200"],
     "dipole_energy_mismatch": ATOMIC + ["--hbar-omega0-eV", "1"],
     "dipole_alpha0_above_alpha": ["dipole", "--alpha", "1e-6", "--alpha0",
                                   "2e-6", "--gamma", "1e-3"],
     "dipole_kappa0_underflow": ["dipole", "--alpha", "1e300", "--alpha0",
                                 "1e300", "--gamma", "1e-300"],
+    # x underflows to 0, where J is the sum-rule target
     "dipole_panel_underflow": ["dipole", "--alpha", "1e94", "--alpha0",
                                "1e94", "--gamma", "1e-202"],
     "me_sphere": ME_SPHERE,

@@ -163,11 +163,51 @@ def test_spectral_integral_reaches_sum_rule_target(rng):
         assert deviation <= 2.0 * spec.damping_ratio + 1e-12
 
 
-def test_spectral_integral_exact_rejects_overdamped():
-    overdamped = DipoleSpec(alpha=1e6, alpha0=1e6, gamma=100.0)
-    assert overdamped.damping_ratio > 2.0
-    with pytest.raises(ValueError, match="overdamped"):
-        spectral_integral_exact(overdamped)
+def spec_at_damping_ratio(x, alpha0, alpha):
+    """The spec whose damping ratio (2/3) gamma sqrt(4 pi gamma / alpha0) is
+    x, up to rounding."""
+    gamma = (1.5 * x / math.sqrt(4.0 * math.pi / alpha0)) ** (2.0 / 3.0)
+    return DipoleSpec(alpha=alpha, alpha0=alpha0, gamma=gamma)
+
+
+def test_quadrature_matches_exact_without_cancellation_at_resonance(rng):
+    # kappa0^2 - kappa^2 as a difference lost digits like 1e-16 / x near the
+    # resonance; as a product the quadrature keeps them at every x
+    for _ in range(200):
+        x = float(10.0 ** rng.uniform(-14.0, math.log10(1.6)))
+        alpha0 = float(10.0 ** rng.uniform(-30.0, -6.0))
+        spec = spec_at_damping_ratio(x, alpha0, 2.0 * alpha0)
+        assert spectral_integral_quadrature(spec) == pytest.approx(
+            spectral_integral_exact(spec), rel=1e-13, abs=0.0)
+
+
+def test_spectral_integral_exact_covers_every_damping_ratio():
+    # one formula on both sides of the critical damping x = 2, and at x = 2
+    # itself, where g(1) = 1 is the limit of both branches
+    critical = DipoleSpec(alpha=1.0, alpha0=1.0, gamma=0.8947002289396495)
+    assert critical.damping_ratio == 2.0
+    for spec in [spec_at_damping_ratio(x, 1e-6, 1e-6)
+                 for x in (1.9, 2.1, 6.7, 26.4)] + [critical]:
+        assert spectral_integral_exact(spec) == pytest.approx(
+            spectral_integral_quadrature(spec), rel=1e-12, abs=0.0)
+    # at x = 2.4e300 no square overflows, and J is a nonzero float
+    huge = DipoleSpec(alpha=1.0, alpha0=1.0, gamma=1e200)
+    assert huge.damping_ratio > 1e300
+    assert -math.inf < spectral_integral_exact(huge) < 0.0
+    # x underflows to 0, and J is then the sum-rule target
+    flat = DipoleSpec(alpha=1e94, alpha0=1e94, gamma=1e-202)
+    assert flat.damping_ratio == 0.0
+    assert spectral_integral_exact(flat) == spectral_integral_target(flat)
+
+
+def test_quadrature_names_an_underflowing_central_panel():
+    # kappa0 = 3.5e-148 1/m is a float, but (2/3) gamma kappa0 is not
+    flat = DipoleSpec(alpha=1e94, alpha0=1e94, gamma=1e-202)
+    with pytest.raises(FloatingPointError) as exc:
+        spectral_integral_quadrature(flat)
+    assert str(exc.value) == (
+        "the central panel half-width 1e-3 (2/3) gamma kappa0 underflows to 0 "
+        "at gamma = 1e-202 m, kappa0 = 3.544907701811032e-148 1/m")
 
 
 def test_quadrature_error_when_tolerance_unreachable(monkeypatch):

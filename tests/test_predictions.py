@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zpmomentum import point_dipole
 from zpmomentum.predictions import (Prediction, empty_vacuum_momentum,
                                     first_born, magneto_chiral,
                                     me_sphere_velocity, moving_sphere, replay)
@@ -338,6 +339,22 @@ def chis(draw):
         lambda: ChiTensor.chiral(draw(number))]))()
 
 
+@st.composite
+def dipoles(draw):
+    alpha0 = draw(positive)
+    return point_dipole.DipoleSpec(
+        alpha=alpha0 * draw(_mostly(st.floats(1.0, 10.0), hostile)),
+        alpha0=alpha0, gamma=draw(positive))
+
+
+def _dipole_closed_forms(spec):
+    """The dipole's derived scales and closed forms, none by quadrature."""
+    return (spec.kappa0, spec.omega0, spec.damping_ratio,
+            point_dipole.spectral_integral_exact(spec),
+            point_dipole.spectral_integral_target(spec),
+            point_dipole.mass_shift(spec))
+
+
 CLOSED_FORM_CALLS = {
     "ChiTensor": lambda d: d(chis()),
     "FieldConfig": lambda d: FieldConfig(e0=d(vector), b0=d(vector)),
@@ -353,6 +370,7 @@ CLOSED_FORM_CALLS = {
     "moving_sphere": lambda d: moving_sphere(
         d(spheres()), d(vector), eta_value=d(st.none() | number)),
     "magneto_chiral": lambda d: magneto_chiral(d(spheres()), d(vector)),
+    "point_dipole": lambda d: _dipole_closed_forms(d(dipoles())),
 }
 
 

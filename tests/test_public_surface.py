@@ -95,9 +95,9 @@ print(json.dumps(report))
 
 # The layer modules each command loads, cli and its own layers included:
 # predict, eta and empty-vacuum load neither special_functions (nor numpy)
-# nor the quadrature routes nor the frequency oracle nor the dipole,
-# constants loads neither of the last two nor the predictions, and
-# freq-check and dipole load no prediction.
+# nor the quadrature routes nor the frequency oracle nor the dipole, dipole
+# loads none of these but itself, constants loads neither of the last two
+# nor the predictions, and freq-check loads no prediction.
 PREDICT = ["base", "cli", "predictions", "tensor_assembly", "units_materials"]
 NUMPY_FREE = {
     "predict me-sphere --a-um 1": PREDICT,
@@ -107,6 +107,8 @@ NUMPY_FREE = {
     "predict feigel --a-um 1 --lambda-cut-nm 100 --chi-s0 1e-11": PREDICT,
     "eta": ["base", "cli", "tensor_assembly", "units_materials"],
     "empty-vacuum --format csv": PREDICT,
+    "dipole --alpha 1 --alpha0 1 --gamma 1": [
+        "base", "cli", "point_dipole", "units_materials"],
 }
 COMMAND_LAYERS = {
     **NUMPY_FREE,
@@ -114,9 +116,6 @@ COMMAND_LAYERS = {
                   "tensor_assembly", "units_materials"],
     "freq-check --pairs 2": ["base", "cli", "contour_frequency",
                              "special_functions"],
-    "dipole --alpha 1 --alpha0 1 --gamma 1": [
-        "base", "cli", "point_dipole", "special_functions",
-        "units_materials"],
 }
 MC_MATERIAL = str(Path(__file__).resolve().parent / "golden"
                   / "magneto_chiral_material.json")

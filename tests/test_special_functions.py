@@ -10,6 +10,7 @@ from numpy.polynomial import Polynomial
 from scipy.special import spherical_jn
 
 from zpmomentum.cli import main
+from zpmomentum.point_dipole import DipoleSpec, spectral_integral_quadrature
 from zpmomentum.special_functions import (SERIES_CROSSOVER, _graded_edges,
                                           _legendre_rule, _panel_quad,
                                           sph_bessel_j)
@@ -109,13 +110,13 @@ def _refuse(name):
 
 
 def test_rule_calls_no_lapack(monkeypatch):
-    # the rule is built afresh under each patch; dipole then runs no LAPACK
-    # at all, and constants only the Richardson solve
+    # the rule is built afresh under each patch; the dipole quadrature then
+    # runs no LAPACK at all, and constants only the Richardson solve
     _legendre_rule.cache_clear()
     monkeypatch.setattr(np.linalg, "eigvalsh", _refuse("eigvalsh"))
     monkeypatch.setattr(np.linalg, "solve", _refuse("solve"))
-    assert main(["dipole", "--alpha", "1e-29", "--alpha0", "5e-30",
-                 "--gamma", "1e-10"]) == 0
+    spectral_integral_quadrature(DipoleSpec(alpha=1e-29, alpha0=5e-30,
+                                            gamma=1e-10))
     _legendre_rule.cache_clear()
     monkeypatch.undo()
     monkeypatch.setattr(np.linalg, "eigvalsh", _refuse("eigvalsh"))
