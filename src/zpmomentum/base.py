@@ -1,7 +1,8 @@
 """What the layers share without numpy: the record base, ConvergenceError,
-IntegralResult, the one Levi-Civita tensor and the 3-tuple arithmetic of the
-closed-form path.  Contractions sum from +0.0 in index order, so a zero is
-+0.0 and a symmetric matrix's transposed terms cancel exactly."""
+IntegralResult, the one Richardson extrapolation, the one Levi-Civita tensor
+and the 3-tuple arithmetic of the closed-form path.  Contractions sum from
++0.0 in index order, so a zero is +0.0 and a symmetric matrix's transposed
+terms cancel exactly."""
 
 import math
 
@@ -85,6 +86,27 @@ class IntegralResult(_Record):
             raise ValueError("error_estimate must be >= 0")
         if self.method not in ("trig_reduction", "regulated_quadrature"):
             raise ValueError(f"unknown method {self.method!r}")
+
+
+def _richardson(schedule, values, powers) -> float | complex:
+    """Value at regulator 0 of c0 + sum_k c_k eps^powers[k] fitted exactly
+    through (schedule, values), one power per schedule point: Gaussian
+    elimination with partial pivoting, on floats or complex numbers."""
+    rows = [[e ** p for p in powers[:len(schedule)]] + [v]
+            for e, v in zip(schedule, values)]
+    n = len(rows)
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for row in rows[col + 1:]:
+            factor = row[col] / rows[col][col]
+            for k in range(col, n + 1):
+                row[k] -= factor * rows[col][k]
+    coeffs = [0.0] * n
+    for r in reversed(range(n)):
+        tail = sum(rows[r][k] * coeffs[k] for k in range(r + 1, n))
+        coeffs[r] = (rows[r][n] - tail) / rows[r][r]
+    return coeffs[0]
 
 
 # The rank-3 alternating tensor eps_ijk; np.einsum reads it as it is.

@@ -9,8 +9,8 @@ convergence, or a float overflow, division by zero or invalid operation).
 Inputs and rows are SI, except the radius in micrometers, the cutoff
 wavelength in nanometers, hbar omega0 in eV and the dipole's two
 spectral-integral rows, printed in cm^2.  Each handler imports the layers it
-runs, so a command loads no module it does not use; only the two cross-checks,
-constants and freq-check, load numpy.
+runs, so a command loads no module it does not use; only freq-check loads
+numpy.
 """
 
 from __future__ import annotations
@@ -199,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
 # --- subcommand handlers ---------------------------------------------------
 
 def _numpy_raises(handler):
-    """handler (constants or freq-check, the two that run numpy), with numpy's
+    """handler (freq-check, the one command that runs numpy), with numpy's
     overflow, division by zero and invalid operations raising FloatingPointError
-    instead of carrying inf or nan on; the exponential sum needs underflow silent."""
+    instead of carrying inf or nan on."""
     def run(args):
         import numpy as np
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -209,7 +209,6 @@ def _numpy_raises(handler):
     return run
 
 
-@_numpy_raises
 def _cmd_constants(args) -> tuple[RunReport, int]:
     from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                         eval_bruteforce, eval_trig)

@@ -12,9 +12,10 @@ Two routes are implemented and kept strictly separate:
   trigonometric integrals on [0, pi/2], integrated exactly: each is a
   rational multiple of pi, with no quadrature.  These exist for I0, I1, A, C
   and for the three pieces E1, E2, E3 of E.
-* eval_bruteforce: direct regulated double quadrature of the defining (p, q)
-  kernels of all six constants, with Richardson extrapolation in the
-  regulator.
+* eval_bruteforce: the regulated double integrals of the defining (p, q)
+  kernels of all six constants, each as one integral in t of the product of
+  the closed-form Laplace transforms of its two radial factors, with
+  Richardson extrapolation in the regulator.
 
 The two routes share no algebra, so their agreement (disagreement) is a real
 cross-check.  The constant set used downstream, reconciled_constants(), is a
@@ -27,10 +28,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
-from .base import ConvergenceError, IntegralResult
-from .special_functions import _gauss_panels, _richardson, _sph_bessel_j012
+from .base import ConvergenceError, IntegralResult, _richardson
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -43,18 +41,15 @@ __all__ = [
 # Production regulator schedule.  A three-point schedule extrapolates the
 # constants to ~1e-4 relative but leaves the drop-one stability check at a few
 # percent for the slowest-converging kernel; the fourth point brings every
-# drop-one change below 0.02%; the four passes take about 0.035 s cold on
-# 2 vCPUs with 1 BLAS thread, and each traces below 0.5 MiB.
+# drop-one change below 0.02%; the four passes take about 8 ms on 2 vCPUs,
+# and each traces 0.12 MiB.
 DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
-PMAX_FACTOR = 50.0  # radial cutoff P_max = PMAX_FACTOR / eps
 # Richardson powers: the regulated values empirically approach their limit
 # through an odd series eps, eps^3, eps^5, ...; fitting even powers as well
 # wastes schedule points and degrades the extrapolation by orders of magnitude.
 _ODD_POWERS = (0, 1, 3, 5, 7)
-# Smallest accepted regulator.  A pass's node count N grows like 1/eps, its
-# time like N, and its memory hardly at all: one pass traces 0.47 MiB at
-# 0.0125 and 0.60 MiB at this floor, and `constants` peaks at about 31 MiB
-# RSS with or without this floor in the schedule.
+# Smallest accepted regulator, kept as the --eps-schedule contract; a pass's
+# time and memory do not grow with 1/eps.
 _EPS_FLOOR = DEFAULT_SCHEDULE[-1] / 4.0
 
 
@@ -117,11 +112,12 @@ def eval_trig(name: str) -> IntegralResult:
 #     p^pe j_pb(p) * q^qe j_qb(q) / (p+q)^dp
 # after splitting (p+2q)/(p+q)^2 = 1/(p+q) + q/(p+q)^2.  The E kernel's
 # relative-angle integral is elementary and leaves (1/3) p^3 q^3 / (p+q)
-# [j0 j0 + 2 j2 j2].  One regulated pass evaluates all nine pieces on a shared
-# Gauss-Legendre grid.  The pieces use seven distinct radial factors
-# p^e j_m(p); each, with the damped weights folded in, is one row of an
-# exponential sum for the (p+q) coupling (_coupled_sums), and each piece,
-# d = 1 or d = 2, multiplies two of its results.
+# [j0 j0 + 2 j2 j2].  With 1/x^d = Gamma(d)^-1 Int_0^inf t^(d-1) e^(-x t) dt,
+# the piece regulated by e^{-eps (p+q)} is
+#     Gamma(d)^-1 Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt,
+# where L_a(u) = Int_0^inf p^e j_m(p) e^(-u p) dp is the Laplace transform of
+# a radial factor, known in closed form (_transform).  One regulated pass
+# evaluates all nine pieces on one grid in s = log t (_laplace_sums).
 
 # piece -> (p_exponent, p_bessel_order, q_exponent, q_bessel_order,
 #           denominator_power, coefficient)
@@ -144,102 +140,72 @@ _ASSEMBLY: dict[str, tuple[str, ...]] = {
     "D": ("D",),
     "E": ("E_0", "E_2"),
 }
-_PANEL_WIDTH = math.pi / 4.0  # keeps the oscillatory factors resolved per panel
-_PANEL_POINTS = 8
-# Step of the trapezoid rule in _coupled_sums.  Its error falls like
-# exp(-pi^2/h): at h = 0.25 the rule reproduces 1/x to 4e-16 and 1/x^2 to
-# 5e-15 relative, while h = 0.4 leaves 6e-9.
-_LOG_STEP = 0.25
-# _coupled_sums factors e^{-t p} over blocks of _BLOCK_PANELS panels and
-# decays _CHUNK_BLOCKS blocks, 1024 nodes, at a time: its working set is
-# then a few T x 128 tables, whatever eps is.
-_BLOCK_PANELS = 16
-_CHUNK_BLOCKS = 8
-
-
-def _panel_edges(pmax: float) -> np.ndarray:
-    """Equal panels on [0, pmax], none wider than _PANEL_WIDTH."""
-    return np.linspace(0.0, pmax, int(math.ceil(pmax / _PANEL_WIDTH)) + 1)
-
-
-def _coupled_sums(edges: np.ndarray, rows, pairs) -> np.ndarray:
-    """sum_ij F_ai F_bj / (p_i + p_j)^d over the panel grid, per (a, b, d).
-
-    rows(nodes, weights) returns one row per radial factor F, with weights
-    folded in, and one column per node it is given; it is called on the
-    Gauss-Legendre nodes and weights of _PANEL_POINTS per panel, one chunk
-    of at most _CHUNK_BLOCKS x _BLOCK_PANELS panels at a time.  pairs lists
-    the sums as row pairs (a, b) with a power d of 1 or 2.  The trapezoid
-    rule in s for 1/x^d = Gamma(d)^-1 Int e^{d s - x e^s} ds turns the
-    double sum into products of sums of single rows against e^{-t p},
-    t = e^s, so each row is decayed once however many pairs read it.  The s
-    range covers every x = p_i + p_j in [2 p_min, 2 p_max]: below it
-    x e^s < 1e-16, above it x e^s > 40.  Each node is p = L + R + o: L its
-    block's left edge, R its panel's offset in the block and o one of the
-    node offsets shared by the equal panels.  So e^{-t p} = e^{-t L}
-    e^{-t R} e^{-t o}: per chunk a table of its 8 block edges, and one
-    fixed in-block table of 128 columns, each with one row per s-node.
-    Each chunk's rows are built, decayed and dropped before the next, so
-    the working set does not grow with the node count: about 0.5 MiB for
-    the about 215 s-nodes of any accepted eps.  Every table entry lies in
-    (0, 1], and one underflows only where e^{-t p} does.  Edges must be
-    ascending and equally spaced.
-    """
-    panels = len(edges) - 1
-    chunk = _CHUNK_BLOCKS * _BLOCK_PANELS  # panels per chunk
-    width = _BLOCK_PANELS * _PANEL_POINTS  # nodes per block
-    node_offsets = _gauss_panels(edges[:2], _PANEL_POINTS)[0] - edges[0]
-    t = np.exp(np.arange(math.log(1e-16 / (2.0 * edges[-1])),
-                         math.log(20.0 / (edges[0] + node_offsets[0])),
-                         _LOG_STEP))
-    panel_offsets = (edges[1] - edges[0]) * np.arange(_BLOCK_PANELS)
-    in_block = (np.exp(np.outer(-panel_offsets, t))[:, None, :]
-                * np.exp(np.outer(-node_offsets, t))[None, :, :]
-                ).reshape(width, -1)
-
-    def decay(first: int) -> np.ndarray:
-        """The rows of the chunk from panel first on, against e^{-t p}."""
-        last = min(first + chunk, panels)
-        block_edge = np.exp(np.outer(-edges[first:last:_BLOCK_PANELS], t))
-        factors = rows(*_gauss_panels(edges[first:last + 1], _PANEL_POINTS))
-        short = len(block_edge) * width - factors.shape[1]
-        if short:  # a last block short of panels reads zero columns
-            factors = np.pad(factors, ((0, 0), (0, short)))
-        by_block = factors.reshape(-1, width) @ in_block
-        return np.einsum("bt,kbt->kt", block_edge,
-                         by_block.reshape(len(factors), -1, len(t)))
-
-    decayed = sum(decay(first) for first in range(0, panels, chunk))
-    a, b, d = np.array(pairs).T
-    # no 1/Gamma(d) factor: every d passed here is 1 or 2, where Gamma(d) = 1
-    weights = _LOG_STEP * t ** d[:, None]
-    return np.einsum("kt,kt,kt->k", weights, decayed[a], decayed[b])
-
-
-# The distinct radial factors p^e j_m(p) of the pieces, as (e, m).
+# The distinct radial factors p^e j_m(p) of the pieces, as (e, m), and each
+# piece as (index of its p factor, index of its q factor, d).
 _FACTORS = sorted({factor for pe, pb, qe, qb, _, _ in _PIECES.values()
                    for factor in ((pe, pb), (qe, qb))})
+_PAIRS = tuple((_FACTORS.index((pe, pb)), _FACTORS.index((qe, qb)), dp)
+               for pe, pb, qe, qb, dp, _ in _PIECES.values())
+# j_m(p) as the sum of p^n (s sin p + c cos p) over its terms (n, s, c)
+_BESSEL_TRIG = {0: ((-1, 1, 0),), 1: ((-2, 1, 0), (-1, 0, -1)),
+                2: ((-3, 3, 0), (-2, 0, -3), (-1, -1, 0))}
+# Step of the trapezoid rule in s = log t.  L(t + eps) has its poles at
+# t = -eps +- i, at an angle pi/2 + atan(eps) from the positive axis, so the
+# integrand is analytic in the strip |Im s| < pi/2 and the rule's error falls
+# like exp(-pi^2/h): about 5e-35 at h = 0.125, 7e-18 at h = 0.25 (Trefethen &
+# Weideman, SIAM Rev. 56 (2014) 385).
+_LOG_STEP = 0.125
+# The rule sums over s = k h with t = e^s in this range.  Below it the
+# integrand t^d L_a L_b is at most 576 t^d, since |L| <= sum_k |A_k| <= 24
+# for every factor in use, so the left tail is below 6e-18.  Above it
+# L(u) falls like (e+m)!/(2m+1)!! u^-(e+m+1), and every piece, and every
+# kernel the tests pass, has (e_a+m_a+1) + (e_b+m_b+1) - d >= 7, so the
+# right tail is below 240/7 t^-7, 4e-27.
+_T_RANGE = (1e-20, 1e4)
+
+
+def _transform(e: int, m: int) -> tuple[complex, ...]:
+    """The A_k of the Laplace transform L(u) = Re sum_k A_k / (u - i)^(k+1)
+    of p^e j_m(p), e >= m + 1: the factor is sum_k p^k (s_k sin p + c_k cos p)
+    with k >= 0, and Int_0^inf p^k e^(-(u - i) p) dp = k!/(u - i)^(k+1)
+    gives A_k = k! (c_k - i s_k)."""
+    coeffs = [0j] * e
+    for n, s, c in _BESSEL_TRIG[m]:
+        coeffs[e + n] += math.factorial(e + n) * complex(c, -s)
+    return tuple(coeffs)
+
+
+def _laplace_sums(eps: float, factors=_FACTORS, pairs=_PAIRS) -> list[float]:
+    """Gamma(d)^-1 Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt for each
+    (a, b, d) in pairs, L_a the transform of factors[a] = (e, m): the double
+    integral of the two factors times e^{-eps (p+q)} / (p+q)^d over
+    [0, inf)^2.  Each L is summed by Horner's rule in w = 1/(u - i) on plain
+    complex numbers, once per node however many pairs read it."""
+    transforms = [_transform(e, m)[::-1] for e, m in factors]
+    first = math.ceil(math.log(_T_RANGE[0]) / _LOG_STEP)
+    last = math.floor(math.log(_T_RANGE[1]) / _LOG_STEP)
+    terms = [[] for _ in pairs]
+    for k in range(first, last + 1):
+        t = math.exp(k * _LOG_STEP)
+        w = 1.0 / complex(t + eps, -1.0)
+        values = []
+        for coeffs in transforms:
+            total = 0j
+            for coeff in coeffs:
+                total = (total + coeff) * w
+            values.append(total.real)
+        for out, (a, b, d) in zip(terms, pairs):
+            out.append(t ** d * values[a] * values[b])
+    return [_LOG_STEP / math.gamma(d) * math.fsum(out)
+            for out, (_, _, d) in zip(terms, pairs)]
 
 
 @lru_cache(maxsize=16)
 def _regulated_pass(eps: float) -> dict[str, float]:
-    """All nine kernel pieces integrated at one regulator strength.
-
-    _coupled_sums asks for the factor rows one chunk of 1024 nodes at a
-    time, so the pass holds no N-long array and its working set does not
-    grow with N.  The seven rows share the powers of p.
-    """
-    def factor_rows(nodes, wts):
-        damped = [wts * np.exp(-eps * nodes)]  # damped[e] = p^e w e^{-eps p}
-        for _ in range(_FACTORS[-1][0]):
-            damped.append(damped[-1] * nodes)
-        bessel = _sph_bessel_j012(nodes)
-        return np.array([damped[e] * bessel[m] for e, m in _FACTORS])
-
-    row = {factor: k for k, factor in enumerate(_FACTORS)}
-    pairs = [(row[pe, pb], row[qe, qb], dp)
-             for pe, pb, qe, qb, dp, _ in _PIECES.values()]
-    sums = _coupled_sums(_panel_edges(PMAX_FACTOR / eps), factor_rows, pairs)
+    """All nine kernel pieces integrated at one regulator strength, from
+    the closed-form transforms of the seven radial factors: 442 nodes in s
+    for any eps, so the pass's time and memory do not depend on eps."""
+    sums = _laplace_sums(eps)
     return {name: coeff * value
             for (name, (*_, coeff)), value in zip(_PIECES.items(), sums)}
 
@@ -270,7 +236,7 @@ def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
     """Regulated double quadrature of a defining radial kernel
     (I0, I1, A, C, D or E).
 
-    Integrates the kernel times e^{-eps(p+q)} over [0, 50/eps]^2 for each eps
+    Integrates the kernel times e^{-eps(p+q)} over [0, inf)^2 for each eps
     in the (strictly descending) schedule and Richardson-extrapolates to
     eps = 0.  Raises ConvergenceError when the extrapolation residual
     exceeds 5% of the value.

@@ -1,14 +1,16 @@
-"""Spherical Bessel functions of low order, and the numerics the quadrature
-routes share: the one quadrature rule (fixed Gauss-Legendre points on each
-panel of a set of edges) and the one Richardson extrapolation.  The pieces
-the layers share without numpy (records, ConvergenceError, the Levi-Civita
-tensor) live in module base, so the closed-form path never loads this one.
+"""Spherical Bessel functions of low order, and the one quadrature rule the
+frequency oracle and the dipole quadrature share: fixed Gauss-Legendre
+points on each panel of a set of edges.  The pieces the layers share without
+numpy (records, ConvergenceError, the Richardson solve, the Levi-Civita
+tensor) live in module base, so neither the closed-form path nor constants
+loads this one.
 
 The vacuum-mode integrands only ever need j0, j1 and j2.  These are written
 out explicitly (with small-argument series) rather than routed through the
-generic special-function machinery: the integration engine evaluates them on
-up to 40,744 nodes per pass (the finest default regulator) and the closed
-forms vectorize cleanly.
+generic special-function machinery, and vectorize cleanly over a p-grid.
+The regulated pass does not evaluate them: it reads the closed-form Laplace
+transforms of the radial factors (oscillatory_integrals), and the tests
+check those transforms against these functions on a Gauss-Legendre grid.
 """
 
 from __future__ import annotations
@@ -28,22 +30,21 @@ __all__ = ["sph_bessel_j", "SERIES_CROSSOVER"]
 SERIES_CROSSOVER = 0.5
 
 
-def _jn_series(n: int, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def _jn_series(n: int, x: np.ndarray) -> np.ndarray:
     # j_n(x) = x^n / (2n+1)!! * sum_k (-1)^k x^(2k) / (2^k k! prod_{j<=k}(2n+2j+1))
     dfact = 1.0
     for m in range(1, 2 * n + 2, 2):
         dfact *= m
-    out = np.ones_like(x)
-    term = np.ones_like(x)
+    out, term, minus_x2 = np.ones_like(x), np.ones_like(x), -x * x
     for k in range(1, 9):
-        term = term * (-x2) / (2 * k * (2 * n + 2 * k + 1))
+        term = term * minus_x2 / (2 * k * (2 * n + 2 * k + 1))
         out = out + term
     return (x**n / dfact) * out
 
 
-def _closed_form(n: int, x: np.ndarray, s: np.ndarray,
-                 c: np.ndarray) -> np.ndarray:
-    """j_n(x) from s = sin(x) and c = cos(x), for |x| >= SERIES_CROSSOVER."""
+def _closed_form(n: int, x: np.ndarray) -> np.ndarray:
+    """j_n(x) from sin(x) and cos(x), for |x| >= SERIES_CROSSOVER."""
+    s, c = np.sin(x), np.cos(x)
     if n == 0:
         return s / x
     if n == 1:
@@ -61,25 +62,12 @@ def sph_bessel_j(n: int, x) -> np.ndarray | float:
     if n not in (0, 1, 2):
         raise ValueError(f"only orders 0, 1, 2 are supported, got n={n}")
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    out = _sph_bessel_j012(np.atleast_1d(x_arr), (n,))[0]
-    return float(out[0]) if scalar else out
-
-
-def _sph_bessel_j012(x: np.ndarray, orders=(0, 1, 2)) -> list[np.ndarray]:
-    """j_n(x) for each n in orders, from one sin and one cos of x."""
-    small = np.abs(x) < SERIES_CROSSOVER
-    outs = [np.empty_like(x) for _ in orders]
-    xs = x[small]
-    if xs.size:
-        for n, out in zip(orders, outs):
-            out[small] = _jn_series(n, xs, xs * xs)
-    xl = x[~small]
-    if xl.size:
-        s, c = np.sin(xl), np.cos(xl)
-        for n, out in zip(orders, outs):
-            out[~small] = _closed_form(n, xl, s, c)
-    return outs
+    xs = np.atleast_1d(x_arr)
+    small = np.abs(xs) < SERIES_CROSSOVER
+    out = np.empty_like(xs)
+    out[small] = _jn_series(n, xs[small])
+    out[~small] = _closed_form(n, xs[~small])
+    return float(out[0]) if x_arr.ndim == 0 else out
 
 
 @lru_cache(maxsize=None)
@@ -135,11 +123,3 @@ def _graded_edges(lo: float, hi: float, inner: float) -> np.ndarray:
         steps = inner * 2.0 ** np.arange(count)
         return np.append(steps[steps < end], end)
     return np.concatenate([-outward(-lo)[::-1], outward(hi)])
-
-
-def _richardson(schedule, values, powers) -> float | complex:
-    """Value at regulator 0 of c0 + sum_k c_k eps^powers[k] fitted exactly
-    through (schedule, values), one power per schedule point."""
-    basis = np.column_stack([np.asarray(schedule) ** p
-                             for p in powers[:len(schedule)]])
-    return np.linalg.solve(basis, np.asarray(values))[0].item()

@@ -3,12 +3,14 @@
 Each file under tests/golden/ holds one argv's exit code, stdout and stderr,
 with the bundled presets' directory written as <presets> and this corpus's
 directory as <golden>.  The test reruns every argv in process and compares
-byte for byte, except two kinds of rows that go through matrix products,
-whose last bits depend on the BLAS build.  The numbers of a row whose method
-is regulated_quadrature are compared within 1e-12 of the row's largest
-number, and the relative deviations computed from such rows
-(worst_rel_error, spectral_rel_deviation) within 1e-12.  numpy.txt records
-the numpy version the corpus was written with.
+byte for byte, except the rows of the frequency oracle, whose quadratures
+are numpy dot products with last bits that depend on the BLAS build.  The
+numbers of a row whose method is regulated_quadrature are compared within
+1e-12 of the row's largest number, and the relative deviations computed
+from such rows (worst_rel_error, spectral_rel_deviation) within 1e-12.  The
+regulated constants share that method name, and so the tolerance, though
+they run on plain floats and go through no BLAS.  numpy.txt records the
+numpy version the corpus was written with.
 
 A change that moves any reported digit rewrites the corpus with
 

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,9 +13,8 @@ from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               eval_bruteforce, eval_trig,
                                               reconciled_constants)
-from zpmomentum.base import ConvergenceError
-from zpmomentum.special_functions import (_gauss_panels, _richardson,
-                                          sph_bessel_j)
+from zpmomentum.base import ConvergenceError, _richardson
+from zpmomentum.special_functions import _gauss_panels, sph_bessel_j
 from zpmomentum.tensor_assembly import solve_D1_D3
 
 KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
@@ -208,33 +208,29 @@ def test_e_defining_kernel_matches_trig_piece_sum():
     assert brute.value == pytest.approx(trig_sum, rel=0.05)
 
 
-# --- the coupled-sum kernel -------------------------------------------------
+# --- the regulated pass ------------------------------------------------------
+
+# The p-grid of the pairwise reference: 8 Gauss-Legendre points on each panel
+# of width at most pi/4 on [0, 50/eps], where e^{-eps p} has fallen to 2e-22.
+PMAX_FACTOR = 50.0
+PANEL_WIDTH = math.pi / 4.0
+PANEL_POINTS = 8
+
 
 def _regulated_grid(eps):
-    """The production panel edges, their nodes and the nodes' damped weights
-    at one eps."""
-    edges = osc._panel_edges(osc.PMAX_FACTOR / eps)
-    nodes, wts = _gauss_panels(edges, osc._PANEL_POINTS)
-    return edges, nodes, wts * np.exp(-eps * nodes)
-
-
-def _columns_of(edges, full_rows):
-    """A row builder for _coupled_sums that hands each chunk of panels its
-    columns of rows given on every node of the grid on edges."""
-    nodes = _gauss_panels(edges, osc._PANEL_POINTS)[0]
-
-    def rows(group_nodes, _):
-        first = np.searchsorted(nodes, group_nodes[0])
-        columns = slice(first, first + len(group_nodes))
-        assert np.array_equal(nodes[columns], group_nodes)
-        return full_rows[:, columns]
-    return rows
+    """The reference panel grid's nodes and their damped weights at one
+    eps."""
+    pmax = PMAX_FACTOR / eps
+    edges = np.linspace(0.0, pmax, int(math.ceil(pmax / PANEL_WIDTH)) + 1)
+    nodes, wts = _gauss_panels(edges, PANEL_POINTS)
+    return nodes, wts * np.exp(-eps * nodes)
 
 
 def _pairwise_pass(eps):
     """The nine pieces of _regulated_pass(eps) by the direct sum over every
-    node pair, 1024 rows of the coupling matrix at a time."""
-    _, nodes, damp = _regulated_grid(eps)
+    node pair of a p-grid, with the Bessel functions evaluated on it, 1024
+    rows of the coupling matrix at a time."""
+    nodes, damp = _regulated_grid(eps)
     bessel = {m: sph_bessel_j(m, nodes) for m in (0, 1, 2)}
     sums = dict.fromkeys(osc._PIECES, 0.0)
     for lo in range(0, len(nodes), 1024):
@@ -247,72 +243,53 @@ def _pairwise_pass(eps):
     return sums
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_coupled_sums_reproduce_the_coupling(d):
-    """Unit rows pick single node pairs, at both ends and in the middle of
-    the finest default grid; the exponential sum must return 1/(p_i+p_j)^d."""
-    edges, nodes, _ = _regulated_grid(DEFAULT_SCHEDULE[-1])
-    last, mid = len(nodes) - 1, len(nodes) // 2
-    i, j = np.array([(0, 0), (0, mid), (0, last), (mid, mid), (mid, last),
-                     (last, last)]).T
-    units = np.zeros((2 * len(i), len(nodes)))
-    units[np.arange(2 * len(i)), np.concatenate([i, j])] = 1.0
-    pairs = [(k, len(i) + k, d) for k in range(len(i))]
-    np.testing.assert_allclose(
-        osc._coupled_sums(edges, _columns_of(edges, units), pairs),
-        (nodes[i] + nodes[j]) ** -float(d),
-        rtol=1e-13, atol=0.0)
-
-
 def test_regulated_pass_matches_pairwise_sum():
+    # the independent check of the transforms: Bessel functions and Gauss
+    # panels in p and q, no Laplace transform
     pairwise = _pairwise_pass(0.1)
     for name, value in osc._regulated_pass(0.1).items():
         assert value == pytest.approx(pairwise[name], rel=1e-10), name
 
 
-def _full_matrix_sums(nodes, U, V, d):
-    """The exponential sum with the whole T x N table exp(-t p) in memory, the
-    unfactored form of _coupled_sums."""
-    t = np.exp(np.arange(math.log(1e-16 / (2.0 * nodes[-1])),
-                         math.log(20.0 / nodes[0]), osc._LOG_STEP))
-    decay = np.outer(-t, nodes)
-    np.exp(decay, out=decay)
-    weights = osc._LOG_STEP / math.gamma(d) * t**d
-    return weights @ ((decay @ U) * (decay @ V))
+def _mpmath_transform(e, m, u):
+    """Int_0^inf p^e j_m(p) e^{-u p} dp in mpmath: j_m in its sin/cos form,
+    and Int_0^inf p^k e^{-u p} (cos p + i sin p) dp = k!/(u - i)^(k+1)."""
+    terms = {0: ((-1, 1, 0),), 1: ((-2, 1, 0), (-1, 0, -1)),
+             2: ((-3, 3, 0), (-2, 0, -3), (-1, -1, 0))}[m]
+    total = mpmath.mpf(0)
+    for n, s, c in terms:
+        moment = mpmath.factorial(e + n) / mpmath.mpc(u, -1) ** (e + n + 1)
+        total += s * moment.imag + c * moment.real
+    return total
 
 
-@pytest.mark.parametrize("panels", [1, 2, 3, 4, 7, 12, 15, 16, 17, 30, 50,
-                                    128, 129, 130, 319, 910])
-def test_coupled_sums_match_full_matrix_sums_at_any_block_split(panels, rng):
-    """Every grid gives the unfactored sums, whatever its split into blocks
-    of 16 panels and chunks of 8 blocks (128 panels): grids inside one
-    short block (1 to 15 panels), one whole block (16), a short second
-    block (17, 30), a short chunk (50), one whole chunk (128), a second
-    chunk of one block of one or two panels (129, 130), and the 319 and 910
-    panels of eps = 0.2 and 0.07, which end on a short block of a short
-    chunk."""
-    edges = np.linspace(0.0, panels * osc._PANEL_WIDTH, panels + 1)
-    nodes, _ = _gauss_panels(edges, osc._PANEL_POINTS)
-    factors = rng.uniform(0.5, 1.5, (3, len(nodes)))
-    pairs = [(0, 1, 1), (1, 2, 2), (2, 2, 1)]
-    reference = [_full_matrix_sums(nodes, factors[a], factors[b], d)
-                 for a, b, d in pairs]
-    np.testing.assert_allclose(
-        osc._coupled_sums(edges, _columns_of(edges, factors), pairs),
-        reference, rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("eps", [0.1, 0.0125])
+def test_regulated_pass_matches_mpmath_t_integral(eps):
+    """Every piece within 1e-13 of a 20-digit tanh-sinh quadrature of its
+    t-integral over [0, inf): this checks the trapezoid rule in log t, its
+    range and the float evaluation of the transforms."""
+    transforms = {}
+
+    def transform(e, m, t):  # the nine pieces share the quadrature nodes
+        if (e, m, t) not in transforms:
+            transforms[e, m, t] = _mpmath_transform(e, m, t + eps)
+        return transforms[e, m, t]
+
+    with mpmath.workdps(20):
+        for name, (a, m, b, n, d, c) in osc._PIECES.items():
+            reference = c * mpmath.quad(
+                lambda t: t**(d - 1) * transform(a, m, t) * transform(b, n, t),
+                [0, 1, 4, 16, mpmath.inf]) / mpmath.gamma(d)
+            assert abs(osc._regulated_pass(eps)[name] - float(reference)) \
+                <= 1e-13, name
 
 
-@pytest.mark.parametrize("eps", DEFAULT_SCHEDULE + (0.2, 0.07))
-def test_regulated_pass_matches_full_matrix_sums(eps):
-    """The block-factored tables give every piece of the unfactored one."""
-    _, nodes, damp = _regulated_grid(eps)
-    bessel = {m: sph_bessel_j(m, nodes) for m in (0, 1, 2)}
-    factored = osc._regulated_pass(eps)
-    for name, (a, m, b, n, d, c) in osc._PIECES.items():
-        u = nodes**a * bessel[m] * damp * c
-        v = nodes**b * bessel[n] * damp
-        reference = _full_matrix_sums(nodes, u, v, d)
-        assert factored[name] == pytest.approx(reference, rel=1e-12), name
+@pytest.mark.parametrize("eps", DEFAULT_SCHEDULE + (0.2, osc._EPS_FLOOR))
+def test_wider_t_range_moves_no_piece(monkeypatch, eps):
+    # past the bounds _T_RANGE states, every term of the sum lies below
+    # half an ulp of its piece
+    monkeypatch.setattr(osc, "_T_RANGE", (1e-40, 1e12))
+    assert osc._regulated_pass.__wrapped__(eps) == osc._regulated_pass(eps)
 
 
 def _pass_peak_memory(eps):
@@ -326,16 +303,14 @@ def _pass_peak_memory(eps):
 
 
 def test_finest_default_pass_peak_memory():
-    """One uncached pass at the finest default regulator holds no T x N
-    table and no N-long row: its traced peak stays below 1 MiB (the full
-    table alone is 66 MiB)."""
+    """One uncached pass at the finest default regulator traces below
+    1 MiB."""
     assert _pass_peak_memory(DEFAULT_SCHEDULE[-1]) < 1 * 2**20
 
 
 def test_floor_pass_peak_memory():
-    """At the smallest accepted regulator, with four times the nodes, one
-    uncached pass still traces below 1 MiB: the pass decays a fixed chunk
-    of nodes at a time, so its working set does not grow with N."""
+    """At the smallest accepted regulator one uncached pass still traces
+    below 1 MiB: the pass's grid in log t does not depend on eps."""
     assert _pass_peak_memory(osc._EPS_FLOOR) < 1 * 2**20
 
 
@@ -353,15 +328,19 @@ E_ISOTROPIC_KERNEL = (3.0, 2, 1, 2, 1)  # isotropic part of the same integrand
 
 def _kernel_bruteforce(kernel):
     c, a, m, b, n = kernel
-    raw = []
-    for eps in DEFAULT_SCHEDULE:
-        def rows(nodes, wts, eps=eps):
-            damp = wts * np.exp(-eps * nodes)
-            return np.array([nodes**a * sph_bessel_j(m, nodes) * damp,
-                             nodes**b * sph_bessel_j(n, nodes) * damp])
-        edges = osc._panel_edges(osc.PMAX_FACTOR / eps)
-        raw.append(c * osc._coupled_sums(edges, rows, [(0, 1, 1)])[0])
+    raw = [c * osc._laplace_sums(eps, [(a, m), (b, n)], [(0, 1, 1)])[0]
+           for eps in DEFAULT_SCHEDULE]
     return _richardson(DEFAULT_SCHEDULE, raw, (0, 1, 3, 5, 7))
+
+
+def _grid_coupled_sum(nodes, u, v):
+    """sum_ij u_i v_j / (p_i + p_j) on a p-grid, by the trapezoid rule with
+    step 0.25 in s for 1/x = Int e^{s - x e^s} ds, over the s where
+    x e^s runs from below 1e-16 to above 40 for every x = p_i + p_j."""
+    t = np.exp(np.arange(math.log(1e-16 / (2.0 * nodes[-1])),
+                         math.log(20.0 / nodes[0]), 0.25))
+    decay = np.exp(-np.outer(t, nodes))
+    return 0.25 * np.sum(t * (decay @ u) * (decay @ v))
 
 
 def test_e_gap_is_carried_by_e1():
@@ -371,7 +350,7 @@ def test_e_gap_is_carried_by_e1():
     the defining integrand's isotropic part is 15 pi/8 where E1 is 21 pi/8,
     and that difference is the whole gap.  The relative-angle reduction is
     checked at eps = 0.1 by direct quadrature over both polar angles of the
-    6-D integrand, with n along z.
+    6-D integrand, with n along z, on the reference p-grid.
     """
     for name, kernel in E_PIECE_KERNELS.items():
         assert _kernel_bruteforce(kernel) == pytest.approx(
@@ -385,15 +364,12 @@ def test_e_gap_is_carried_by_e1():
 
     # <k^_i k^_j e^{ik.z}> is diagonal: (1 - mu^2)/2 twice, mu^2 once
     mu, w = np.polynomial.legendre.leggauss(400)
-
-    def rows(nodes, wts):
-        phase = np.cos(np.outer(nodes, mu)) * (0.5 * w)
-        damp = wts * np.exp(-0.1 * nodes)
-        return np.array([nodes**3 * (phase @ (0.5 * (1.0 - mu**2))) * damp,
-                         nodes**3 * (phase @ mu**2) * damp])
-    transverse_sum, along_sum = osc._coupled_sums(
-        osc._panel_edges(osc.PMAX_FACTOR / 0.1), rows, [(0, 0, 1), (1, 1, 1)])
-    direct = 2.0 * transverse_sum + along_sum
+    nodes, damp = _regulated_grid(0.1)
+    phase = np.cos(np.outer(nodes, mu)) * (0.5 * w)
+    transverse = nodes**3 * (phase @ (0.5 * (1.0 - mu**2))) * damp
+    along = nodes**3 * (phase @ mu**2) * damp
+    direct = (2.0 * _grid_coupled_sum(nodes, transverse, transverse)
+              + _grid_coupled_sum(nodes, along, along))
     reduced = osc._regulated_pass(0.1)
     assert direct == pytest.approx(reduced["E_0"] + reduced["E_2"], rel=1e-10)
 

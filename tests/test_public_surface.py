@@ -1,6 +1,6 @@
 """The declared public surface: every name in an ``__all__`` exists, the
 package needs nothing beyond numpy, and it loads each layer only when a name
-or a command needs it; the closed-form commands load no numpy."""
+or a command needs it; every command but freq-check loads no numpy."""
 
 import importlib
 import json
@@ -96,8 +96,9 @@ print(json.dumps(report))
 # The layer modules each command loads, cli and its own layers included:
 # predict, eta and empty-vacuum load neither special_functions (nor numpy)
 # nor the quadrature routes nor the frequency oracle nor the dipole, dipole
-# loads none of these but itself, constants loads neither of the last two
-# nor the predictions, and freq-check loads no prediction.
+# loads none of these but itself, constants loads neither special_functions
+# (nor numpy) nor the last two nor the predictions, and freq-check loads no
+# prediction.
 PREDICT = ["base", "cli", "predictions", "tensor_assembly", "units_materials"]
 NUMPY_FREE = {
     "predict me-sphere --a-um 1": PREDICT,
@@ -109,11 +110,11 @@ NUMPY_FREE = {
     "empty-vacuum --format csv": PREDICT,
     "dipole --alpha 1 --alpha0 1 --gamma 1": [
         "base", "cli", "point_dipole", "units_materials"],
+    "constants": ["base", "cli", "oscillatory_integrals", "tensor_assembly",
+                  "units_materials"],
 }
 COMMAND_LAYERS = {
     **NUMPY_FREE,
-    "constants": ["base", "cli", "oscillatory_integrals", "special_functions",
-                  "tensor_assembly", "units_materials"],
     "freq-check --pairs 2": ["base", "cli", "contour_frequency",
                              "special_functions"],
 }

@@ -93,10 +93,10 @@ def _legendre_rule_40_digits(n):
 @pytest.mark.parametrize("n", [8, 15, 16, 20, 30, 32, 40])
 def test_legendre_rule_matches_a_40_digit_rule(n):
     # every point count the package integrates with (n and n/2 of each
-    # _panel_quad call, and the regulated pass's 8), and 16 and 32, which
-    # no route uses since the trig route integrates exactly: nodes within
-    # 1 ulp of the 40-digit nodes, weights within 2e-14 relative (leggauss's
-    # weights are up to 7e-13 off at n = 40)
+    # _panel_quad call), the 8 of the tests' p-grid reference, and 16 and
+    # 32, which no route uses: nodes within 1 ulp of the 40-digit nodes,
+    # weights within 2e-14 relative (leggauss's weights are up to 7e-13 off
+    # at n = 40)
     x, w = _legendre_rule(n)
     ref_x, ref_w = _legendre_rule_40_digits(n)
     assert np.all(np.abs(x - ref_x) <= np.spacing(np.abs(ref_x)))
@@ -110,16 +110,14 @@ def _refuse(name):
 
 
 def test_rule_calls_no_lapack(monkeypatch):
-    # the rule is built afresh under each patch; the dipole quadrature then
-    # runs no LAPACK at all, and constants only the Richardson solve
+    # the rule is built afresh under the patch; the dipole quadrature then
+    # runs no LAPACK at all, and neither does constants, whose Richardson
+    # solve runs on plain floats
     _legendre_rule.cache_clear()
     monkeypatch.setattr(np.linalg, "eigvalsh", _refuse("eigvalsh"))
     monkeypatch.setattr(np.linalg, "solve", _refuse("solve"))
     spectral_integral_quadrature(DipoleSpec(alpha=1e-29, alpha0=5e-30,
                                             gamma=1e-10))
-    _legendre_rule.cache_clear()
-    monkeypatch.undo()
-    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse("eigvalsh"))
     assert main(["constants"]) == 0
 
 
