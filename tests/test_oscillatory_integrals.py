@@ -210,18 +210,25 @@ def test_e_defining_kernel_matches_trig_piece_sum():
 
 # --- the regulated pass ------------------------------------------------------
 
-# The p-grid of the pairwise reference: 8 Gauss-Legendre points on each panel
-# of width at most pi/4 on [0, 50/eps], where e^{-eps p} has fallen to 2e-22.
+# The p-grid of the references: 8 Gauss-Legendre points on each panel of
+# width at most pi/4 on [0, 50/eps], where e^{-eps p} has fallen to 2e-22.
 PMAX_FACTOR = 50.0
 PANEL_WIDTH = math.pi / 4.0
 PANEL_POINTS = 8
+# Step in s = log t of the references' exponential sums, and the nodes (128
+# panels) whose column of e^{-t p} _coupled_sums holds at once.
+LOG_STEP = 0.125
+CHUNK_NODES = 1024
 
 
-def _regulated_grid(eps):
-    """The reference panel grid's nodes and their damped weights at one
-    eps."""
+def _regulated_grid(eps, width=PANEL_WIDTH, halvings=0):
+    """The reference grid's nodes and their damped weights at one eps: panels
+    of at most width, the first one split in halves toward p = 0 halvings
+    times."""
     pmax = PMAX_FACTOR / eps
-    edges = np.linspace(0.0, pmax, int(math.ceil(pmax / PANEL_WIDTH)) + 1)
+    edges = np.linspace(0.0, pmax, int(math.ceil(pmax / width)) + 1)
+    edges = np.concatenate(
+        [[0.0], edges[1] * 2.0 ** -np.arange(halvings, 0, -1), edges[1:]])
     nodes, wts = _gauss_panels(edges, PANEL_POINTS)
     return nodes, wts * np.exp(-eps * nodes)
 
@@ -249,6 +256,88 @@ def test_regulated_pass_matches_pairwise_sum():
     pairwise = _pairwise_pass(0.1)
     for name, value in osc._regulated_pass(0.1).items():
         assert value == pytest.approx(pairwise[name], rel=1e-10), name
+
+
+def _log_nodes(nodes):
+    """t = e^s on the s grid of step LOG_STEP where x e^s runs from below
+    1e-16 to above 40 for every x = p_i + p_j of the nodes."""
+    return np.exp(np.arange(math.log(1e-16 / (2.0 * nodes[-1])),
+                            math.log(20.0 / nodes[0]), LOG_STEP))
+
+
+def _coupled_sums(nodes, rows, pairs):
+    """sum_ij rows[a]_i rows[b]_j / (p_i + p_j)^d on a p-grid for each
+    (a, b, d) in pairs, by 1/x^d = Gamma(d)^-1 Int t^(d-1) e^{-x t} dt and
+    the trapezoid rule in s = log t: the reference for the regulated pass.
+    It builds e^{-t p} CHUNK_NODES columns at a time, so the T x N table is
+    never held (at eps = 0.0125, 132 MiB on the pi/4 grid and 302 MiB on
+    the graded pi/8 one)."""
+    t = _log_nodes(nodes)
+    sums = np.zeros((len(t), len(rows)))
+    for lo in range(0, len(nodes), CHUNK_NODES):
+        cols = slice(lo, lo + CHUNK_NODES)
+        sums += np.exp(-np.outer(t, nodes[cols])) @ rows[:, cols].T
+    return np.array([LOG_STEP / math.gamma(d) * np.sum(t**d * sums[:, a]
+                                                       * sums[:, b])
+                     for a, b, d in pairs])
+
+
+def _full_matrix_sums(nodes, U, V, d):
+    """The same sum with the whole T x N table e^{-t p} in memory."""
+    t = _log_nodes(nodes)
+    decay = np.exp(-np.outer(t, nodes))
+    return LOG_STEP / math.gamma(d) * np.sum(t**d * (decay @ U) * (decay @ V))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coupled_sums_reproduce_the_coupling(d):
+    """Unit rows pick single node pairs, at both ends and in the middle of
+    the finest default grid; the exponential sum must return 1/(p_i+p_j)^d."""
+    nodes, _ = _regulated_grid(DEFAULT_SCHEDULE[-1])
+    last, mid = len(nodes) - 1, len(nodes) // 2
+    i, j = np.array([(0, 0), (0, mid), (0, last), (mid, mid), (mid, last),
+                     (last, last)]).T
+    units = np.zeros((2 * len(i), len(nodes)))
+    units[np.arange(2 * len(i)), np.concatenate([i, j])] = 1.0
+    pairs = [(k, len(i) + k, d) for k in range(len(i))]
+    np.testing.assert_allclose(_coupled_sums(nodes, units, pairs),
+                               (nodes[i] + nodes[j]) ** -float(d),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("panels", [1, 2, 3, 4, 7, 12, 15, 16, 17, 30, 50,
+                                    128, 129, 130, 319, 910])
+def test_coupled_sums_match_full_matrix_sums_at_any_block_split(panels, rng):
+    """Every grid gives the unfactored sums, whatever its split into chunks
+    of 128 panels: grids inside one chunk (1 to 50 panels), one whole chunk
+    (128), a second chunk of one or two panels (129, 130), and the 319 and
+    910 panels of eps = 0.2 and 0.07, which end on a short chunk."""
+    edges = np.linspace(0.0, panels * PANEL_WIDTH, panels + 1)
+    nodes, _ = _gauss_panels(edges, PANEL_POINTS)
+    factors = rng.uniform(0.5, 1.5, (3, len(nodes)))
+    pairs = [(0, 1, 1), (1, 2, 2), (2, 2, 1)]
+    reference = [_full_matrix_sums(nodes, factors[a], factors[b], d)
+                 for a, b, d in pairs]
+    np.testing.assert_allclose(_coupled_sums(nodes, factors, pairs),
+                               reference, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("eps", DEFAULT_SCHEDULE + (0.2, 0.07))
+def test_regulated_pass_matches_full_matrix_sums(eps):
+    """The closed-form transforms give every piece of the p-grid sum over
+    all node pairs.  The grid's panels are pi/8 wide, the first split ten
+    times toward p = 0, where the coupling is not smooth: on the pi/4 grid
+    the j0 x j0 pieces sit 1e-11 to 3e-11 off, on this one below 2e-13."""
+    nodes, damp = _regulated_grid(eps, PANEL_WIDTH / 2.0, 10)
+    bessel = {m: sph_bessel_j(m, nodes) for m in (0, 1, 2)}
+    rows, pairs = [], []
+    for a, m, b, n, d, _ in osc._PIECES.values():
+        pairs.append((len(rows), len(rows) + 1, d))
+        rows += [nodes**a * bessel[m] * damp, nodes**b * bessel[n] * damp]
+    sums = _coupled_sums(nodes, np.array(rows), pairs)
+    for (name, (*_, c)), value in zip(osc._PIECES.items(), sums):
+        assert osc._regulated_pass(eps)[name] == pytest.approx(
+            c * value, rel=1e-12), name
 
 
 def _mpmath_transform(e, m, u):
@@ -333,16 +422,6 @@ def _kernel_bruteforce(kernel):
     return _richardson(DEFAULT_SCHEDULE, raw, (0, 1, 3, 5, 7))
 
 
-def _grid_coupled_sum(nodes, u, v):
-    """sum_ij u_i v_j / (p_i + p_j) on a p-grid, by the trapezoid rule with
-    step 0.25 in s for 1/x = Int e^{s - x e^s} ds, over the s where
-    x e^s runs from below 1e-16 to above 40 for every x = p_i + p_j."""
-    t = np.exp(np.arange(math.log(1e-16 / (2.0 * nodes[-1])),
-                         math.log(20.0 / nodes[0]), 0.25))
-    decay = np.exp(-np.outer(t, nodes))
-    return 0.25 * np.sum(t * (decay @ u) * (decay @ v))
-
-
 def test_e_gap_is_carried_by_e1():
     """Locate the 3 pi/4 between the two E routes.
 
@@ -368,8 +447,9 @@ def test_e_gap_is_carried_by_e1():
     phase = np.cos(np.outer(nodes, mu)) * (0.5 * w)
     transverse = nodes**3 * (phase @ (0.5 * (1.0 - mu**2))) * damp
     along = nodes**3 * (phase @ mu**2) * damp
-    direct = (2.0 * _grid_coupled_sum(nodes, transverse, transverse)
-              + _grid_coupled_sum(nodes, along, along))
+    transverse_sum, along_sum = _coupled_sums(
+        nodes, np.array([transverse, along]), [(0, 0, 1), (1, 1, 1)])
+    direct = 2.0 * transverse_sum + along_sum
     reduced = osc._regulated_pass(0.1)
     assert direct == pytest.approx(reduced["E_0"] + reduced["E_2"], rel=1e-10)
 
