@@ -198,17 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --- subcommand handlers ---------------------------------------------------
 
-def _numpy_raises(handler):
-    """handler (freq-check, the one command that runs numpy), with numpy's
-    overflow, division by zero and invalid operations raising FloatingPointError
-    instead of carrying inf or nan on."""
-    def run(args):
-        import numpy as np
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return handler(args)
-    return run
-
-
 def _cmd_constants(args) -> tuple[RunReport, int]:
     from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                         eval_bruteforce, eval_trig)
@@ -281,8 +270,8 @@ def freq_check_pairs(seed: int, n: int) -> list[tuple[float, float]]:
         tuple(map(float, 10.0 ** rng.uniform(-1.0, 1.0, 2))) for _ in range(n)]
 
 
-@_numpy_raises
 def _cmd_freq_check(args) -> tuple[RunReport, int]:
+    import numpy as np
     from .contour_frequency import (KINDS, ORACLE_EPSILON_RANGE, compare,
                                     freq_closed_form, resolving_epsilon)
     for flag, val in (("--pairs", args.pairs), ("--seed", args.seed)):
@@ -294,20 +283,23 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
     if not (lo <= args.epsilon <= hi):
         raise ValueError(f"--epsilon must lie in [{lo:g}, {hi:g}], "
                          f"got {args.epsilon!r}")
-    pairs = freq_check_pairs(args.seed, args.pairs)
-    report = RunReport("freq-check", {"pairs": len(pairs), "seed": args.seed,
-                                      "epsilon": args.epsilon, "tol": args.tol})
-    worst = 0.0
-    for k, kp in pairs:
-        epsilon = resolving_epsilon(k, kp, args.epsilon)
-        for kind in KINDS:
-            res = compare(kind, k, kp, epsilon)
-            closed = freq_closed_form(kind, k, kp)
-            rel_error = res.error_estimate / abs(closed)
-            worst = max(worst, rel_error)
-            report.add(kind, res.value.imag, res.error_estimate, res.method,
-                       k=k, kp=kp, closed_form_imag=closed.imag,
-                       rel_error=rel_error, regulator_epsilon=epsilon)
+    # numpy raises FloatingPointError rather than carry inf or nan on
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        pairs = freq_check_pairs(args.seed, args.pairs)
+        report = RunReport("freq-check", {
+            "pairs": len(pairs), "seed": args.seed, "epsilon": args.epsilon,
+            "tol": args.tol})
+        worst = 0.0
+        for k, kp in pairs:
+            epsilon = resolving_epsilon(k, kp, args.epsilon)
+            for kind in KINDS:
+                res = compare(kind, k, kp, epsilon)
+                closed = freq_closed_form(kind, k, kp)
+                rel_error = res.error_estimate / abs(closed)
+                worst = max(worst, rel_error)
+                report.add(kind, res.value.imag, res.error_estimate,
+                           res.method, k=k, kp=kp, closed_form_imag=closed.imag,
+                           rel_error=rel_error, regulator_epsilon=epsilon)
     report.add("worst_rel_error", worst, 0.0, "derived")
     if worst > args.tol:
         report.warnings.append(

@@ -1,14 +1,19 @@
 """Frequency-axis contour integrals over products of resonant denominators.
 
 The mode sums behind the momentum calculation reduce, frequency by frequency,
-to integrals of the form
+to integrals with A = k^2 - i eta and B = k'^2 - i eta.  Since
+int_0^inf domega / (omega^2 - z) = -i pi / (2 sqrt z) for Im z < 0, and
+partial fractions in omega^2 are divided differences, exactly
 
-    int_0^inf  omega^p / ((omega^2 - k^2 + i eta)^2 (omega^2 - k'^2 + i eta)) domega
+    int_0^inf omega^2m / ((omega^2 - A)^2 (omega^2 - B)) domega
+        = (-i pi / 2) g[A, A, B],    g(z) = z^(m - 1/2),
 
-with p = 4 (two transverse propagators, one squared) or p = 2 (one
-longitudinal factor).  Closing the contour gives compact closed forms; this
-module provides those closed forms plus an independent numerical oracle that
-evaluates the regulated integral at finite i-eta and extrapolates eta -> 0.
+for m = 2 (two transverse propagators, one squared) or m = 1 (one
+longitudinal factor).  Their eta -> 0 limits are freq_closed_form, whose
+(k, k') factors are the transverse and one-longitudinal weights of
+oscillatory_integrals; two simple poles, (-i pi / 2) g[A, B] with m = 0, give
+its two-pole weight (i pi / 2) / (k k' (k + k')).  A numerical oracle
+evaluates the same integral at finite eta and extrapolates eta -> 0.
 
 The oracle exists to cross-check the closed forms, so it deliberately shares
 no algebra with them: it is plain Gauss-Legendre quadrature on the real axis,
@@ -54,16 +59,9 @@ def _validate_pair(k: float, kp: float, epsilon: float) -> None:
 
 
 def freq_closed_form(kind: str, k: float, kp: float) -> complex:
-    """Closed form of the frequency integral of the given kind.
-
-    transverse:        -(i pi / 4) (k + 2 kp) / (k + kp)^2, the omega^4
-                       integral, homogeneous of degree -1 in (k, kp);
-    one_longitudinal:  +(i pi / 4) / (k (k + kp)^2), the omega^2 integral,
-                       homogeneous of degree -3.  The squared denominator
-                       carries k; the single denominator carries kp.
-
-    Both are purely imaginary.
-    """
+    """The frequency integral of the given kind at eta -> 0 (the squared
+    factor carries k): -(i pi / 4) (k + 2 kp) / (k + kp)^2 (transverse,
+    omega^4) or (i pi / 4) / (k (k + kp)^2) (one_longitudinal, omega^2)."""
     _validate(kind, k, kp)
     if kind == "transverse":
         return -0.25j * math.pi * (k + 2.0 * kp) / (k + kp) ** 2

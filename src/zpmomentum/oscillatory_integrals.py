@@ -45,9 +45,10 @@ __all__ = [
 # drop-one change below 0.02%; the four passes take about 0.5 ms on 2 vCPUs,
 # and each traces 0.012 MiB.
 DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
-# Richardson powers: the regulated values empirically approach their limit
-# through an odd series eps, eps^3, eps^5, ...; fitting even powers as well
-# wastes schedule points and degrades the extrapolation by orders of magnitude.
+# Richardson powers: F(eps) - F(0) is odd in eps for every piece, to rounding
+# (test_regulated_pieces_are_odd_about_eps_0), so the series is eps, eps^3,
+# eps^5, ...; fitting even powers as well wastes schedule points and degrades
+# the extrapolation by orders of magnitude.
 _ODD_POWERS = (0, 1, 3, 5, 7)
 # Smallest accepted regulator, kept as the --eps-schedule contract; a pass's
 # time and memory do not grow with 1/eps.
@@ -109,38 +110,47 @@ def eval_trig(name: str) -> IntegralResult:
 
 # --- route (ii): regulated double integrals --------------------------------
 #
-# Every defining kernel is a sum of separable pieces
-#     p^pe j_pb(p) * q^qe j_qb(q) / (p+q)^dp
-# after splitting (p+2q)/(p+q)^2 = 1/(p+q) + q/(p+q)^2.  The E kernel's
-# relative-angle integral is elementary and leaves (1/3) p^3 q^3 / (p+q)
-# [j0 j0 + 2 j2 j2].  With 1/x^d = Int_0^inf t^(d-1) e^(-x t) dt for d = 1
-# and 2, the piece regulated by e^{-eps (p+q)} is
+# Each defining kernel is stated once, in _KERNELS: a form factor, terms
+# c p^a j_m(p) q^b j_n(q), times the weight, at k = p and k' = q, of a
+# frequency integral (contour_frequency module docstring), which _WEIGHTS
+# splits into terms p^s q^r / (p+q)^d.  With 1/x^d = Int_0^inf t^(d-1)
+# e^(-x t) dt, d = 1 or 2, each product regulated by e^{-eps (p+q)} is
 #     Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt,
 # where L_a(u) = Int_0^inf p^e j_m(p) e^(-u p) dp is the Laplace transform of
 # a radial factor, known in closed form (_transform).  Their product is
 # rational in t: one pass integrates all nine pieces exactly (_laplace_sums).
 
-# piece -> (p_exponent, p_bessel_order, q_exponent, q_bessel_order,
-#           denominator_power, coefficient)
-_PIECES: dict[str, tuple[int, int, int, int, int, float]] = {
-    "I0_1": (4, 0, 2, 0, 1, 1.0),
-    "I0_2": (4, 0, 3, 0, 2, 1.0),
-    "I1_1": (3, 1, 3, 1, 1, 1.0),
-    "I1_2": (3, 1, 4, 1, 2, 1.0),
-    "A": (4, 1, 3, 1, 2, 1.0),
-    "C": (5, 0, 2, 0, 2, 1.0),
-    "D": (3, 0, 4, 0, 2, 1.0),
-    "E_0": (3, 0, 3, 0, 1, 1.0 / 3.0),
-    "E_2": (3, 2, 3, 2, 1, 2.0 / 3.0),
+# weight -> its partial fractions, as terms (s, r, d)
+_WEIGHTS = {
+    "transverse": ((0, 0, 1), (0, 1, 2)),  # (p + 2q) / (p+q)^2
+    "one_longitudinal": ((-1, 0, 2),),     # 1 / (p (p+q)^2)
+    "two_pole": ((-1, -1, 1),),            # 1 / (p q (p+q))
 }
-_ASSEMBLY: dict[str, tuple[str, ...]] = {
-    "I0": ("I0_1", "I0_2"),
-    "I1": ("I1_1", "I1_2"),
-    "A": ("A",),
-    "C": ("C",),
-    "D": ("D",),
-    "E": ("E_0", "E_2"),
+# constant -> (weight, form factor terms (c, a, m, b, n)).  D's weight is the
+# one no route checks (test_d_form_factor_under_the_two_pole_weight).
+_KERNELS = {
+    "I0": ("transverse", ((1.0, 4, 0, 2, 0),)),
+    "I1": ("transverse", ((1.0, 3, 1, 3, 1),)),
+    "A": ("one_longitudinal", ((1.0, 5, 1, 3, 1),)),
+    "C": ("one_longitudinal", ((1.0, 6, 0, 2, 0),)),
+    "D": ("one_longitudinal", ((1.0, 4, 0, 4, 0),)),
+    "E": ("two_pole", ((1.0 / 3.0, 4, 0, 4, 0), (2.0 / 3.0, 4, 2, 4, 2))),
 }
+
+
+def _derive(kernels):
+    """{piece: (pe, pb, qe, qb, d, c)} and {constant: its pieces}."""
+    pieces, assembly = {}, {}
+    for name, (weight, form) in kernels.items():
+        split = [(a + s, m, b + r, n, d, c) for c, a, m, b, n in form
+                 for s, r, d in _WEIGHTS[weight]]
+        names = [f"{name}_{i}" for i in range(1, len(split) + 1)]
+        assembly[name] = tuple(names if len(split) > 1 else [name])
+        pieces.update(zip(assembly[name], split))
+    return pieces, assembly
+
+
+_PIECES, _ASSEMBLY = _derive(_KERNELS)
 # The distinct radial factors p^e j_m(p) of the pieces, as (e, m), and each
 # piece as (index of its p factor, index of its q factor, d).
 _FACTORS = sorted({factor for pe, pb, qe, qb, _, _ in _PIECES.values()
@@ -232,8 +242,8 @@ def _validate_schedule(schedule) -> tuple[float, ...]:
 
 
 def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
-    """Regulated double quadrature of a defining radial kernel
-    (I0, I1, A, C, D or E).
+    """Regulated double quadrature of a defining radial kernel, a row of
+    _KERNELS (I0, I1, A, C, D or E).
 
     Integrates the kernel times e^{-eps(p+q)} over [0, inf)^2 for each eps
     in the (strictly descending) schedule and Richardson-extrapolates to
@@ -252,8 +262,8 @@ def eval_bruteforce(name: str, schedule=DEFAULT_SCHEDULE) -> IntegralResult:
     Averaging the phase over n gives j0(|p - q|); azimuthal symmetry then
     removes three angles, and the relative-angle integral, with
     (p^.q^)^2 = (1 + 2 P2(p^.q^)) / 3 and Gegenbauer's addition theorem,
-    leaves the regulated double radial integral of
-    (1/3) p^3 q^3 / (p+q) [j0(p) j0(q) + 2 j2(p) j2(q)], which is what this
+    leaves the form factor p^4 q^4 [j0(p) j0(q) + 2 j2(p) j2(q)] / 3 times
+    the two-pole weight 1/(p q (p+q)): E's row of _KERNELS, which this
     routine evaluates.  It converges to 43 pi/8.
 
     Split per wavevector instead, <k^_i k^_j e^{i k.n}> = (j1(k)/k) d_ij

@@ -135,6 +135,27 @@ def test_freq_check_report(capsys):
             assert "rel_error" in row
 
 
+def test_freq_check_runs_numpy_with_floating_point_faults_raising(
+        capsys, monkeypatch):
+    # every oracle call sees overflow, division by zero and invalid
+    # operations raise, and the caller's numpy state is restored afterwards
+    import numpy as np
+    from zpmomentum import contour_frequency
+    compare, seen = contour_frequency.compare, []
+
+    def spy(*args):
+        seen.append(np.geterr())
+        return compare(*args)
+
+    monkeypatch.setattr(contour_frequency, "compare", spy)
+    before = np.geterr()
+    run_json(capsys, ["freq-check", "--pairs", "0"])
+    assert len(seen) == 6
+    for state in seen:
+        assert {state[k] for k in ("over", "divide", "invalid")} == {"raise"}
+    assert np.geterr() == before
+
+
 def test_freq_check_unreachable_tolerance_exits_3(capsys):
     code, out, _ = run_capture(capsys, ["freq-check", "--pairs", "1",
                                         "--tol", "1e-18", "--format", "json"])

@@ -71,6 +71,32 @@ def test_oracle_matches_closed_form_on_hard_pairs(kind, k, kp):
     assert res.value == freq_oracle(kind, k, kp, epsilon=1e-3)
 
 
+def _finite_eta_integral(kind, k, kp, eta):
+    """The module docstring's exact regulated integral (-i pi/2) g[A, A, B],
+    g(z) = z^(m - 1/2), A = k^2 - i eta, B = kp^2 - i eta, by the confluent
+    difference g[A, A, B] = (g[A, B] - g'(A)) / (B - A)."""
+    m = 2 if kind == "transverse" else 1
+    A, B = complex(k * k, -eta), complex(kp * kp, -eta)
+    g_ab = (B ** (m - 0.5) - A ** (m - 0.5)) / (B - A)
+    return -0.5j * math.pi * (g_ab - (m - 0.5) * A ** (m - 1.5)) / (B - A)
+
+
+@pytest.mark.parametrize("eta,rtol", [(1e-3, 1e-11), (1e-5, 1e-9)])
+@pytest.mark.parametrize("k,kp", [(2.0, 1.0), (1.0, 3.0)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_regulated_single_matches_the_exact_finite_eta_integral(kind, k, kp,
+                                                                eta, rtol):
+    """The oracle's quadrature at one regulator against the exact integral
+    at that regulator (min(k, kp) = 1, so the rescaled regulator is eta);
+    worst measured 8.5e-13 at 1e-3 and 9.4e-11 at 1e-5.  At eta = 0 the
+    formula is the closed form."""
+    reference = _finite_eta_integral(kind, k, kp, eta)
+    value, _ = contour_frequency._regulated_single(kind, k, kp, eta)
+    assert abs(value - reference) <= rtol * abs(reference)
+    assert _finite_eta_integral(kind, k, kp, 0.0) == pytest.approx(
+        freq_closed_form(kind, k, kp), rel=1e-14)
+
+
 def test_oracle_refuses_unresolvable_pole_separation():
     # distinct poles closer than the regulated width: refuse loudly rather
     # than integrate overlapping windows

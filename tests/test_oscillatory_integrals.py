@@ -15,7 +15,7 @@ from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               reconciled_constants)
 from zpmomentum.base import ConvergenceError, _richardson
 from zpmomentum.special_functions import _gauss_panels, sph_bessel_j
-from zpmomentum.tensor_assembly import _EXACT_CONSTANTS, solve_D1_D3
+from zpmomentum.tensor_assembly import _EXACT_CONSTANTS, eta, solve_D1_D3
 
 KERNEL_NAMES = ("I0", "I1", "A", "C", "D", "E")
 
@@ -208,6 +208,59 @@ def test_e_defining_kernel_matches_trig_piece_sum():
     assert brute.value == pytest.approx(trig_sum, rel=0.05)
 
 
+# --- the kernel statement ---------------------------------------------------
+
+# The nine pieces (p exponent, p Bessel order, q exponent, q Bessel order, d,
+# coefficient) as they were typed by hand before _KERNELS stated them, in
+# their order; E's two pieces were named E_0 and E_2.
+HAND_TYPED_PIECES = (
+    ("I0_1", (4, 0, 2, 0, 1, 1.0)),
+    ("I0_2", (4, 0, 3, 0, 2, 1.0)),
+    ("I1_1", (3, 1, 3, 1, 1, 1.0)),
+    ("I1_2", (3, 1, 4, 1, 2, 1.0)),
+    ("A", (4, 1, 3, 1, 2, 1.0)),
+    ("C", (5, 0, 2, 0, 2, 1.0)),
+    ("D", (3, 0, 4, 0, 2, 1.0)),
+    ("E_1", (3, 0, 3, 0, 1, 1.0 / 3.0)),
+    ("E_2", (3, 2, 3, 2, 1, 2.0 / 3.0)),
+)
+
+
+def test_kernel_statement_derives_the_hand_typed_pieces():
+    """The form factors times the partial fractions of their weights are
+    the nine hand-typed pieces, in order and coefficient for coefficient,
+    so every default pass is the one those pieces gave, bit for bit."""
+    assert tuple(osc._PIECES.items()) == HAND_TYPED_PIECES
+    assert osc._ASSEMBLY == {
+        "I0": ("I0_1", "I0_2"), "I1": ("I1_1", "I1_2"), "A": ("A",),
+        "C": ("C",), "D": ("D",), "E": ("E_1", "E_2")}
+    pieces = [piece for _, piece in HAND_TYPED_PIECES]
+    factors = sorted({f for a, m, b, n, _, _ in pieces
+                      for f in ((a, m), (b, n))})
+    pairs = [(factors.index((a, m)), factors.index((b, n)), d)
+             for a, m, b, n, d, _ in pieces]
+    for eps in DEFAULT_SCHEDULE:
+        sums = osc._laplace_sums(eps, factors, pairs)
+        assert osc._regulated_pass(eps) == {
+            name: piece[-1] * value
+            for (name, piece), value in zip(HAND_TYPED_PIECES, sums)}, eps
+
+
+def test_d_form_factor_under_the_two_pole_weight():
+    """The one choice in D's statement, pinned without moving an output:
+    under E's two-pole weight 1/(pq(p+q)), D's form factor p^4 q^4 j0 j0
+    integrates to 3 pi/8 at eps = 0, and with that D the table gives
+    eta = -229/(9216 pi), the printed eta in magnitude, both bit for bit.  The
+    package keeps the one-longitudinal weight, which gives 3 pi/16."""
+    weight, form = osc._KERNELS["D"]
+    assert weight == "one_longitudinal"
+    pieces, _ = osc._derive({"D": ("two_pole", form)})
+    (a, m, b, n, d, c), = pieces.values()
+    value = c * osc._laplace_sums(0.0, [(a, m), (b, n)], [(0, 1, d)])[0]
+    assert value == 3 * math.pi / 8
+    assert eta({**_EXACT_CONSTANTS, "D": value}) == -229 / (9216 * math.pi)
+
+
 # --- the regulated pass ------------------------------------------------------
 
 # The p-grid of the references: 8 Gauss-Legendre points on each panel of
@@ -375,6 +428,17 @@ def test_regulated_pass_matches_mpmath_t_integral(eps):
                 <= 1e-13, name
 
 
+@pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
+def test_regulated_pieces_are_odd_about_eps_0(eps):
+    """F(eps) + F(-eps) = 2 F(0) within 1e-15 relative for every piece
+    (worst measured 3.8e-16): F(eps) - F(0) is odd in eps, which is why
+    _ODD_POWERS fits odd powers only."""
+    for name, plus, minus, zero in zip(osc._PIECES, osc._laplace_sums(eps),
+                                       osc._laplace_sums(-eps),
+                                       osc._laplace_sums(0.0)):
+        assert abs(plus + minus - 2.0 * zero) <= 1e-15 * abs(2.0 * zero), name
+
+
 @pytest.mark.parametrize("d", [0, 3])
 def test_laplace_sums_rejects_other_denominator_powers(d):
     # the t = (u - i) + (i - eps) split holds for d = 2 only; any other d
@@ -483,7 +547,7 @@ def test_e_gap_is_carried_by_e1():
         nodes, np.array([transverse, along]), [(0, 0, 1), (1, 1, 1)])
     direct = 2.0 * transverse_sum + along_sum
     reduced = osc._regulated_pass(0.1)
-    assert direct == pytest.approx(reduced["E_0"] + reduced["E_2"], rel=1e-10)
+    assert direct == pytest.approx(reduced["E_1"] + reduced["E_2"], rel=1e-10)
 
 
 def test_e_bruteforce_extrapolation_is_internally_stable():
