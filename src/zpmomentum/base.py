@@ -1,8 +1,8 @@
 """What the layers share without numpy: the record base, ConvergenceError,
 IntegralResult, the one Richardson extrapolation, the one Levi-Civita tensor
-and the 3-tuple arithmetic of the closed-form path.  Contractions sum from
-+0.0 in index order, so a zero is +0.0 and a symmetric matrix's transposed
-terms cancel exactly."""
+and the 3-tuple arithmetic of the closed-form and tensor paths.  Sums run
+from +0.0 in index order, so a zero is +0.0 and a symmetric matrix's
+transposed terms cancel exactly."""
 
 import math
 
@@ -109,7 +109,7 @@ def _richardson(schedule, values, powers) -> float | complex:
     return coeffs[0]
 
 
-# The rank-3 alternating tensor eps_ijk; np.einsum reads it as it is.
+# The rank-3 alternating tensor eps_ijk, as nested tuples.
 _EPS3 = (((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, -1.0, 0.0)),
          ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
          ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))

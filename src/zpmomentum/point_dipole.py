@@ -18,16 +18,17 @@ its frequency integral obeys
 so the total radiated momentum is -(alpha0/alpha)(hbar omega0 / c0^2) v: the
 dipole behaves as if its mass changed by -(alpha0/alpha) hbar omega0 / c0^2.
 
-Only t_matrix, the momenta and the quadrature of J run numpy, imported in
-their own bodies; the rest, and so the `dipole` command, use plain floats.
+Vectors are 3-tuples of floats and t_matrix is three rows of three complex
+numbers, built on the one Levi-Civita of module base.  Only the quadrature
+of J runs numpy, imported in its own body.
 """
 
 from __future__ import annotations
 
 import math
 
-from .base import ConvergenceError, _eps_dot, _finite, _Record
-from .units_materials import CONSTANTS, _slow_velocity
+from .base import ConvergenceError, _dot, _eps_dot, _finite, _Record
+from .units_materials import CONSTANTS, _as_vec3, _slow_velocity
 
 __all__ = [
     "DipoleSpec",
@@ -97,7 +98,11 @@ def _kappa(omega: float) -> float:
     """The wavenumber omega / c0 (1/m) of a frequency omega > 0 (rad/s)."""
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive, got {omega!r}")
-    return omega / CONSTANTS.c0_si
+    kappa = omega / CONSTANTS.c0_si
+    if kappa == 0.0:
+        raise FloatingPointError(f"kappa = omega / c0 underflows to 0 at "
+                                 f"omega = {omega!r} rad/s")
+    return kappa
 
 
 def _spectral_kernel(spec: DipoleSpec, r, d):
@@ -106,11 +111,10 @@ def _spectral_kernel(spec: DipoleSpec, r, d):
     return (spec.alpha0 / (d + 1j * spec.damping_ratio * r)).imag
 
 
-def _radiated_momentum(spec: DipoleSpec, j: float, v_si) -> np.ndarray:
+def _radiated_momentum(spec: DipoleSpec, j: float, v_si) -> tuple:
     """(2 hbar / pi)(j / alpha)(v / c0) in kg m/s; j is J or its density."""
-    import numpy as np
-    return (2.0 * CONSTANTS.hbar_si / math.pi / spec.alpha * j
-            * np.divide(v_si, CONSTANTS.c0_si))
+    scale = 2.0 * CONSTANTS.hbar_si / math.pi / spec.alpha * j
+    return tuple(scale * (x / CONSTANTS.c0_si) for x in v_si)
 
 
 def t0(spec: DipoleSpec, omega: float) -> complex:
@@ -118,13 +122,19 @@ def t0(spec: DipoleSpec, omega: float) -> complex:
 
     Vanishes as omega^2 at low frequency; exactly -6 pi i / kappa0 on
     resonance; Im t0 < 0 for all omega > 0 (radiation always removes energy).
+    With r = kappa/kappa0 and 4 pi gamma = alpha0 kappa0^2, t0 is
+    4 pi gamma r^2 / (r^2 - 1 + i x r), divided through by r^2 above the
+    resonance, so that no square overflows; a tiny t0 underflows to 0.
     """
-    kappa, k0 = _kappa(omega), spec.kappa0
-    denom = k0 * k0 - kappa * kappa - (2.0 / 3.0) * 1j * spec.gamma * k0 * k0 * kappa
-    return -4.0 * math.pi * spec.gamma * kappa * kappa / denom
+    r, x = _kappa(omega) / spec.kappa0, spec.damping_ratio
+    if r <= 1.0:
+        return 4.0 * math.pi * spec.gamma * r * r / complex(
+            (r - 1.0) * (r + 1.0), x * r)
+    s = 1.0 / r
+    return 4.0 * math.pi * spec.gamma / complex((1.0 - s) * (1.0 + s), x * s)
 
 
-def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
+def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> tuple:
     """Summed 3x3 t-matrix of the moving dipole, first order in v/c0.
 
     k and kp are incoming/outgoing wavevectors in 1/m; v is the lab velocity
@@ -133,32 +143,41 @@ def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> np.ndarray:
 
         T = t0 [ 1 + (1/kappa) (-i phi_k M^T + i M phi_kp) ]
 
-    with the momentum rotation generator (phi_p)_nm = i eps_nml p_l.  T is
-    linear in v, equal to t0 * identity at rest.  For kp = k the correction
-    is the symmetric traceless-for-orthogonal-v matrix
-    -(t0/kappa)[k v + v k - 2 (k.v) 1].
+    with the momentum rotation generator (phi_p)_nm = i eps_nml p_l.  T, three
+    rows of three complex numbers, is linear in v and t0 * identity at rest.
+    For kp = k the correction is the symmetric traceless-for-orthogonal-v
+    matrix -(t0/kappa)[k v + v k - 2 (k.v) 1].
     """
-    import numpy as np
-    kappa = _kappa(omega)
-    k = np.asarray(k, dtype=float)
-    kp = np.asarray(kp, dtype=float)
-    m = np.array(_eps_dot(np.divide(_slow_velocity(v), CONSTANTS.c0_si)))
+    m = _eps_dot([x / CONSTANTS.c0_si for x in _slow_velocity(v)])
+    ek, ekp = _eps_dot(_as_vec3(k, "k")), _eps_dot(_as_vec3(kp, "kp"))
     amp = t0(spec, omega)
-    phi_k, phi_kp = 1j * np.array(_eps_dot(k)), 1j * np.array(_eps_dot(kp))
-    correction = (-1j * phi_k @ m.T + 1j * m @ phi_kp) / kappa
-    return amp * (np.eye(3) + correction)
+    scale = amp / _kappa(omega)  # t0/kappa stays finite where 1/kappa does not
+    # i phi_p = -eps(p), eps(p)_nm = eps_nml p_l, so the correction is real:
+    # (eps(k) M^T - M eps(kp))_ij = eps(k)_in M_jn + M_in eps(kp)_jn
+    rows = tuple(tuple(amp * (i == j)
+                       + scale * (_dot(ek[i], m[j]) + _dot(m[i], ekp[j]))
+                       for j in range(3)) for i in range(3))
+    _finite(tuple(x for row in rows for z in row for x in (z.real, z.imag)),
+            "t-matrix t0 [1 + (eps(k) M^T - M eps(kp))/kappa] overflows")
+    return rows
 
 
-def p_rad_spectral(spec: DipoleSpec, omega: float, v) -> np.ndarray:
+def p_rad_spectral(spec: DipoleSpec, omega: float, v) -> tuple:
     """Spectral density of radiated zero-point momentum, kg m/s per rad/s.
 
     Proportional to Im(t0/kappa^2) and directed along v for every frequency;
     the c0 = 1 form is (2 hbar / pi) Im(t0 / (alpha omega^2)) v.
     """
-    # J's density per unit omega, as d kappa = d omega / c0
+    # J's density per unit omega, as d kappa = d omega / c0; above the
+    # resonance, as in t0, divided through by r^2 so that no square overflows
     r = _kappa(omega) / spec.kappa0
-    density = _spectral_kernel(spec, r, (r - 1.0) * (r + 1.0)) / CONSTANTS.c0_si
-    return _radiated_momentum(spec, density, _slow_velocity(v))
+    if r <= 1.0:
+        density = _spectral_kernel(spec, r, (r - 1.0) * (r + 1.0))
+    else:
+        s = 1.0 / r
+        density = _spectral_kernel(spec, s, (1.0 - s) * (1.0 + s)) * s * s
+    return _radiated_momentum(spec, density / CONSTANTS.c0_si,
+                              _slow_velocity(v))
 
 
 def spectral_integral_exact(spec: DipoleSpec) -> float:
@@ -216,7 +235,7 @@ def spectral_integral_quadrature(spec: DipoleSpec) -> float:
     return total
 
 
-def p_rad_total(spec: DipoleSpec, v) -> np.ndarray:
+def p_rad_total(spec: DipoleSpec, v) -> tuple:
     """Total radiated zero-point momentum for lab velocity v (m/s), kg m/s.
 
     Integrates the spectral density over all frequencies by the compactified

@@ -15,7 +15,7 @@ and eta is a single pure number, eta = (I0 - I1 + C/3 - A/3 + D/3 - E/2) /
 (192 pi^2).  This module builds both sides: the explicit tensor contractions
 (second_born_momentum) and the closed form (closed_form_p_rad, eta), plus a
 consistency diagnostic for the one constant (D) that has no published value.
-Vectors are 3-tuples of floats; only second_born_momentum imports numpy.
+Vectors are 3-tuples of floats, contracted from +0.0 without numpy.
 """
 
 from __future__ import annotations
@@ -251,47 +251,47 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
 
     Valid only at weak contrast, |epsilon - 1| <= PERTURBATIVE_WINDOW; outside
     it a ValueError is raised.  Linear in chi and in (epsilon - 1), and
-    proportional to 1/a through K.  Each einsum multiplies chi entries only by
-    Levi-Civita and Kronecker entries (0 or +-1), so for symmetric chi the
-    transposed pairs cancel exactly and the total is exactly zero.
+    proportional to 1/a through K.  Every tensor entry is a chi entry times
+    Levi-Civita and Kronecker entries (0 or +-1), summed from +0.0 in index
+    order, so for symmetric chi the transposed pairs cancel exactly and the
+    total is exactly zero.
     """
     eps_r = sphere.material.epsilon
     if abs(eps_r - 1.0) > PERTURBATIVE_WINDOW:
         raise ValueError(
             f"|epsilon - 1| = {abs(eps_r - 1.0):.3g} exceeds {PERTURBATIVE_WINDOW}"
             "; the second-order expansion is not trustworthy there")
-    import numpy as np  # only the tensor path runs numpy
     c = _EXACT_CONSTANTS if constants is None else constants
     K = regularized_K(sphere.radius)
     contrast = eps_r - 1.0
-    hbar = CONSTANTS.hbar_si
-    m, eps = np.array(chi.matrix), np.array(_EPS3)
+    # rows[l][i][j] = eps_ijm chi_lm = eps_jmi chi_lm, and u_l = eps_nlm chi_mn
+    rows = [_eps_dot(row) for row in chi.matrix]
+    u = [_dot(sum(plane, ()), sum(chi.matrix, ())) for plane in _EPS3]
 
-    D1, D3 = solve_D1_D3(c["D"], c["E"])
-    a1 = D1 + (c["C"] - c["A"]) / 15.0
-    a3 = D3 + (c["C"] - c["A"]) / 15.0
+    a1, a3 = (d + (c["C"] - c["A"]) / 15.0 for d in solve_D1_D3(c["D"], c["E"]))
 
-    # t[0] (transverse) and t[1] (one longitudinal) are each a term plus its
-    # j <-> l transpose: coeff0 (eps_jmi chi_lm + chi_jm eps_lmi) and
-    # coeff1 [a1 chi_mn (d_ij eps_nlm + d_il eps_njm) + a3 (eps_mli chi_jm + eps_mji chi_lm)]
+    # t[0] (transverse) and t[1] (one longitudinal) are each a half plus its
+    # j <-> l transpose, T_ijl = half_ijl + half_ilj: coeff0 eps_jmi chi_lm
+    # and coeff1 (a1 d_ij u_l + a3 eps_mli chi_jm)
     coeff0 = -K / (48.0 * math.pi**4) * contrast * (c["I0"] - c["I1"])
     coeff1 = K / (16.0 * math.pi**4) * contrast
-    u = np.einsum("nlm,mn->l", eps, m)
-    half = np.stack([coeff0 * np.einsum("jmi,lm->ijl", eps, m),
-                     coeff1 * (a1 * np.einsum("ij,l->ijl", np.eye(3), u)
-                               + a3 * np.einsum("mli,jm->ijl", eps, m))])
-    t = half + half.swapaxes(2, 3)
-    # the P_i-type contraction T_ijj - T_jij of each
-    contrib_0, contrib_1 = hbar * (np.einsum("kijj->ki", t)
-                                   - np.einsum("kjij->ki", t))
 
+    def contract(half) -> tuple:
+        """hbar sum_j (T_ijj - T_jij), summed from +0.0 over j."""
+        p = [0.0, 0.0, 0.0]
+        for i in range(3):
+            for j in range(3):
+                p[i] += 2.0 * half(i, j, j) - half(j, i, j) - half(j, j, i)
+        return tuple(CONSTANTS.hbar_si * x for x in p)
+
+    contrib_0 = contract(lambda i, j, l: coeff0 * rows[l][i][j])
+    contrib_1 = contract(lambda i, j, l: coeff1 * (
+        a1 * (i == j) * u[l] + a3 * rows[j][l][i]))
     # two-longitudinal piece arrives pre-contracted: -K E/(32 pi^4) (eps-1) w
-    contrib_2 = hbar * (-K * c["E"] / (32.0 * math.pi**4) * contrast
-                        ) * np.array(axial_vector(chi))
-
-    total = contrib_0 + contrib_1 + contrib_2
-    return BornMomentumBreakdown(*(tuple(part.tolist()) for part in (
-        contrib_0, contrib_1, contrib_2, total)))
+    scale2 = CONSTANTS.hbar_si * (-K * c["E"] / (32.0 * math.pi**4) * contrast)
+    contrib_2 = tuple(scale2 * x for x in axial_vector(chi))
+    return BornMomentumBreakdown(contrib_0, contrib_1, contrib_2, tuple(
+        x + y + z for x, y, z in zip(contrib_0, contrib_1, contrib_2)))
 
 
 def closed_form_p_rad(sphere: SphereSpec, chi: ChiTensor,

@@ -115,6 +115,41 @@ def test_t_matrix_forward_correction_symmetric_traceless():
     assert np.allclose(corr, expected, rtol=1e-12, atol=1e-30)
 
 
+@pytest.mark.parametrize("k, kp, message", [
+    ((1e4, 2e4), (1.0, 0.0, 0.0), "k must be a 3-vector"),
+    ((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0), "k must be a 3-vector"),
+    ((math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), "k must be finite"),
+    ((1.0, 0.0, 0.0), (1e4, 2e4), "kp must be a 3-vector"),
+    ((1.0, 0.0, 0.0), (0.0, math.inf, 0.0), "kp must be finite"),
+])
+def test_t_matrix_refuses_a_wavevector_that_is_not_three_finite_numbers(
+        k, kp, message):
+    # each wavevector is checked like v, so none is truncated to fit
+    with pytest.raises(ValueError, match=f"^{message}"):
+        t_matrix(NARROW, NARROW.omega0, k, kp, (1.0, 0.0, 0.0))
+
+
+def test_t0_and_t_matrix_stay_finite_far_from_resonance():
+    # kappa^2 overflows at omega = 1e200 rad/s, where t0 tends to 4 pi
+    # gamma, and 1/kappa at 1e-300 rad/s, where t0/kappa underflows
+    assert t0(NARROW, 1e200) == pytest.approx(4.0 * math.pi * NARROW.gamma,
+                                              rel=1e-12)
+    for omega in (1e200, 1e-300):
+        out = t_matrix(NARROW, omega, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                       (1.0, 2.0, 3.0))
+        assert all(math.isfinite(part) for row in out for z in row
+                   for part in (z.real, z.imag))
+    with pytest.raises(FloatingPointError,
+                       match="kappa = omega / c0 underflows to 0"):
+        t0(NARROW, 5e-324)
+
+
+def test_p_rad_spectral_stays_finite_where_kappa_over_kappa0_overflows():
+    # kappa0 is 1.1e-103 1/m, so r = kappa/kappa0 is inf at omega = 1e300
+    spec = DipoleSpec(alpha=1e100, alpha0=1e100, gamma=1e-107)
+    assert p_rad_spectral(spec, 1e300, (1.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+
+
 def test_t_matrix_velocity_bound():
     k = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The declared public surface: every name in an ``__all__`` exists, the
-package needs nothing beyond numpy, and it loads each layer only when a name
-or a command needs it; every command but freq-check loads no numpy."""
+package needs nothing beyond numpy, and it loads each layer only when a name,
+a command or a library call needs it; every command but freq-check, and every
+library call but the dipole quadrature, loads no numpy."""
 
 import importlib
 import json
@@ -55,10 +56,11 @@ def test_no_name_in_two_layer_lists():
 
 
 # One fresh interpreter reports what each step loads: the bare package
-# import, each command with the zpmomentum modules and the STDLIB modules
-# unloaded before it (and the commands after which numpy or numpy.polynomial
-# is loaded), then every module (for scipy), the star import and dir().
-# numpy cannot be unloaded, so the commands without it run first.
+# import, each command or library call with the zpmomentum modules and the
+# STDLIB modules unloaded before it (and the steps after which numpy or
+# numpy.polynomial is loaded), then every module (for scipy), the star
+# import and dir().  numpy cannot be unloaded, so the steps without it run
+# first.  A step is a command's argv or, for a library call, Python source.
 STDLIB = ("csv", "dataclasses", "fractions", "decimal")
 PROBE = """
 import contextlib, io, json, sys
@@ -72,9 +74,12 @@ report = {"import": loaded("zpmomentum.")
 for key, argv in json.loads(sys.argv[1]):
     for name in loaded("zpmomentum") + [m for m in stdlib if m in sys.modules]:
         del sys.modules[name]
-    from zpmomentum.cli import main
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
+    if isinstance(argv, str):
+        exec(argv, {})
+    else:
+        from zpmomentum.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
     report[key] = [m.split(".")[1] for m in loaded("zpmomentum.")]
     report["stdlib"][key] = [m for m in stdlib if m in sys.modules]
     for module, name in (("numpy", "numpy"), ("numpy.polynomial",
@@ -93,12 +98,36 @@ report["dir"] = dir(zpmomentum)
 print(json.dumps(report))
 """
 
-# The layer modules each command loads, cli and its own layers included:
+# Two library calls, as Python source, each imported from its own layers:
+# the tensor path and the moving dipole's t-matrix and spectral density run
+# on tuples, and only the quadrature of J loads numpy.
+LIBRARY_CALLS = {
+    "second_born_momentum, closed_form_p_rad, t_matrix, p_rad_spectral": """
+from zpmomentum.point_dipole import DipoleSpec, p_rad_spectral, t_matrix
+from zpmomentum.tensor_assembly import (ChiTensor, closed_form_p_rad,
+                                        second_born_momentum)
+from zpmomentum.units_materials import MaterialSpec, SphereSpec
+sphere = SphereSpec(1e-6, MaterialSpec(1.3, 2000.0))
+chi = ChiTensor.magneto_electric((1, 0, 0), (0, 1, 0), 1e-4)
+second_born_momentum(sphere, chi)
+closed_form_p_rad(sphere, chi)
+spec = DipoleSpec(1.0, 1.0, 1e-4)
+t_matrix(spec, spec.omega0, (1, 0, 0), (0, 1, 0), (1, 0, 0))
+p_rad_spectral(spec, spec.omega0, (1, 0, 0))
+""",
+    "spectral_integral_quadrature": """
+from zpmomentum.point_dipole import DipoleSpec, spectral_integral_quadrature
+spectral_integral_quadrature(DipoleSpec(1.0, 1.0, 1e-4))
+""",
+}
+TUPLE_CALLS, QUADRATURE = LIBRARY_CALLS
+
+# The layer modules each step loads, cli and its own layers included:
 # predict, eta and empty-vacuum load neither special_functions (nor numpy)
 # nor the quadrature routes nor the frequency oracle nor the dipole, dipole
 # loads none of these but itself, constants loads neither special_functions
 # (nor numpy) nor the last two nor the predictions, and freq-check loads no
-# prediction.
+# prediction.  The library calls load no cli.
 PREDICT = ["base", "cli", "predictions", "tensor_assembly", "units_materials"]
 NUMPY_FREE = {
     "predict me-sphere --a-um 1": PREDICT,
@@ -112,9 +141,11 @@ NUMPY_FREE = {
         "base", "cli", "point_dipole", "units_materials"],
     "constants": ["base", "cli", "oscillatory_integrals", "tensor_assembly",
                   "units_materials"],
+    TUPLE_CALLS: ["base", "point_dipole", "tensor_assembly", "units_materials"],
 }
 COMMAND_LAYERS = {
     **NUMPY_FREE,
+    QUADRATURE: ["base", "point_dipole", "special_functions", "units_materials"],
     "freq-check --pairs 2": ["base", "cli", "contour_frequency",
                              "special_functions"],
 }
@@ -129,7 +160,8 @@ def probe():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     commands = json.dumps([
-        (key, [MC_MATERIAL if a == "MC_MATERIAL" else a for a in key.split()])
+        (key, LIBRARY_CALLS.get(key) or [
+            MC_MATERIAL if a == "MC_MATERIAL" else a for a in key.split()])
         for key in COMMAND_LAYERS])
     out = subprocess.run([sys.executable, "-c", PROBE, commands,
                           json.dumps(MODULES), json.dumps(STDLIB)],
@@ -155,8 +187,9 @@ def test_command_loads_only_its_layers(probe, argv):
 
 
 def test_closed_form_commands_load_no_numpy(probe):
-    # each runs before any numpy command, and the probe sees numpy once one
-    # of those has run
+    # each runs before any numpy step, and the probe sees numpy once one of
+    # those has run: the tensor path, t_matrix and p_rad_spectral load none,
+    # and the dipole quadrature loads it, like a lint rule on the boundary
     assert probe["numpy"] == list(COMMAND_LAYERS)[len(NUMPY_FREE):]
 
 
