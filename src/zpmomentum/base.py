@@ -109,7 +109,7 @@ def _richardson(schedule, values, powers) -> float | complex:
     return coeffs[0]
 
 
-# The rank-3 alternating tensor eps_ijk, as nested tuples.
+# The rank-3 alternating tensor eps_ijk.
 _EPS3 = (((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, -1.0, 0.0)),
          ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
          ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)))

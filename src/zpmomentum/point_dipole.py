@@ -111,6 +111,18 @@ def _spectral_kernel(spec: DipoleSpec, r, d):
     return (spec.alpha0 / (d + 1j * spec.damping_ratio * r)).imag
 
 
+def _scaled_resonance(spec: DipoleSpec, omega: float):
+    """(rho, d, a, b) with r = kappa/kappa0 and r^2 - 1 + i x r equal to
+    (d + i x rho) / b^2, so t0 = 4 pi gamma a^2 / (d + i x rho).  Below the
+    resonance rho = a = r and b = 1; above it the denominator is divided
+    through by r^2, rho = b = 1/r and a = 1, so that no square overflows."""
+    r = _kappa(omega) / spec.kappa0
+    if r <= 1.0:
+        return r, (r - 1.0) * (r + 1.0), r, 1.0
+    s = 1.0 / r
+    return s, (1.0 - s) * (1.0 + s), 1.0, s
+
+
 def _radiated_momentum(spec: DipoleSpec, j: float, v_si) -> tuple:
     """(2 hbar / pi)(j / alpha)(v / c0) in kg m/s; j is J or its density."""
     scale = 2.0 * CONSTANTS.hbar_si / math.pi / spec.alpha * j
@@ -123,15 +135,12 @@ def t0(spec: DipoleSpec, omega: float) -> complex:
     Vanishes as omega^2 at low frequency; exactly -6 pi i / kappa0 on
     resonance; Im t0 < 0 for all omega > 0 (radiation always removes energy).
     With r = kappa/kappa0 and 4 pi gamma = alpha0 kappa0^2, t0 is
-    4 pi gamma r^2 / (r^2 - 1 + i x r), divided through by r^2 above the
-    resonance, so that no square overflows; a tiny t0 underflows to 0.
+    4 pi gamma r^2 / (r^2 - 1 + i x r), scaled by _scaled_resonance so that
+    no square overflows; a tiny t0 underflows to 0.
     """
-    r, x = _kappa(omega) / spec.kappa0, spec.damping_ratio
-    if r <= 1.0:
-        return 4.0 * math.pi * spec.gamma * r * r / complex(
-            (r - 1.0) * (r + 1.0), x * r)
-    s = 1.0 / r
-    return 4.0 * math.pi * spec.gamma / complex((1.0 - s) * (1.0 + s), x * s)
+    rho, d, a, _ = _scaled_resonance(spec, omega)
+    return 4.0 * math.pi * spec.gamma * a * a / complex(
+        d, spec.damping_ratio * rho)
 
 
 def t_matrix(spec: DipoleSpec, omega: float, k, kp, v) -> tuple:
@@ -168,14 +177,9 @@ def p_rad_spectral(spec: DipoleSpec, omega: float, v) -> tuple:
     Proportional to Im(t0/kappa^2) and directed along v for every frequency;
     the c0 = 1 form is (2 hbar / pi) Im(t0 / (alpha omega^2)) v.
     """
-    # J's density per unit omega, as d kappa = d omega / c0; above the
-    # resonance, as in t0, divided through by r^2 so that no square overflows
-    r = _kappa(omega) / spec.kappa0
-    if r <= 1.0:
-        density = _spectral_kernel(spec, r, (r - 1.0) * (r + 1.0))
-    else:
-        s = 1.0 / r
-        density = _spectral_kernel(spec, s, (1.0 - s) * (1.0 + s)) * s * s
+    # J's density per unit omega, as d kappa = d omega / c0
+    rho, d, _, b = _scaled_resonance(spec, omega)
+    density = _spectral_kernel(spec, rho, d) * b * b
     return _radiated_momentum(spec, density / CONSTANTS.c0_si,
                               _slow_velocity(v))
 

@@ -191,9 +191,8 @@ def test_tensor_path_equals_closed_form_for_random_chi(rng):
 
 def test_einsum_contractions_match_index_loops(rng):
     # reference: both mode-sum tensors summed entry by entry, then
-    # contracted as T_ijj - T_jij; the tuple contractions of the package
-    # (once einsums) build each half of T and sum its contraction over j
-    # instead, which only reorders the sums
+    # contracted as T_ijj - T_jij; the package builds each half of T and
+    # sums its contraction over j instead, which only reorders the sums
     sphere = make_sphere()
     c = reconciled_constants()
     K = regularized_K(sphere.radius)
