@@ -1,12 +1,14 @@
-"""What the layers share without numpy: the record base, ConvergenceError,
-IntegralResult, the one Richardson extrapolation, the one Levi-Civita tensor
-and the 3-tuple arithmetic of the closed-form and tensor paths.  Sums run
-from +0.0 in index order, so a zero is +0.0 and a symmetric matrix's
-transposed terms cancel exactly."""
+"""What the layers share without numpy: the record base, the SI constants,
+ConvergenceError, IntegralResult, the one Richardson extrapolation, the one
+Levi-Civita tensor, the 3-vector and slow-velocity checks and the 3-tuple
+arithmetic of the closed-form and tensor paths.  Sums run from +0.0 in index
+order, so a zero is +0.0 and a symmetric matrix's transposed terms cancel
+exactly."""
 
 import math
 
-__all__ = ["ConvergenceError", "IntegralResult"]
+__all__ = ["ConvergenceError", "IntegralResult", "PhysicalConstants",
+           "CONSTANTS"]
 
 
 class ConvergenceError(ArithmeticError):
@@ -62,6 +64,19 @@ class _Record:
                              "cannot be set or deleted")
 
     __delattr__ = __setattr__
+
+
+class PhysicalConstants(_Record):
+    """Fundamental constants in SI units (CODATA 2018 values)."""
+
+    hbar_si: float = 1.054571817e-34        # J s
+    c0_si: float = 2.99792458e8             # m/s
+    electron_mass_si: float = 9.1093837015e-31  # kg
+    ev_in_joule: float = 1.602176634e-19    # J per eV
+    bohr_radius_si: float = 5.29177210903e-11  # m
+
+
+CONSTANTS = PhysicalConstants()
 
 
 class IntegralResult(_Record):
@@ -138,3 +153,24 @@ def _finite(values: tuple, message: str) -> tuple:
     if not all(map(math.isfinite, values)):
         raise FloatingPointError(message)
     return values
+
+
+def _as_vec3(value, name: str) -> tuple:
+    try:
+        vec = tuple(map(float, value))
+    except TypeError:  # not a sequence, or an entry that is not a number
+        vec = ()
+    if len(vec) != 3:
+        raise ValueError(f"{name} must be a 3-vector, got {value!r}")
+    if not all(map(math.isfinite, vec)):
+        raise ValueError(f"{name} must be finite")
+    return vec
+
+
+def _slow_velocity(v) -> tuple:
+    """v (m/s) as a 3-tuple of finite floats, refused at |v|/c0 >= 0.01:
+    every moving-body formula in the package is first order in v/c0."""
+    v_si = _as_vec3(v, "v")
+    if _norm(v_si) / CONSTANTS.c0_si >= 0.01:
+        raise ValueError("|v|/c0 must stay below 0.01")
+    return v_si

@@ -85,7 +85,7 @@ class RunReport:
 
 
 def _parse_vec3(text: str) -> tuple:
-    from .units_materials import _as_vec3
+    from .base import _as_vec3
     return _as_vec3([float(p) for p in text.split(",")], "vector")
 
 
@@ -311,7 +311,7 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
 def _cmd_dipole(args) -> tuple[RunReport, int]:
     from .point_dipole import (DipoleSpec, mass_shift, spectral_integral_exact,
                                spectral_integral_target)
-    from .units_materials import CONSTANTS
+    from .base import CONSTANTS
     spec = DipoleSpec(alpha=args.alpha, alpha0=args.alpha0, gamma=args.gamma)
     hbar_omega0_ev = (CONSTANTS.hbar_si * spec.omega0 / CONSTANTS.ev_in_joule)
     if args.hbar_omega0_eV is not None:
@@ -431,7 +431,3 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     print(output)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

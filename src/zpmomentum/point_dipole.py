@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 
-from .base import ConvergenceError, _dot, _eps_dot, _finite, _Record
-from .units_materials import CONSTANTS, _as_vec3, _slow_velocity
+from .base import (CONSTANTS, ConvergenceError, _as_vec3, _dot, _eps_dot,
+                   _finite, _Record, _slow_velocity)
 
 __all__ = [
     "DipoleSpec",
@@ -117,6 +117,10 @@ def _scaled_resonance(spec: DipoleSpec, omega: float):
     resonance rho = a = r and b = 1; above it the denominator is divided
     through by r^2, rho = b = 1/r and a = 1, so that no square overflows."""
     r = _kappa(omega) / spec.kappa0
+    if r == 1.0 and spec.damping_ratio == 0.0:
+        raise ZeroDivisionError(
+            "t0 is infinite on resonance at damping ratio 0: (2/3) gamma "
+            f"kappa0 underflows to 0 at gamma = {spec.gamma!r} m")
     if r <= 1.0:
         return r, (r - 1.0) * (r + 1.0), r, 1.0
     s = 1.0 / r
@@ -136,7 +140,9 @@ def t0(spec: DipoleSpec, omega: float) -> complex:
     resonance; Im t0 < 0 for all omega > 0 (radiation always removes energy).
     With r = kappa/kappa0 and 4 pi gamma = alpha0 kappa0^2, t0 is
     4 pi gamma r^2 / (r^2 - 1 + i x r), scaled by _scaled_resonance so that
-    no square overflows; a tiny t0 underflows to 0.
+    no square overflows; a tiny t0 underflows to 0.  At damping ratio 0,
+    which only an underflow gives, t0 is infinite on resonance and raises
+    ZeroDivisionError.
     """
     rho, d, a, _ = _scaled_resonance(spec, omega)
     return 4.0 * math.pi * spec.gamma * a * a / complex(

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 
-from .base import _finite, _norm, _Record
-from .units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
-                              SphereSpec, _as_vec3, _slow_velocity)
+from .base import (CONSTANTS, _as_vec3, _finite, _norm, _Record,
+                   _slow_velocity)
+from .units_materials import FieldConfig, MaterialSpec, SphereSpec
 from .tensor_assembly import (_ETA_SIGN_NOTE, PERTURBATIVE_WINDOW, ChiTensor,
                               axial_vector, closed_form_p_rad, eta)
 

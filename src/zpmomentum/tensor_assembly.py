@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 
-from .base import _EPS3, _dot, _eps_dot, _finite, _Record
-from .units_materials import CONSTANTS, SphereSpec, _as_vec3
+# SphereSpec appears in annotations only, which stay strings: not imported
+from .base import CONSTANTS, _EPS3, _as_vec3, _dot, _eps_dot, _finite, _Record
 
 __all__ = [
     "ChiTensor",
@@ -250,7 +250,8 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
     The recoil momentum of the sphere itself is -total.
 
     Valid only at weak contrast, |epsilon - 1| <= PERTURBATIVE_WINDOW; outside
-    it a ValueError is raised.  Linear in chi and in (epsilon - 1), and
+    it a ValueError is raised, and a FloatingPointError where a contribution
+    or the total overflows a float.  Linear in chi and in (epsilon - 1), and
     proportional to 1/a through K.  Every tensor entry is a chi entry times
     Levi-Civita and Kronecker entries (0 or +-1), summed from +0.0 in index
     order, so for symmetric chi the transposed pairs cancel exactly and the
@@ -290,8 +291,11 @@ def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,
     # two-longitudinal piece arrives pre-contracted: -K E/(32 pi^4) (eps-1) w
     scale2 = CONSTANTS.hbar_si * (-K * c["E"] / (32.0 * math.pi**4) * contrast)
     contrib_2 = tuple(scale2 * x for x in axial_vector(chi))
-    return BornMomentumBreakdown(contrib_0, contrib_1, contrib_2, tuple(
-        x + y + z for x, y, z in zip(contrib_0, contrib_1, contrib_2)))
+    total = tuple(x + y + z for x, y, z in zip(contrib_0, contrib_1, contrib_2))
+    _finite(contrib_0 + contrib_1 + contrib_2 + total,
+            "the second-order Born momentum hbar (T_ijj - T_jij) overflows "
+            "a float")
+    return BornMomentumBreakdown(contrib_0, contrib_1, contrib_2, total)
 
 
 def closed_form_p_rad(sphere: SphereSpec, chi: ChiTensor,

@@ -1,10 +1,11 @@
-"""Physical constants and validated input specifications.
+"""Validated input specifications and the material-file IO.
 
-The package computes in SI.  Its only non-SI inputs are the material's
-verdet_v0 and chirality_g, which the magneto-chiral estimate takes in Gaussian
-units because its published coefficient is a Gaussian product.  This module
-holds the SI constants and the validated records of materials, spheres and
-external field configurations.
+The package computes in SI, with the constants of module base.  Its only
+non-SI inputs are the material's verdet_v0 and chirality_g, which the
+magneto-chiral estimate takes in Gaussian units because its published
+coefficient is a Gaussian product.  This module holds the validated records
+of materials, spheres and external field configurations, and reads material
+files.
 """
 
 from __future__ import annotations
@@ -13,30 +14,15 @@ import json
 import math
 from pathlib import Path
 
-from .base import _norm, _Record
+from .base import _as_vec3, _Record
 
 __all__ = [
-    "PhysicalConstants",
-    "CONSTANTS",
     "MaterialSpec",
     "SphereSpec",
     "FieldConfig",
     "material_from_json",
     "preset_path",
 ]
-
-
-class PhysicalConstants(_Record):
-    """Fundamental constants in SI units (CODATA 2018 values)."""
-
-    hbar_si: float = 1.054571817e-34        # J s
-    c0_si: float = 2.99792458e8             # m/s
-    electron_mass_si: float = 9.1093837015e-31  # kg
-    ev_in_joule: float = 1.602176634e-19    # J per eV
-    bohr_radius_si: float = 5.29177210903e-11  # m
-
-
-CONSTANTS = PhysicalConstants()
 
 
 class MaterialSpec(_Record):
@@ -94,18 +80,6 @@ class SphereSpec(_Record):
         return self.material.mass_density * self.volume
 
 
-def _as_vec3(value, name: str) -> tuple:
-    try:
-        vec = tuple(map(float, value))
-    except TypeError:  # not a sequence, or an entry that is not a number
-        vec = ()
-    if len(vec) != 3:
-        raise ValueError(f"{name} must be a 3-vector, got {value!r}")
-    if not all(map(math.isfinite, vec)):
-        raise ValueError(f"{name} must be finite")
-    return vec
-
-
 class FieldConfig(_Record):
     """Orientations of the static external fields.
 
@@ -122,15 +96,6 @@ class FieldConfig(_Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "e0", _as_vec3(self.e0, "e0"))
         object.__setattr__(self, "b0", _as_vec3(self.b0, "b0"))
-
-
-def _slow_velocity(v) -> tuple:
-    """v (m/s) as a 3-tuple of finite floats, refused at |v|/c0 >= 0.01:
-    every moving-body formula in the package is first order in v/c0."""
-    v_si = _as_vec3(v, "v")
-    if _norm(v_si) / CONSTANTS.c0_si >= 0.01:
-        raise ValueError("|v|/c0 must stay below 0.01")
-    return v_si
 
 
 # --- material file IO ------------------------------------------------------

@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
-                                        SphereSpec, material_from_json,
-                                        preset_path)
+from zpmomentum.base import CONSTANTS
+from zpmomentum.units_materials import (FieldConfig, MaterialSpec, SphereSpec,
+                                        material_from_json, preset_path)
 from zpmomentum.contour_frequency import compare, freq_closed_form
 from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.oscillatory_integrals import (eval_bruteforce, eval_trig)

@@ -25,8 +25,9 @@ def _one_of_each():
     from zpmomentum.predictions import moving_sphere
     from zpmomentum.tensor_assembly import (ChiTensor, eta_consistency,
                                             second_born_momentum)
-    from zpmomentum.units_materials import (CONSTANTS, FieldConfig,
-                                            MaterialSpec, SphereSpec)
+    from zpmomentum.base import CONSTANTS
+    from zpmomentum.units_materials import (FieldConfig, MaterialSpec,
+                                            SphereSpec)
     sphere = SphereSpec(2e-6, MaterialSpec(epsilon=1.4, mass_density=2500.0))
     chi = ChiTensor.magneto_electric((1.0, 2.0, 0.5), (0.0, 1.0, -1.0), 1e-4)
     records = [CONSTANTS, sphere.material, sphere,

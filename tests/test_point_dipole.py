@@ -11,8 +11,7 @@ from zpmomentum.point_dipole import (DipoleSpec, mass_shift,
                                      spectral_integral_exact,
                                      spectral_integral_quadrature,
                                      spectral_integral_target, t0, t_matrix)
-from zpmomentum.base import ConvergenceError
-from zpmomentum.units_materials import CONSTANTS
+from zpmomentum.base import CONSTANTS, ConvergenceError
 
 NARROW = DipoleSpec(alpha=1.0, alpha0=1.0, gamma=1e-4)
 # alpha 1e-30 m^3, alpha0 5e-31 m^3, gamma 1e-12 m: |J| is about 4e-21 m^2
@@ -233,6 +232,20 @@ def test_spectral_integral_exact_covers_every_damping_ratio():
     flat = DipoleSpec(alpha=1e94, alpha0=1e94, gamma=1e-202)
     assert flat.damping_ratio == 0.0
     assert spectral_integral_exact(flat) == spectral_integral_target(flat)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: t0(spec, spec.omega0),
+    lambda spec: t_matrix(spec, spec.omega0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                          (1.0, 0.0, 0.0)),
+    lambda spec: p_rad_spectral(spec, spec.omega0, (1.0, 0.0, 0.0)),
+], ids=["t0", "t_matrix", "p_rad_spectral"])
+def test_undamped_resonance_names_an_infinite_t0(call):
+    # x underflows to 0, so r^2 - 1 + i x r is exactly 0 at kappa = kappa0
+    flat = DipoleSpec(alpha=1e94, alpha0=1e94, gamma=1e-202)
+    with pytest.raises(ZeroDivisionError,
+                       match="^t0 is infinite on resonance at damping ratio 0"):
+        call(flat)
 
 
 def test_quadrature_names_an_underflowing_central_panel():

@@ -10,12 +10,12 @@ from zpmomentum import point_dipole
 from zpmomentum.predictions import (Prediction, empty_vacuum_momentum,
                                     first_born, magneto_chiral,
                                     me_sphere_velocity, moving_sphere, replay)
-from zpmomentum.tensor_assembly import (ChiTensor, axial_vector,
-                                        closed_form_p_rad, regularized_K,
-                                        second_born_momentum)
-from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
-                                        SphereSpec, material_from_json,
-                                        preset_path)
+from zpmomentum.tensor_assembly import (BornMomentumBreakdown, ChiTensor,
+                                        axial_vector, closed_form_p_rad,
+                                        regularized_K, second_born_momentum)
+from zpmomentum.base import CONSTANTS
+from zpmomentum.units_materials import (FieldConfig, MaterialSpec, SphereSpec,
+                                        material_from_json, preset_path)
 
 FEIGEL_CHI = 1e-11
 FEIGEL_K_CUT = 2.0 * math.pi / 1e-10  # 0.1 nm cutoff wavelength
@@ -376,6 +376,8 @@ CLOSED_FORM_CALLS = {
         d(dipoles()), d(positive), d(vector), d(vector), d(vector))),
     "p_rad_spectral": lambda d: point_dipole.p_rad_spectral(
         d(dipoles()), d(positive), d(vector)),
+    "second_born_momentum": lambda d: _breakdown_parts(
+        second_born_momentum(d(spheres()), d(chis()))),
 }
 
 
@@ -392,8 +394,17 @@ def _matrix_parts(rows):
     return sum((_parts(z) for row in rows for z in row), ())
 
 
+def _breakdown_parts(out):
+    """The four 3-tuples of a Born momentum breakdown, field by field."""
+    assert type(out) is BornMomentumBreakdown
+    fields = (out.contrib_0, out.contrib_1, out.contrib_2, out.total)
+    assert all(type(v) is tuple and len(v) == 3 for v in fields)
+    return sum(fields, ())
+
+
 # the one length each of these returns; the rest share the set below
-OWN_LENGTH = {"t0": 2, "t_matrix": 18, "p_rad_spectral": 3}
+OWN_LENGTH = {"t0": 2, "t_matrix": 18, "p_rad_spectral": 3,
+              "second_born_momentum": 12}
 
 
 def _floats_of(out):
@@ -430,6 +441,10 @@ def test_closed_form_callables_return_finite_tuples_or_refuse(data, name):
                                           material=MC_MATERIAL),
                                crossed_chi(1e300)),
      FloatingPointError, "P_rad = -eta .* overflows a float"),
+    (lambda: second_born_momentum(
+        SphereSpec(radius=1e-100, material=MaterialSpec(1.3, 1000.0)),
+        crossed_chi(1e300)),
+     FloatingPointError, "the second-order Born momentum .* overflows"),
     (lambda: closed_form_p_rad(feigel_sphere(), crossed_chi(1.0),
                                eta_value=math.nan),
      ValueError, "eta must be finite, got nan"),
@@ -450,9 +465,9 @@ def test_closed_form_callables_return_finite_tuples_or_refuse(data, name):
      r"\(epsilon - 1\)\^2 overflows a float at epsilon = 1e\+200"),
     (lambda: regularized_K(1e-320),
      FloatingPointError, r"K = -pi\^2/\(12 a\) overflows a float at a = 1e-320"),
-], ids=["axial_vector", "closed_form_p_rad", "eta_value", "first_born",
-        "mu", "moving_sphere", "magneto_chiral", "contrast_squared",
-        "regularized_K"])
+], ids=["axial_vector", "closed_form_p_rad", "second_born_momentum",
+        "eta_value", "first_born", "mu", "moving_sphere", "magneto_chiral",
+        "contrast_squared", "regularized_K"])
 def test_plain_float_failures_name_their_quantity(call, error, message):
     # plain float arithmetic overflows to inf silently, so each result that
     # could is checked; a non-finite input is refused before any arithmetic

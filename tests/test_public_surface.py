@@ -135,17 +135,15 @@ NUMPY_FREE = {
     "predict magneto-chiral --material MC_MATERIAL --a-um 1 --b 0,0,1":
         PREDICT,
     "predict feigel --a-um 1 --lambda-cut-nm 100 --chi-s0 1e-11": PREDICT,
-    "eta": ["base", "cli", "tensor_assembly", "units_materials"],
+    "eta": ["base", "cli", "tensor_assembly"],
     "empty-vacuum --format csv": PREDICT,
-    "dipole --alpha 1 --alpha0 1 --gamma 1": [
-        "base", "cli", "point_dipole", "units_materials"],
-    "constants": ["base", "cli", "oscillatory_integrals", "tensor_assembly",
-                  "units_materials"],
+    "dipole --alpha 1 --alpha0 1 --gamma 1": ["base", "cli", "point_dipole"],
+    "constants": ["base", "cli", "oscillatory_integrals", "tensor_assembly"],
     TUPLE_CALLS: ["base", "point_dipole", "tensor_assembly", "units_materials"],
 }
 COMMAND_LAYERS = {
     **NUMPY_FREE,
-    QUADRATURE: ["base", "point_dipole", "special_functions", "units_materials"],
+    QUADRATURE: ["base", "point_dipole", "special_functions"],
     "freq-check --pairs 2": ["base", "cli", "contour_frequency",
                              "special_functions"],
 }

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zpmomentum.oscillatory_integrals import reconciled_constants
-from zpmomentum.base import _EPS3 as EPS3_TUPLE
+from zpmomentum.base import CONSTANTS, _EPS3 as EPS3_TUPLE
 from zpmomentum.tensor_assembly import (ChiTensor, axial_vector,
                                         closed_form_p_rad, eta,
                                         eta_consistency, regularized_K,
                                         second_born_momentum, solve_D1_D3)
-from zpmomentum.units_materials import CONSTANTS, MaterialSpec, SphereSpec
+from zpmomentum.units_materials import MaterialSpec, SphereSpec
 
 
 # the Levi-Civita is stored as a nested tuple; the references index an array

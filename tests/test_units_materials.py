@@ -6,9 +6,9 @@ import math
 import pytest
 
 from zpmomentum.predictions import MAGNETO_CHIRAL_COEFF, magneto_chiral
-from zpmomentum.units_materials import (CONSTANTS, FieldConfig, MaterialSpec,
-                                        SphereSpec, material_from_json,
-                                        preset_path)
+from zpmomentum.base import CONSTANTS
+from zpmomentum.units_materials import (FieldConfig, MaterialSpec, SphereSpec,
+                                        material_from_json, preset_path)
 
 
 def test_known_conversion_factors():
