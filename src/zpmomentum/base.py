@@ -73,7 +73,6 @@ class PhysicalConstants(_Record):
     c0_si: float = 2.99792458e8             # m/s
     electron_mass_si: float = 9.1093837015e-31  # kg
     ev_in_joule: float = 1.602176634e-19    # J per eV
-    bohr_radius_si: float = 5.29177210903e-11  # m
 
 
 CONSTANTS = PhysicalConstants()
@@ -88,7 +87,7 @@ class IntegralResult(_Record):
                     closed form; for a regulated constant the drop-one
                     difference, which measures a 3-point extrapolation, not
                     the reported 4-point one, and on the default schedule
-                    overstates the true error 1100-1600x
+                    overstates the true error by the factor CHANGES.md gives
     method          'trig_reduction' or 'regulated_quadrature'
     """
 

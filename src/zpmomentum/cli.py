@@ -4,8 +4,9 @@ Every subcommand assembles a RunReport (command, resolved inputs, result rows,
 warnings, version) and renders it as text, JSON, or CSV.  Result rows always
 carry name/value/error/method so the CSV stays rectangular; JSON adds
 row-specific extras.  Exit codes: 0 success, 2 input error (any ValueError
-or FileNotFoundError), 3 numerical failure (any ArithmeticError: no
-convergence, or a float overflow, division by zero or invalid operation).
+or FileNotFoundError) or a report that cannot be written, 3 numerical
+failure (any ArithmeticError: no convergence, or a float overflow, division
+by zero or invalid operation).
 Inputs and rows are SI, except the radius in micrometers, the cutoff
 wavelength in nanometers, hbar omega0 in eV and the dipole's two
 spectral-integral rows, printed in cm^2.  Each handler imports the layers it
@@ -119,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-schedule", type=_parse_schedule,
                    metavar="E1,E2,...",
                    help="regulator schedule for the quadrature route "
-                        "(three to five values; default: "
+                        "(three to five values in [0.003125, 0.2], each at "
+                        "most half the one before; default: "
                         "oscillatory_integrals.DEFAULT_SCHEDULE)")
 
     _command(sub, "eta", _cmd_eta,
@@ -429,5 +431,14 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(output)
+    try:
+        print(output, flush=True)
+    except OSError as exc:  # a closed pipe or a full disk
+        if isinstance(exc, BrokenPipeError):
+            import os  # as the signal docs advise: no flush fails at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return code

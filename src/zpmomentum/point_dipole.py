@@ -248,20 +248,20 @@ def spectral_integral_quadrature(spec: DipoleSpec) -> float:
 def p_rad_total(spec: DipoleSpec, v) -> tuple:
     """Total radiated zero-point momentum for lab velocity v (m/s), kg m/s.
 
-    Integrates the spectral density over all frequencies by the compactified
-    quadrature and matches the closed form -(alpha0/alpha)(hbar omega0/c0^2) v
-    to better than 1e-4 relative for narrow resonances.  Antiparallel to v:
-    the dipole's effective mass is reduced.
+    The spectral density integrated over all frequencies, read from the
+    closed form of J for every damping ratio; it tends to mass_shift v as the
+    resonance narrows.  Antiparallel to v: the effective mass is reduced.
     """
     v_si = _slow_velocity(v)
-    return _radiated_momentum(spec, spectral_integral_quadrature(spec), v_si)
+    return _radiated_momentum(spec, spectral_integral_exact(spec), v_si)
 
 
 def mass_shift(spec: DipoleSpec) -> float:
     """Effective mass change -(alpha0/alpha) hbar omega0 / c0^2, in kg.
 
-    This is the coefficient linking p_rad_total to -v; it is negative (a mass
-    reduction) and vanishes when the regularized polarizability does.
+    It is negative (a mass reduction) and vanishes when the regularized
+    polarizability does.  With g of spectral_integral_exact and x the damping
+    ratio, p_rad_total = (2/pi) g(x/2) mass_shift v exactly.
     """
     return (-(spec.alpha0 / spec.alpha) * CONSTANTS.hbar_si * spec.omega0
             / CONSTANTS.c0_si**2)

@@ -193,7 +193,8 @@ def test_criterion_6_headline_magnitudes():
     micron = moving_sphere(_sphere(radius=1e-6, epsilon=2.0), (1.0, 0.0, 0.0))
     micron_shift = abs(micron.mass_shift) / m_e
     assert 1e-10 <= micron_shift <= 1e-8
-    atomic = moving_sphere(_sphere(radius=CONSTANTS.bohr_radius_si, epsilon=2.0),
+    bohr_radius = 5.29177210903e-11  # m, CODATA 2018
+    atomic = moving_sphere(_sphere(radius=bohr_radius, epsilon=2.0),
                            (1.0, 0.0, 0.0))
     atomic_shift = abs(atomic.mass_shift) / m_e
     assert 1e-5 <= atomic_shift <= 1e-3

@@ -25,7 +25,7 @@ from zpmomentum.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, RunReport,
                             freq_check_pairs, main)
 from zpmomentum.contour_frequency import freq_oracle
 from zpmomentum.point_dipole import DipoleSpec, spectral_integral_exact
-from zpmomentum.base import ConvergenceError
+from zpmomentum.base import ConvergenceError, IntegralResult
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
@@ -255,6 +255,61 @@ def test_invalid_schedule_exits_2(capsys):
         "0.1,0.05,0.025,0.0125,0.00625,0.003125"])
     assert code == EXIT_INPUT
     assert "at most 5 regulator values" in err
+
+
+def test_clustered_schedule_exits_2(capsys):
+    # accepted before, when it printed I0 = 18.896 against -0.589 with exit 0
+    schedule = ("0.1924572840939046,0.19245337453884426,0.19245336606769473,"
+                "0.1924533659470023,0.19245221398711507")
+    code, out, err = run_capture(capsys, ["constants", "--eps-schedule",
+                                          schedule])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: regulator values must be strictly "
+                          "descending, each at most half the one before: ")
+
+
+def test_sign_disagreement_warning_is_reached(monkeypatch, capsys):
+    # no accepted schedule flips a sign, so the quadrature route's I1 is
+    # flipped by hand; the report still exits 0 and names the constant
+    real = osc.eval_bruteforce
+
+    def flipped(name, schedule):
+        res = real(name, schedule)
+        return res if name != "I1" else IntegralResult(
+            -res.value, res.error_estimate, res.method)
+    monkeypatch.setattr(osc, "eval_bruteforce", flipped)
+    code, out, _ = run_capture(capsys, ["constants"])
+    assert code == EXIT_OK
+    assert [line for line in out.splitlines() if "disagree" in line] == [
+        "warning: I1: trig and quadrature routes disagree in sign"]
+
+
+@pytest.mark.parametrize("sink", ["full device", "closed pipe"])
+def test_failed_report_write_exits_2(sink):
+    # the report cannot be written: exit 2 with one error line, and no
+    # traceback now or at interpreter exit
+    if sink == "full device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    src = str(Path(zpmomentum.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    try:
+        out = subprocess.run([sys.executable, "-m", "zpmomentum", "eta"],
+                             stdout=stdout, stderr=subprocess.PIPE, text=True,
+                             timeout=60, env=env)
+    finally:
+        os.close(stdout)
+    assert out.returncode == EXIT_INPUT
+    assert out.stderr.startswith("error: cannot write the report: ")
+    assert out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+    assert "Exception ignored" not in out.stderr
 
 
 # --- predictions through the CLI -------------------------------------------

@@ -14,6 +14,7 @@ from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
                                               eval_bruteforce, eval_trig,
                                               reconciled_constants)
 from zpmomentum.base import ConvergenceError, _richardson
+from zpmomentum.contour_frequency import freq_closed_form
 from zpmomentum.special_functions import _gauss_panels, sph_bessel_j
 from zpmomentum.tensor_assembly import _EXACT_CONSTANTS, eta, solve_D1_D3
 
@@ -593,6 +594,23 @@ def test_schedule_validation():
             eval_bruteforce("I0", bad)
 
 
+# five regulators within 2e-5 of each other: the Richardson solve is so
+# ill-conditioned that I0 came out 18.896 (err 0.471) against -0.589
+CLUSTERED_SCHEDULE = (0.1924572840939046, 0.19245337453884426,
+                      0.19245336606769473, 0.1924533659470023,
+                      0.19245221398711507)
+
+
+def test_clustered_schedule_is_refused():
+    with pytest.raises(ValueError, match="strictly descending, each at most "
+                                         "half the one before"):
+        eval_bruteforce("I0", CLUSTERED_SCHEDULE)
+    # the bound is sharp at the default's own ratio
+    assert osc._validate_schedule((0.1, 0.05, 0.025)) == (0.1, 0.05, 0.025)
+    with pytest.raises(ValueError, match="at most half"):
+        osc._validate_schedule((0.1, 0.05, math.nextafter(0.025, 1.0)))
+
+
 def test_schedule_floor_is_sharp():
     # the floor DEFAULT_SCHEDULE[-1] / 4 is accepted, the float below refused
     assert osc._validate_schedule((0.1, 0.05, 0.003125))[-1] == 0.003125
@@ -623,6 +641,20 @@ def test_drop_one_stability_below_1_percent():
         full = eval_bruteforce(name).value
         dropped = eval_bruteforce(name, schedule=DEFAULT_SCHEDULE[:-1]).value
         assert abs(full - dropped) < 0.01 * abs(full), name
+
+
+def test_weights_are_the_frequency_integrals_closed_forms(rng):
+    # the weight sum_terms p^s q^r / (p+q)^d of a kind is its frequency
+    # integral at k = p, k' = q divided by -i pi/4 (transverse) or +i pi/4
+    # (one longitudinal), the closed forms freq-check verifies
+    for _ in range(50):
+        p, q = (float(x) for x in 10.0 ** rng.uniform(-1.0, 1.0, 2))
+        for kind, sign in (("transverse", -1.0), ("one_longitudinal", 1.0)):
+            weight = sum(p**s * q**r / (p + q) ** d
+                         for s, r, d in osc._WEIGHTS[kind])
+            closed = freq_closed_form(kind, p, q) / (sign * 0.25j * math.pi)
+            assert weight == pytest.approx(closed.real, rel=1e-14)
+            assert closed.imag == 0.0
 
 
 def test_solve_d1_d3_examples():

@@ -114,6 +114,32 @@ def test_t_matrix_forward_correction_symmetric_traceless():
     assert np.allclose(corr, expected, rtol=1e-12, atol=1e-30)
 
 
+# eps_ijk as (j - i)(k - i)(k - j)/2, apart from the package's table
+LEVI_CIVITA = np.fromfunction(lambda i, j, k: (j - i) * (k - i) * (k - j) / 2,
+                              (3, 3, 3))
+
+
+def test_t_matrix_off_forward_matches_the_docstring_formula(rng):
+    # T = t0 [1 + (1/kappa)(-i phi_k M^T + i M phi_kp)], with
+    # (phi_p)_nm = i eps_nml p_l and M_ij = eps_ijk v_k / c0, in complex
+    # matrices, for kp != k.  T's diagonal rounds at a few ulp of t0, so
+    # the correction T - t0 1, about 1e-3 of t0 here, is compared within
+    # 8 ulp of |t0| plus its own size: under 1e-12 of the correction.
+    u = 2.0**-53
+    for _ in range(50):
+        omega = NARROW.omega0 * float(10.0 ** rng.uniform(-1.0, 1.0))
+        kappa = omega / CONSTANTS.c0_si
+        k, kp = rng.normal(size=3) * kappa, rng.normal(size=3) * kappa
+        v = rng.normal(size=3) * 1e-3 * CONSTANTS.c0_si
+        m = LEVI_CIVITA @ (v / CONSTANTS.c0_si)
+        phi_k, phi_kp = 1j * (LEVI_CIVITA @ k), 1j * (LEVI_CIVITA @ kp)
+        amp = t0(NARROW, omega)
+        expected = amp / kappa * (-1j * phi_k @ m.T + 1j * m @ phi_kp)
+        corr = np.array(t_matrix(NARROW, omega, k, kp, v)) - amp * np.eye(3)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(corr - expected)) <= 8 * u * (abs(amp) + scale)
+
+
 @pytest.mark.parametrize("k, kp, message", [
     ((1e4, 2e4), (1.0, 0.0, 0.0), "k must be a 3-vector"),
     ((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0), "k must be a 3-vector"),
@@ -276,6 +302,36 @@ def test_p_rad_total_matches_polarizability_ratio_form(rng):
 
 def test_p_rad_total_vanishes_at_rest():
     assert np.array_equal(p_rad_total(NARROW, np.zeros(3)), np.zeros(3))
+
+
+def test_p_rad_total_is_mass_shift_times_the_width_factor(rng):
+    # p_rad_total = (2/pi) g(x/2) mass_shift v exactly, g of
+    # spectral_integral_exact; the float forms differ by the rounding of
+    # kappa0 and of g, within 16 ulp
+    def g(y):
+        if y == 1.0:
+            return 1.0
+        if y < 1.0:
+            return math.acos(y) / math.sqrt(1.0 - y * y)
+        return math.acosh(y) / math.sqrt(y * y - 1.0)
+    v = (1.0, -2.0, 3.0)
+    for x in [0.098, 0.75, 0.84] + list(10.0 ** rng.uniform(-14.0, 1.5, 50)):
+        alpha0 = float(10.0 ** rng.uniform(-30.0, -6.0))
+        spec = spec_at_damping_ratio(float(x), alpha0, 2.0 * alpha0)
+        factor = 2.0 / math.pi * g(0.5 * spec.damping_ratio) * mass_shift(spec)
+        assert p_rad_total(spec, v) == pytest.approx(
+            [factor * c for c in v], rel=16 * 2.0**-53, abs=0.0)
+
+
+def test_p_rad_total_answers_where_the_quadrature_refuses(monkeypatch):
+    # p_rad_total reads the closed form of J: at damping ratio 0, where the
+    # quadrature's central panel underflows, it is mass_shift v (g(0) = pi/2)
+    flat = DipoleSpec(alpha=1e94, alpha0=1e94, gamma=1e-202)
+    assert p_rad_total(flat, (0.0, 3.0, 0.0)) == pytest.approx(
+        (0.0, 3.0 * mass_shift(flat), 0.0), rel=4 * 2.0**-53, abs=0.0)
+    # and a tolerance the quadrature cannot reach does not touch it
+    monkeypatch.setattr(point_dipole, "SPECTRAL_REL_TOL", 1e-16)
+    assert p_rad_total(NARROW, (1.0, 0.0, 0.0))[0] < 0.0
 
 
 def test_mass_shift_formula_and_scale():

@@ -137,7 +137,8 @@ def test_moving_sphere_momentum_and_mass_shift():
 def test_moving_sphere_mass_shift_magnitudes():
     micron = SphereSpec(radius=1e-6,
                         material=MaterialSpec(epsilon=2.0, mass_density=1000.0))
-    atomic = SphereSpec(radius=CONSTANTS.bohr_radius_si,
+    bohr_radius = 5.29177210903e-11  # m, CODATA 2018
+    atomic = SphereSpec(radius=bohr_radius,
                         material=MaterialSpec(epsilon=2.0, mass_density=1000.0))
     shift_um = moving_sphere(micron, (1, 0, 0)).mass_shift
     shift_a0 = moving_sphere(atomic, (1, 0, 0)).mass_shift
@@ -376,6 +377,8 @@ CLOSED_FORM_CALLS = {
         d(dipoles()), d(positive), d(vector), d(vector), d(vector))),
     "p_rad_spectral": lambda d: point_dipole.p_rad_spectral(
         d(dipoles()), d(positive), d(vector)),
+    "p_rad_total": lambda d: point_dipole.p_rad_total(
+        d(dipoles()), d(vector)),
     "second_born_momentum": lambda d: _breakdown_parts(
         second_born_momentum(d(spheres()), d(chis()))),
 }
@@ -404,7 +407,7 @@ def _breakdown_parts(out):
 
 # the one length each of these returns; the rest share the set below
 OWN_LENGTH = {"t0": 2, "t_matrix": 18, "p_rad_spectral": 3,
-              "second_born_momentum": 12}
+              "p_rad_total": 3, "second_born_momentum": 12}
 
 
 def _floats_of(out):

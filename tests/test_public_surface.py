@@ -99,11 +99,13 @@ print(json.dumps(report))
 """
 
 # Two library calls, as Python source, each imported from its own layers:
-# the tensor path and the moving dipole's t-matrix and spectral density run
-# on tuples, and only the quadrature of J loads numpy.
+# the tensor path and the moving dipole's t-matrix, spectral density and
+# total momentum run on tuples, and only the quadrature of J loads numpy.
 LIBRARY_CALLS = {
-    "second_born_momentum, closed_form_p_rad, t_matrix, p_rad_spectral": """
-from zpmomentum.point_dipole import DipoleSpec, p_rad_spectral, t_matrix
+    "second_born_momentum, closed_form_p_rad, t_matrix, p_rad_spectral, "
+    "p_rad_total": """
+from zpmomentum.point_dipole import (DipoleSpec, p_rad_spectral, p_rad_total,
+                                     t_matrix)
 from zpmomentum.tensor_assembly import (ChiTensor, closed_form_p_rad,
                                         second_born_momentum)
 from zpmomentum.units_materials import MaterialSpec, SphereSpec
@@ -114,6 +116,7 @@ closed_form_p_rad(sphere, chi)
 spec = DipoleSpec(1.0, 1.0, 1e-4)
 t_matrix(spec, spec.omega0, (1, 0, 0), (0, 1, 0), (1, 0, 0))
 p_rad_spectral(spec, spec.omega0, (1, 0, 0))
+p_rad_total(spec, (1, 0, 0))
 """,
     "spectral_integral_quadrature": """
 from zpmomentum.point_dipole import DipoleSpec, spectral_integral_quadrature
@@ -186,8 +189,9 @@ def test_command_loads_only_its_layers(probe, argv):
 
 def test_closed_form_commands_load_no_numpy(probe):
     # each runs before any numpy step, and the probe sees numpy once one of
-    # those has run: the tensor path, t_matrix and p_rad_spectral load none,
-    # and the dipole quadrature loads it, like a lint rule on the boundary
+    # those has run: the tensor path, t_matrix, p_rad_spectral and
+    # p_rad_total load none, and the dipole quadrature loads it, like a lint
+    # rule on the boundary
     assert probe["numpy"] == list(COMMAND_LAYERS)[len(NUMPY_FREE):]
 
 

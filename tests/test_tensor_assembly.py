@@ -189,6 +189,29 @@ def test_tensor_path_equals_closed_form_for_random_chi(rng):
             1e-6 * scale
 
 
+def test_tensor_path_equals_closed_form_constant_by_constant(rng):
+    # eta and the tensor path state each constant's coefficient apart, so
+    # each unit set (one constant 1, the others 0) and random sets tie them
+    # one by one.  Each path rounds a few dozen products and sums, so the
+    # two agree within 16 ulp of the result's scale.
+    names = ("I0", "I1", "A", "C", "D", "E")
+    sets = ([{n: float(n == unit) for n in names} for unit in names]
+            + [dict(zip(names, map(float, 5.0 * rng.normal(size=6))))
+               for _ in range(5)])
+    for constants in sets:
+        for _ in range(4):
+            sphere = make_sphere(epsilon=1.0 + float(rng.uniform(-0.5, 0.5)),
+                                 radius=float(10.0 ** rng.uniform(-8, -4)))
+            chi = ChiTensor(matrix=rng.normal(size=(3, 3)), kind="general")
+            total = second_born_momentum(sphere, chi,
+                                         constants=constants).total
+            closed = closed_form_p_rad(sphere, chi,
+                                       eta_value=eta(constants))
+            scale = max(map(abs, closed))
+            assert max(abs(x - y) for x, y in zip(total, closed)) <= \
+                16 * 2.0**-53 * scale, constants
+
+
 def test_einsum_contractions_match_index_loops(rng):
     # reference: both mode-sum tensors summed entry by entry, then
     # contracted as T_ijj - T_jij; the package builds each half of T and
