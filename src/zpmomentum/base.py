@@ -87,7 +87,7 @@ class IntegralResult(_Record):
                     closed form; for a regulated constant the drop-one
                     difference, which measures a 3-point extrapolation, not
                     the reported 4-point one, and on the default schedule
-                    overstates the true error by the factor CHANGES.md gives
+                    overstates the true error
     method          'trig_reduction' or 'regulated_quadrature'
     """
 

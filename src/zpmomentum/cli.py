@@ -434,11 +434,10 @@ def main(argv=None) -> int:
     try:
         print(output, flush=True)
     except OSError as exc:  # a closed pipe or a full disk
-        if isinstance(exc, BrokenPipeError):
-            import os  # as the signal docs advise: no flush fails at exit
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        import os  # as the signal docs advise: the unwritten bytes stay
+        devnull = os.open(os.devnull, os.O_WRONLY)  # buffered, so the
+        os.dup2(devnull, sys.stdout.fileno())  # flush at exit must not fail
+        os.close(devnull)
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

@@ -42,7 +42,7 @@ __all__ = [
 # Production regulator schedule.  A three-point schedule extrapolates the
 # constants to ~1e-4 relative but leaves the drop-one stability check at a few
 # percent for the slowest-converging kernel; the fourth point brings every
-# drop-one change below 0.02%.  CHANGES.md records the passes' time and memory.
+# drop-one change below 0.02%.
 DEFAULT_SCHEDULE: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
 # Richardson powers: F(eps) - F(0) is odd in eps for every piece, to rounding
 # (test_regulated_pieces_are_odd_about_eps_0), so the series is eps, eps^3,

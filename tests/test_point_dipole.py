@@ -305,33 +305,25 @@ def test_p_rad_total_vanishes_at_rest():
 
 
 def test_p_rad_total_is_mass_shift_times_the_width_factor(rng):
-    # p_rad_total = (2/pi) g(x/2) mass_shift v exactly, g of
-    # spectral_integral_exact; the float forms differ by the rounding of
-    # kappa0 and of g, within 16 ulp
-    def g(y):
-        if y == 1.0:
-            return 1.0
-        if y < 1.0:
-            return math.acos(y) / math.sqrt(1.0 - y * y)
-        return math.acosh(y) / math.sqrt(y * y - 1.0)
+    # p_rad_total = (2/pi) g(x/2) mass_shift v exactly, and (2/pi) g(x/2) is
+    # J over its sum-rule target; the float forms differ by the rounding of
+    # kappa0 and of the ratio, within 16 ulp
     v = (1.0, -2.0, 3.0)
     for x in [0.098, 0.75, 0.84] + list(10.0 ** rng.uniform(-14.0, 1.5, 50)):
         alpha0 = float(10.0 ** rng.uniform(-30.0, -6.0))
         spec = spec_at_damping_ratio(float(x), alpha0, 2.0 * alpha0)
-        factor = 2.0 / math.pi * g(0.5 * spec.damping_ratio) * mass_shift(spec)
+        factor = (mass_shift(spec) * spectral_integral_exact(spec)
+                  / spectral_integral_target(spec))
         assert p_rad_total(spec, v) == pytest.approx(
             [factor * c for c in v], rel=16 * 2.0**-53, abs=0.0)
 
 
-def test_p_rad_total_answers_where_the_quadrature_refuses(monkeypatch):
+def test_p_rad_total_answers_where_the_quadrature_refuses():
     # p_rad_total reads the closed form of J: at damping ratio 0, where the
     # quadrature's central panel underflows, it is mass_shift v (g(0) = pi/2)
     flat = DipoleSpec(alpha=1e94, alpha0=1e94, gamma=1e-202)
     assert p_rad_total(flat, (0.0, 3.0, 0.0)) == pytest.approx(
         (0.0, 3.0 * mass_shift(flat), 0.0), rel=4 * 2.0**-53, abs=0.0)
-    # and a tolerance the quadrature cannot reach does not touch it
-    monkeypatch.setattr(point_dipole, "SPECTRAL_REL_TOL", 1e-16)
-    assert p_rad_total(NARROW, (1.0, 0.0, 0.0))[0] < 0.0
 
 
 def test_mass_shift_formula_and_scale():
