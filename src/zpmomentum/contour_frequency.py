@@ -9,11 +9,12 @@ partial fractions in omega^2 are divided differences, exactly
         = (-i pi / 2) g[A, A, B],    g(z) = z^(m - 1/2),
 
 for m = 2 (two transverse propagators, one squared) or m = 1 (one
-longitudinal factor).  Their eta -> 0 limits are freq_closed_form, whose
-(k, k') factors are the transverse and one-longitudinal weights of
-oscillatory_integrals; two simple poles, (-i pi / 2) g[A, B] with m = 0, give
-its two-pole weight (i pi / 2) / (k k' (k + k')).  A numerical oracle
-evaluates the same integral at finite eta and extrapolates eta -> 0.
+longitudinal factor).  Their eta -> 0 limits, freq_closed_form, are -i pi/4
+and +i pi/4 times the weights in oscillatory_integrals._WEIGHTS that the
+regulated constants integrate; two simple poles, (-i pi / 2) g[A, B] with
+m = 0, give its two-pole weight (i pi / 2) / (k k' (k + k')).  A numerical
+oracle, the one part that loads numpy, evaluates the same integral at finite
+eta and extrapolates eta -> 0.
 
 The oracle exists to cross-check the closed forms, so it deliberately shares
 no algebra with them: it is plain Gauss-Legendre quadrature on the real axis,
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .base import ConvergenceError, IntegralResult, _richardson
-from .special_functions import _graded_edges, _panel_quad
+from .oscillatory_integrals import _WEIGHTS
 
 __all__ = ["KINDS", "freq_closed_form", "freq_oracle", "compare",
            "resolving_epsilon"]
@@ -60,12 +61,11 @@ def _validate_pair(k: float, kp: float, epsilon: float) -> None:
 
 def freq_closed_form(kind: str, k: float, kp: float) -> complex:
     """The frequency integral of the given kind at eta -> 0 (the squared
-    factor carries k): -(i pi / 4) (k + 2 kp) / (k + kp)^2 (transverse,
-    omega^4) or (i pi / 4) / (k (k + kp)^2) (one_longitudinal, omega^2)."""
+    factor carries k): -i pi / 4 (transverse, omega^4) or +i pi / 4
+    (one_longitudinal, omega^2) times the weight _WEIGHTS[kind]."""
     _validate(kind, k, kp)
-    if kind == "transverse":
-        return -0.25j * math.pi * (k + 2.0 * kp) / (k + kp) ** 2
-    return 0.25j * math.pi / (k * (k + kp) ** 2)
+    weight = sum(k**s * kp**r / (k + kp) ** d for s, r, d in _WEIGHTS[kind])
+    return (-0.25j if kind == "transverse" else 0.25j) * math.pi * weight
 
 
 def _rescaled_poles(k: float, kp: float) -> tuple[float, float, float, bool]:
@@ -93,11 +93,11 @@ def _regulated_single(kind: str, k: float, kp: float, e: float
     Works in the rescaled variable u = omega / min(k, kp), which keeps the
     pole locations O(1).  The cuts 0, the midpoints between poles and upper
     give each pole p its own stretch, integrated in x = u - p, and the tail
-    beyond upper is the same integrand at p = 0.  Every factor is written
-    u^2 - q^2 = (x + (p - q)) (u + q): the product form avoids the
-    cancellation that u*u - q*q suffers near q, for the pole's own factor
-    and for a neighbouring pole's alike.  Returns (value, error estimate).
+    beyond upper is the same integrand at p = 0.  Each factor u^2 - q^2,
+    the pole's own and a neighbouring pole's alike, takes the module
+    docstring's product form.  Returns (value, error estimate).
     """
+    from .special_functions import _graded_edges, _panel_quad
     pw = 4 if kind == "transverse" else 2
     s, a, b, degenerate = _rescaled_poles(k, kp)  # a carries the squared one
     prefac = s ** (pw - 5)

@@ -644,17 +644,17 @@ def test_drop_one_stability_below_1_percent():
 
 
 def test_weights_are_the_frequency_integrals_closed_forms(rng):
-    # the weight sum_terms p^s q^r / (p+q)^d of a kind is its frequency
-    # integral at k = p, k' = q divided by -i pi/4 (transverse) or +i pi/4
-    # (one longitudinal), the closed forms freq-check verifies
+    # freq_closed_form reads the weights of _WEIGHTS, so freq-check verifies
+    # what the constants integrate; here they meet the textbook forms
+    # -(i pi/4) (k + 2k') / (k + k')^2 and (i pi/4) / (k (k + k')^2)
     for _ in range(50):
         p, q = (float(x) for x in 10.0 ** rng.uniform(-1.0, 1.0, 2))
-        for kind, sign in (("transverse", -1.0), ("one_longitudinal", 1.0)):
-            weight = sum(p**s * q**r / (p + q) ** d
-                         for s, r, d in osc._WEIGHTS[kind])
-            closed = freq_closed_form(kind, p, q) / (sign * 0.25j * math.pi)
-            assert weight == pytest.approx(closed.real, rel=1e-14)
-            assert closed.imag == 0.0
+        textbook = {"transverse": -0.25j * math.pi * (p + 2.0 * q) / (p + q)**2,
+                    "one_longitudinal": 0.25j * math.pi / (p * (p + q) ** 2)}
+        for kind, reference in textbook.items():
+            closed = freq_closed_form(kind, p, q)
+            assert closed == pytest.approx(reference, rel=1e-14)
+            assert closed.real == 0.0
 
 
 def test_solve_d1_d3_examples():

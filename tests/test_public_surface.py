@@ -98,9 +98,10 @@ report["dir"] = dir(zpmomentum)
 print(json.dumps(report))
 """
 
-# Two library calls, as Python source, each imported from its own layers:
+# Three library calls, as Python source, each imported from its own layers:
 # the tensor path and the moving dipole's t-matrix, spectral density and
-# total momentum run on tuples, and only the quadrature of J loads numpy.
+# total momentum run on tuples, the frequency closed forms on floats, and
+# only the quadrature of J loads numpy.
 LIBRARY_CALLS = {
     "second_born_momentum, closed_form_p_rad, t_matrix, p_rad_spectral, "
     "p_rad_total": """
@@ -118,19 +119,26 @@ t_matrix(spec, spec.omega0, (1, 0, 0), (0, 1, 0), (1, 0, 0))
 p_rad_spectral(spec, spec.omega0, (1, 0, 0))
 p_rad_total(spec, (1, 0, 0))
 """,
+    "freq_closed_form, resolving_epsilon": """
+from zpmomentum.contour_frequency import freq_closed_form, resolving_epsilon
+freq_closed_form("transverse", 2.0, 1.0)
+freq_closed_form("one_longitudinal", 2.0, 1.0)
+resolving_epsilon(2.0, 1.0)
+""",
     "spectral_integral_quadrature": """
 from zpmomentum.point_dipole import DipoleSpec, spectral_integral_quadrature
 spectral_integral_quadrature(DipoleSpec(1.0, 1.0, 1e-4))
 """,
 }
-TUPLE_CALLS, QUADRATURE = LIBRARY_CALLS
+TUPLE_CALLS, FREQ_CLOSED_FORMS, QUADRATURE = LIBRARY_CALLS
 
 # The layer modules each step loads, cli and its own layers included:
 # predict, eta and empty-vacuum load neither special_functions (nor numpy)
 # nor the quadrature routes nor the frequency oracle nor the dipole, dipole
 # loads none of these but itself, constants loads neither special_functions
 # (nor numpy) nor the last two nor the predictions, and freq-check loads no
-# prediction.  The library calls load no cli.
+# prediction.  The library calls load no cli, and the frequency closed forms
+# load the weights of oscillatory_integrals but not the oracle's quadrature.
 PREDICT = ["base", "cli", "predictions", "tensor_assembly", "units_materials"]
 NUMPY_FREE = {
     "predict me-sphere --a-um 1": PREDICT,
@@ -143,12 +151,13 @@ NUMPY_FREE = {
     "dipole --alpha 1 --alpha0 1 --gamma 1": ["base", "cli", "point_dipole"],
     "constants": ["base", "cli", "oscillatory_integrals", "tensor_assembly"],
     TUPLE_CALLS: ["base", "point_dipole", "tensor_assembly", "units_materials"],
+    FREQ_CLOSED_FORMS: ["base", "contour_frequency", "oscillatory_integrals"],
 }
 COMMAND_LAYERS = {
     **NUMPY_FREE,
     QUADRATURE: ["base", "point_dipole", "special_functions"],
     "freq-check --pairs 2": ["base", "cli", "contour_frequency",
-                             "special_functions"],
+                             "oscillatory_integrals", "special_functions"],
 }
 MC_MATERIAL = str(Path(__file__).resolve().parent / "golden"
                   / "magneto_chiral_material.json")
@@ -189,9 +198,9 @@ def test_command_loads_only_its_layers(probe, argv):
 
 def test_closed_form_commands_load_no_numpy(probe):
     # each runs before any numpy step, and the probe sees numpy once one of
-    # those has run: the tensor path, t_matrix, p_rad_spectral and
-    # p_rad_total load none, and the dipole quadrature loads it, like a lint
-    # rule on the boundary
+    # those has run: the tensor path, t_matrix, p_rad_spectral, p_rad_total
+    # and the frequency closed forms load none, and the dipole quadrature
+    # loads it, like a lint rule on the boundary
     assert probe["numpy"] == list(COMMAND_LAYERS)[len(NUMPY_FREE):]
 
 
