@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_constants(args) -> tuple[RunReport, int]:
-    from .oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
+    from .oscillatory_integrals import (_KERNELS, DEFAULT_SCHEDULE, TRIG_NAMES,
                                         eval_bruteforce, eval_trig)
     from .tensor_assembly import _ETA_SIGN_NOTE, REFERENCE_MAGNITUDES, eta
     schedule = args.eps_schedule or DEFAULT_SCHEDULE
@@ -212,7 +212,7 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
         trig[name] = res.value
         report.add(name, res.value, res.error_estimate, res.method)
     brute = {}
-    for name in ("I0", "I1", "A", "C", "D", "E"):
+    for name in _KERNELS:
         res = eval_bruteforce(name, schedule)
         brute[name] = res.value
         report.add(name, res.value, res.error_estimate, res.method,
@@ -220,7 +220,7 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
     eta_val = eta()
     report.add("eta", eta_val, 0.0, "exact")
 
-    for name in ("I0", "I1", "A", "C"):
+    for name in (name for name in TRIG_NAMES if name in _KERNELS):
         if math.copysign(1.0, trig[name]) != math.copysign(1.0, brute[name]):
             report.warnings.append(
                 f"{name}: trig and quadrature routes disagree in sign")
@@ -383,8 +383,7 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
     radius = args.a_um * 1e-6
     inputs = {"material": material_src, "radius_m": radius}
     if args.model == "feigel":
-        material = MaterialSpec(epsilon=material.epsilon, mass_density=rho,
-                                me_coupling=chi_scale)
+        material = MaterialSpec(epsilon=material.epsilon, mass_density=rho)
     sphere = SphereSpec(radius=radius, material=material)
     if args.model == "me-sphere":
         pred = me_sphere_velocity(sphere, FieldConfig(e0=args.e0_dir,
@@ -418,21 +417,31 @@ def _cmd_empty_vacuum(args) -> tuple[RunReport, int]:
 
 
 def main(argv=None) -> int:
-    """Parse argv, run its subcommand, print the rendered report; returns the
-    exit code."""
-    args = build_parser().parse_args(argv)
-    command = f"{args.subcommand} {getattr(args, 'model', '')}".rstrip()
+    """Parse argv, run its subcommand, print the rendered report (or the
+    help); returns the exit code."""
+    import contextlib
+    help_text = io.StringIO()  # argparse drops a failed write of its own
     try:
-        report, code = args.handler(args)
-        output = report.render(args.format)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ArithmeticError as exc:
-        print(f"numerical failure: {command}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        with contextlib.redirect_stdout(help_text):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed --help, or refused argv
+        if exc.code != 0:
+            raise
+        output, code = help_text.getvalue(), EXIT_OK
+    else:
+        command = f"{args.subcommand} {getattr(args, 'model', '')}".rstrip()
+        try:
+            report, code = args.handler(args)
+            output = report.render(args.format) + "\n"
+        except (ValueError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except ArithmeticError as exc:
+            print(f"numerical failure: {command}: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
     try:
-        print(output, flush=True)
+        sys.stdout.write(output)
+        sys.stdout.flush()
     except OSError as exc:  # a closed pipe or a full disk
         import os  # as the signal docs advise: the unwritten bytes stay
         devnull = os.open(os.devnull, os.O_WRONLY)  # buffered, so the

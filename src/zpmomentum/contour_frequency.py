@@ -62,10 +62,25 @@ def _validate_pair(k: float, kp: float, epsilon: float) -> None:
 def freq_closed_form(kind: str, k: float, kp: float) -> complex:
     """The frequency integral of the given kind at eta -> 0 (the squared
     factor carries k): -i pi / 4 (transverse, omega^4) or +i pi / 4
-    (one_longitudinal, omega^2) times the weight _WEIGHTS[kind]."""
+    (one_longitudinal, omega^2) times the weight _WEIGHTS[kind].
+
+    Each term k^s kp^r / (k + kp)^d is split into a mantissa near 1 and a
+    power of two, so no partial result leaves the float range at any k/kp:
+    an underflow gives 0, and an overflow raises FloatingPointError."""
     _validate(kind, k, kp)
-    weight = sum(k**s * kp**r / (k + kp) ** d for s, r, d in _WEIGHTS[kind])
-    return (-0.25j if kind == "transverse" else 0.25j) * math.pi * weight
+    big = max(k, kp)
+    (mk, ek), (mq, eq), (mb, eb) = map(math.frexp, (k, kp, big))
+    mb *= 1.0 + min(k, kp) / big  # now the mantissa of k + kp, up to 2
+    terms = [(mk**s * mq**r / mb**d, s * ek + r * eq - d * eb)
+             for s, r, d in _WEIGHTS[kind]]
+    scale = max(n for _, n in terms)
+    weight = sum(math.ldexp(m, n - scale) for m, n in terms)
+    try:
+        value = math.ldexp(0.25 * math.pi * weight, scale)
+    except OverflowError:
+        raise FloatingPointError(f"the {kind} frequency closed form overflows "
+                                 f"a float at k={k!r}, kp={kp!r}") from None
+    return complex(0.0, -value if kind == "transverse" else value)
 
 
 def _rescaled_poles(k: float, kp: float) -> tuple[float, float, float, bool]:

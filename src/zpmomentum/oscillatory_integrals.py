@@ -119,7 +119,8 @@ def eval_trig(name: str) -> IntegralResult:
 # a radial factor, known in closed form (_transform).  Their product is
 # rational in t: one pass integrates all nine pieces exactly (_laplace_sums).
 
-# weight -> its partial fractions, as terms (s, r, d)
+# weight -> its partial fractions, as terms (s, r, d); freq_closed_form of
+# contour_frequency reads the first two, so freq-check checks these terms
 _WEIGHTS = {
     "transverse": ((0, 0, 1), (0, 1, 2)),  # (p + 2q) / (p+q)^2
     "one_longitudinal": ((-1, 0, 2),),     # 1 / (p (p+q)^2)
@@ -138,7 +139,9 @@ _KERNELS = {
 
 
 def _derive(kernels):
-    """{piece: (pe, pb, qe, qb, d, c)} and {constant: its pieces}."""
+    """{piece: (pe, pb, qe, qb, d, c)} and {constant: its pieces}.  Raises
+    ValueError on a piece whose pe + pb + qe + qb + d is even: only an odd
+    sum makes the regulated piece odd in eps, as _ODD_POWERS assumes."""
     pieces, assembly = {}, {}
     for name, (weight, form) in kernels.items():
         split = [(a + s, m, b + r, n, d, c) for c, a, m, b, n in form
@@ -146,6 +149,11 @@ def _derive(kernels):
         names = [f"{name}_{i}" for i in range(1, len(split) + 1)]
         assembly[name] = tuple(names if len(split) > 1 else [name])
         pieces.update(zip(assembly[name], split))
+    even = [piece for piece, (*powers, _) in pieces.items()
+            if sum(powers) % 2 == 0]
+    if even:
+        raise ValueError(f"pieces {even} have even e + m + e' + m' + d, so "
+                         "they are not odd in eps as _ODD_POWERS assumes")
     return pieces, assembly
 
 

@@ -206,9 +206,10 @@ class EtaConsistencyReport(_Record):
 
 
 def _implied_d(constants: dict, eta_value: float) -> float:
-    """The D at which eta(constants) equals eta_value.  D enters eta as
-    D / (3 * 192 pi^2), so it is 3 * 192 pi^2 (eta_value - eta(D = 0))."""
-    return 3.0 * 192.0 * math.pi**2 * (eta_value - eta({**constants, "D": 0.0}))
+    """The D at which eta(constants) equals eta_value.  eta is linear in D,
+    so it is (eta_value - eta(D = 0)) over eta at D = 1 and the rest 0."""
+    unit_d = {name: float(name == "D") for name in _EXACT_CONSTANTS}
+    return (eta_value - eta({**constants, "D": 0.0})) / eta(unit_d)
 
 
 def eta_consistency() -> EtaConsistencyReport:

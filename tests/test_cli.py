@@ -284,10 +284,11 @@ def test_sign_disagreement_warning_is_reached(monkeypatch, capsys):
         "warning: I1: trig and quadrature routes disagree in sign"]
 
 
+@pytest.mark.parametrize("argv", [["eta"], ["--help"]])
 @pytest.mark.parametrize("sink", ["full device", "closed pipe"])
-def test_failed_report_write_exits_2(sink):
-    # the report cannot be written: exit 2 with one error line, and no
-    # traceback now or at interpreter exit
+def test_failed_report_write_exits_2(sink, argv):
+    # the report, or the help, cannot be written: exit 2 with one error
+    # line, and no traceback now or at interpreter exit
     if sink == "full device":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
@@ -300,7 +301,7 @@ def test_failed_report_write_exits_2(sink):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     try:
-        out = subprocess.run([sys.executable, "-m", "zpmomentum", "eta"],
+        out = subprocess.run([sys.executable, "-m", "zpmomentum", *argv],
                              stdout=stdout, stderr=subprocess.PIPE, text=True,
                              timeout=60, env=env)
     finally:
@@ -869,3 +870,18 @@ def test_readme_flag_table_matches_parser():
                 r"^\| `([a-z][a-z -]*)` \| ([^|]*) \|", text, re.M)}
     assert rows == {command: set(flags)
                     for command, flags in _parser_flags().items()}
+
+
+# --- the README's numbers ---------------------------------------------------
+
+def test_readme_numbers_match_their_source():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    readings = re.search(r"`D_implied` = ([\d.]+), (\d+) times .* it gives "
+                         r"([\d.]+), within .* ([\d.]+) times the computed "
+                         r"`D`", text).groups()
+    eta_out = (ROOT / "tests" / "golden" / "eta.out").read_text()
+    assert readings == re.search(
+        r"eta \(([\d.]+)\) .* by a factor (\d+) .* it is ([\d.]+), "
+        r"([\d.]+) times", eta_out).groups()
+    snippet = re.search(r"print\(r\.value\) +# (\S+),", text).group(1)
+    assert snippet == repr(osc.eval_trig("I0").value)

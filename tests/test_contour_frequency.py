@@ -30,6 +30,22 @@ def test_closed_forms_are_purely_imaginary():
         assert val.imag != 0.0
 
 
+@pytest.mark.parametrize("kind, k, kp, value", [
+    ("transverse", 1e-200, 1e-200, -3.0 * math.pi / 16.0 * 1e200),
+    ("transverse", 1e200, 1e200, -3.0 * math.pi / 16.0 * 1e-200),
+    ("transverse", 1e160, 1.0, -math.pi / 4.0 * 1e-160),
+    # k / kp overflows a float, yet the values are floats
+    ("transverse", 1e300, 1e-100, -math.pi / 4.0 * 1e-300),
+    ("one_longitudinal", 5e-324, 1e300,
+     math.pi / 4.0 / (5e-324 * 1e300) / 1e300),
+    ("one_longitudinal", 1e200, 1e200, 0.0),  # underflows
+])
+def test_closed_form_answers_wherever_its_value_is_a_float(kind, k, kp, value):
+    # in each, (k + kp)^2 alone leaves the float range
+    assert freq_closed_form(kind, k, kp) == pytest.approx(value * 1j,
+                                                          rel=1e-15)
+
+
 @given(k=st.floats(min_value=0.05, max_value=20.0),
        kp=st.floats(min_value=0.05, max_value=20.0),
        s=st.floats(min_value=0.1, max_value=10.0))

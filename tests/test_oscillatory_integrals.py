@@ -657,6 +657,14 @@ def test_weights_are_the_frequency_integrals_closed_forms(rng):
             assert closed.real == 0.0
 
 
+def test_derive_refuses_pieces_even_in_eps():
+    # every piece's e + m + e' + m' + d is odd, as _ODD_POWERS needs
+    assert osc._derive(osc._KERNELS) == (osc._PIECES, osc._ASSEMBLY)
+    assert all(sum(piece[:5]) % 2 == 1 for piece in osc._PIECES.values())
+    with pytest.raises(ValueError, match=r"\['X_1', 'X_2'\] have even"):
+        osc._derive({"X": ("transverse", ((1.0, 4, 0, 3, 0),))})
+
+
 def test_solve_d1_d3_examples():
     assert solve_D1_D3(15.0, 15.0) == (1.0, 1.0)
     assert solve_D1_D3(0.0, 0.0) == (0.0, 0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zpmomentum import point_dipole
+from zpmomentum import contour_frequency, point_dipole
 from zpmomentum.predictions import (Prediction, empty_vacuum_momentum,
                                     first_born, magneto_chiral,
                                     me_sphere_velocity, moving_sphere, replay)
@@ -381,6 +381,11 @@ CLOSED_FORM_CALLS = {
         d(dipoles()), d(vector)),
     "second_born_momentum": lambda d: _breakdown_parts(
         second_born_momentum(d(spheres()), d(chis()))),
+    "freq_closed_form": lambda d: _parts(contour_frequency.freq_closed_form(
+        d(st.sampled_from(contour_frequency.KINDS)), d(positive),
+        d(positive))),
+    "resolving_epsilon": lambda d: (contour_frequency.resolving_epsilon(
+        d(positive), d(positive), d(positive)),),
 }
 
 
@@ -407,7 +412,8 @@ def _breakdown_parts(out):
 
 # the one length each of these returns; the rest share the set below
 OWN_LENGTH = {"t0": 2, "t_matrix": 18, "p_rad_spectral": 3,
-              "p_rad_total": 3, "second_born_momentum": 12}
+              "p_rad_total": 3, "second_born_momentum": 12,
+              "freq_closed_form": 2, "resolving_epsilon": 1}
 
 
 def _floats_of(out):
@@ -468,9 +474,13 @@ def test_closed_form_callables_return_finite_tuples_or_refuse(data, name):
      r"\(epsilon - 1\)\^2 overflows a float at epsilon = 1e\+200"),
     (lambda: regularized_K(1e-320),
      FloatingPointError, r"K = -pi\^2/\(12 a\) overflows a float at a = 1e-320"),
+    (lambda: contour_frequency.freq_closed_form("one_longitudinal", 1e-200,
+                                                1e-200),
+     FloatingPointError, "the one_longitudinal frequency closed form "
+     "overflows a float at k=1e-200, kp=1e-200"),
 ], ids=["axial_vector", "closed_form_p_rad", "second_born_momentum",
         "eta_value", "first_born", "mu", "moving_sphere", "magneto_chiral",
-        "contrast_squared", "regularized_K"])
+        "contrast_squared", "regularized_K", "freq_closed_form"])
 def test_plain_float_failures_name_their_quantity(call, error, message):
     # plain float arithmetic overflows to inf silently, so each result that
     # could is checked; a non-finite input is refused before any arithmetic
