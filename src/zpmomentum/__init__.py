@@ -7,36 +7,33 @@ numerical cross-checks for every closed form.
 
 The package re-exports the public names of its eight layer modules; each
 module's ``__all__`` is the one declaration of its surface.  The layers load
-on first use: importing the package alone loads none of them, nor numpy.
+on first use: importing the package alone loads none of them, nor numpy.  A
+name loads the layers of ``_LAYERS`` in order up to the one that declares
+it; ``special_functions``, the one layer that imports numpy, comes last, so
+no closed-form name loads numpy.  ``__all__`` and ``dir()`` load all eight.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_LAYERS = ("base", "units_materials", "special_functions",
-           "contour_frequency", "oscillatory_integrals", "tensor_assembly",
-           "point_dipole", "predictions")
-
-
-def _owners() -> dict:
-    """Every re-exported name and the layer module that declares it; imports
-    all eight layers."""
-    modules = [importlib.import_module(f"{__name__}.{layer}")
-               for layer in _LAYERS]
-    return {name: module for module in modules for name in module.__all__}
+_LAYERS = ("base", "units_materials", "contour_frequency",
+           "oscillatory_integrals", "tensor_assembly", "point_dipole",
+           "predictions", "special_functions")
 
 
 def __getattr__(name: str):
     if name in _LAYERS or name == "cli":
         return importlib.import_module(f"{__name__}.{name}")
+    layers = (importlib.import_module(f"{__name__}.{layer}")
+              for layer in _LAYERS)
     if name == "__all__":
-        return ["__version__", *_owners()]
+        return ["__version__", *(n for module in layers for n in module.__all__)]
     # private and dunder probes never load the layers
-    owner = None if name.startswith("_") else _owners().get(name)
-    if owner is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(owner, name)
+    for module in () if name.startswith("_") else layers:
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

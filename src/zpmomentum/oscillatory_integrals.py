@@ -158,17 +158,12 @@ def _derive(kernels):
 
 
 _PIECES, _ASSEMBLY = _derive(_KERNELS)
-# The distinct radial factors p^e j_m(p) of the pieces, as (e, m), and each
-# piece as (index of its p factor, index of its q factor, d).
-_FACTORS = sorted({factor for pe, pb, qe, qb, _, _ in _PIECES.values()
-                   for factor in ((pe, pb), (qe, qb))})
-_PAIRS = tuple((_FACTORS.index((pe, pb)), _FACTORS.index((qe, qb)), dp)
-               for pe, pb, qe, qb, dp, _ in _PIECES.values())
 # j_m(p) as the sum of p^n (s sin p + c cos p) over its terms (n, s, c)
 _BESSEL_TRIG = {0: ((-1, 1, 0),), 1: ((-2, 1, 0), (-1, 0, -1)),
                 2: ((-3, 3, 0), (-2, 0, -3), (-1, -1, 0))}
 
 
+@lru_cache(maxsize=None)
 def _transform(e: int, m: int) -> tuple[complex, ...]:
     """The A_k of the Laplace transform L(u) = Re sum_k A_k / (u - i)^(k+1)
     of p^e j_m(p), e >= m + 1: the factor is sum_k p^k (s_k sin p + c_k cos p)
@@ -180,17 +175,19 @@ def _transform(e: int, m: int) -> tuple[complex, ...]:
     return tuple(coeffs)
 
 
-def _laplace_sums(eps: float, factors=_FACTORS, pairs=_PAIRS) -> list[float]:
+def _laplace_sums(eps: float, pieces=tuple(_PIECES.values())) -> list[float]:
     """Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt, d = 1 or 2, for each
-    (a, b, d) in pairs, L_a the transform of factors[a] = (e, m): the double
-    integral of the two factors times e^{-eps (p+q)} / (p+q)^d over
-    [0, inf)^2.  With u = t + eps and Re X Re Y = Re(X Y + X conj Y) / 2,
+    row (e, m, e', m', d, ...) of pieces, a _PIECES row whose coefficient is
+    not applied, L_a and L_b the transforms of p^e j_m(p) and p^e' j_m'(p):
+    the double integral of the two factors times e^{-eps (p+q)} / (p+q)^d
+    over [0, inf)^2.  With u = t + eps and Re X Re Y = Re(X Y + X conj Y) / 2,
     each term is A_j B_k or A_j conj(B_k) times the exact integral
     J[m][n] = Int_eps^inf (u - i)^-m (u + i)^-n du.  J[1][0] and J[0][1] drop
     the same log of the upper bound, which every convergent sum cancels, and
     1/((u - i)(u + i)) = (1/(u - i) - 1/(u + i)) / 2i fills the interior."""
-    transforms = [_transform(e, m) for e, m in factors]
-    size = 2 * max(map(len, transforms)) + 1
+    rows = [(_transform(pe, pm), _transform(qe, qm), d)
+            for pe, pm, qe, qm, d, *_ in pieces]
+    size = 2 * max(len(t) for p, q, _ in rows for t in (p, q)) + 1
     below, above = complex(eps, -1.0), complex(eps, 1.0)
     J = [[0j] * size for _ in range(size)]
     J[1][0], J[0][1] = -cmath.log(below), -cmath.log(above)
@@ -205,13 +202,12 @@ def _laplace_sums(eps: float, factors=_FACTORS, pairs=_PAIRS) -> list[float]:
     weighted = {1: J, 2: [[J[m - 1][n] + shift * J[m][n] for n in range(size)]
                           for m in range(size)]}
     sums = []
-    for a, b, d in pairs:
+    for p, q, d in rows:
         if d not in (1, 2):
             raise ValueError(f"denominator power must be 1 or 2, got {d!r}")
         K = weighted[d]
         total = sum(A * (B * K[j + k + 2][0] + B.conjugate() * K[j + 1][k + 1])
-                    for j, A in enumerate(transforms[a])
-                    for k, B in enumerate(transforms[b]))
+                    for j, A in enumerate(p) for k, B in enumerate(q))
         sums.append(total.real / 2.0)
     return sums
 

@@ -236,12 +236,8 @@ def test_kernel_statement_derives_the_hand_typed_pieces():
         "I0": ("I0_1", "I0_2"), "I1": ("I1_1", "I1_2"), "A": ("A",),
         "C": ("C",), "D": ("D",), "E": ("E_1", "E_2")}
     pieces = [piece for _, piece in HAND_TYPED_PIECES]
-    factors = sorted({f for a, m, b, n, _, _ in pieces
-                      for f in ((a, m), (b, n))})
-    pairs = [(factors.index((a, m)), factors.index((b, n)), d)
-             for a, m, b, n, d, _ in pieces]
     for eps in DEFAULT_SCHEDULE:
-        sums = osc._laplace_sums(eps, factors, pairs)
+        sums = osc._laplace_sums(eps, pieces)
         assert osc._regulated_pass(eps) == {
             name: piece[-1] * value
             for (name, piece), value in zip(HAND_TYPED_PIECES, sums)}, eps
@@ -257,7 +253,7 @@ def test_d_form_factor_under_the_two_pole_weight():
     assert weight == "one_longitudinal"
     pieces, _ = osc._derive({"D": ("two_pole", form)})
     (a, m, b, n, d, c), = pieces.values()
-    value = c * osc._laplace_sums(0.0, [(a, m), (b, n)], [(0, 1, d)])[0]
+    value = c * osc._laplace_sums(0.0, [(a, m, b, n, d)])[0]
     assert value == 3 * math.pi / 8
     assert eta({**_EXACT_CONSTANTS, "D": value}) == -229 / (9216 * math.pi)
 
@@ -445,7 +441,7 @@ def test_laplace_sums_rejects_other_denominator_powers(d):
     # the t = (u - i) + (i - eps) split holds for d = 2 only; any other d
     # would get d = 2's value
     with pytest.raises(ValueError, match=f"must be 1 or 2, got {d}"):
-        osc._laplace_sums(0.1, [(2, 0)], [(0, 0, d)])
+        osc._laplace_sums(0.1, [(2, 0, 2, 0, d)])
 
 
 def _unregulated_constants():
@@ -514,7 +510,7 @@ E_ISOTROPIC_KERNEL = (3.0, 2, 1, 2, 1)  # isotropic part of the same integrand
 
 def _kernel_bruteforce(kernel):
     c, a, m, b, n = kernel
-    raw = [c * osc._laplace_sums(eps, [(a, m), (b, n)], [(0, 1, 1)])[0]
+    raw = [c * osc._laplace_sums(eps, [(a, m, b, n, 1)])[0]
            for eps in DEFAULT_SCHEDULE]
     return _richardson(DEFAULT_SCHEDULE, raw, (0, 1, 3, 5, 7))
 
