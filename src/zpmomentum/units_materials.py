@@ -112,7 +112,10 @@ _REQUIRED_KEYS = ("epsilon", "mass_density_kg_m3")
 
 def material_from_json(path: str | Path) -> MaterialSpec:
     """Load a material description; unknown keys are rejected, not ignored."""
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"material file {path} nests too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"material file {path} must contain a JSON object")
     unknown = set(raw) - set(_JSON_KEYS)

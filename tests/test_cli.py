@@ -381,6 +381,18 @@ def test_material_file_holding_an_array_exits_2(tmp_path, capsys):
     assert err == f"error: material file {path} must contain a JSON object\n"
 
 
+@pytest.mark.parametrize("depth", [1000, 100000])
+def test_material_file_nested_too_deeply_exits_2(tmp_path, capsys, depth):
+    # json.loads raises RecursionError past the interpreter's depth limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    code, out, err = run_capture(capsys, ["predict", "me-sphere",
+                                          "--material", str(path),
+                                          "--a-um", "1"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: material file {path} nests too deeply\n"
+
+
 def test_material_file_with_too_large_integer_exits_2(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"epsilon": 1' + "0" * 400
@@ -875,7 +887,8 @@ def test_readme_flag_table_matches_parser():
 # --- the README's numbers ---------------------------------------------------
 
 def test_readme_numbers_match_their_source():
-    text = " ".join((ROOT / "README.md").read_text().split())
+    readme = (ROOT / "README.md").read_text()
+    text = " ".join(readme.split())
     readings = re.search(r"`D_implied` = ([\d.]+), (\d+) times .* it gives "
                          r"([\d.]+), within .* ([\d.]+) times the computed "
                          r"`D`", text).groups()
@@ -885,3 +898,16 @@ def test_readme_numbers_match_their_source():
         r"([\d.]+) times", eta_out).groups()
     snippet = re.search(r"print\(r\.value\) +# (\S+),", text).group(1)
     assert snippet == repr(osc.eval_trig("I0").value)
+    # the abridged me-sphere report: its argv, and each stretch between its
+    # "..." lines, whitespace aside, as the golden prints them
+    argv, body = re.search(r"Sample \(abridged\) text report:\s*```\n"
+                           r"\$ zpmomentum (.*?)\n(.*?)```", readme,
+                           re.S).groups()
+    golden = (ROOT / "tests" / "golden" / "me_sphere.out").read_text()
+    assert golden.startswith(f"argv: {argv}\nexit: 0\n--- stdout\n")
+    stdout = " ".join(golden.split("--- stdout\n")[1].split("--- stderr")[0]
+                      .split())
+    stretches = body.replace(".../presets/", "<presets>/").split("\n...\n")
+    assert len(stretches) == 2
+    for stretch in stretches:
+        assert " ".join(stretch.split()) in stdout, stretch

@@ -98,10 +98,11 @@ report["dir"] = dir(zpmomentum)
 print(json.dumps(report))
 """
 
-# Three library calls, as Python source, each imported from its own layers:
-# the tensor path and the moving dipole's t-matrix, spectral density and
-# total momentum run on tuples, the frequency closed forms on floats, and
-# only the quadrature of J loads numpy.
+# Four library calls, as Python source, the first three imported from their
+# own layers: the tensor path and the moving dipole's t-matrix, spectral
+# density and total momentum run on tuples, the frequency closed forms on
+# floats, and only the quadrature of J loads numpy.  The fourth imports from
+# the package, which loads the layers up to each name's owner, numpy's last.
 LIBRARY_CALLS = {
     "second_born_momentum, closed_form_p_rad, t_matrix, p_rad_spectral, "
     "p_rad_total": """
@@ -129,16 +130,22 @@ resolving_epsilon(2.0, 1.0)
 from zpmomentum.point_dipole import DipoleSpec, spectral_integral_quadrature
 spectral_integral_quadrature(DipoleSpec(1.0, 1.0, 1e-4))
 """,
+    "package-level eta, me_sphere_velocity, replay, t_matrix": """
+from zpmomentum import eta, me_sphere_velocity, replay, t_matrix
+eta()
+""",
 }
-TUPLE_CALLS, FREQ_CLOSED_FORMS, QUADRATURE = LIBRARY_CALLS
+TUPLE_CALLS, FREQ_CLOSED_FORMS, QUADRATURE, PACKAGE_NAMES = LIBRARY_CALLS
 
 # The layer modules each step loads, cli and its own layers included:
 # predict, eta and empty-vacuum load neither special_functions (nor numpy)
 # nor the quadrature routes nor the frequency oracle nor the dipole, dipole
 # loads none of these but itself, constants loads neither special_functions
 # (nor numpy) nor the last two nor the predictions, and freq-check loads no
-# prediction.  The library calls load no cli, and the frequency closed forms
-# load the weights of oscillatory_integrals but not the oracle's quadrature.
+# prediction.  The library calls load no cli, the frequency closed forms
+# load the weights of oscillatory_integrals but not the oracle's quadrature,
+# and names up to predictions, imported from the package, load every layer
+# but special_functions (nor numpy).
 PREDICT = ["base", "cli", "predictions", "tensor_assembly", "units_materials"]
 NUMPY_FREE = {
     "predict me-sphere --a-um 1": PREDICT,
@@ -152,6 +159,9 @@ NUMPY_FREE = {
     "constants": ["base", "cli", "oscillatory_integrals", "tensor_assembly"],
     TUPLE_CALLS: ["base", "point_dipole", "tensor_assembly", "units_materials"],
     FREQ_CLOSED_FORMS: ["base", "contour_frequency", "oscillatory_integrals"],
+    PACKAGE_NAMES: ["base", "contour_frequency", "oscillatory_integrals",
+                    "point_dipole", "predictions", "tensor_assembly",
+                    "units_materials"],
 }
 COMMAND_LAYERS = {
     **NUMPY_FREE,
