@@ -177,16 +177,16 @@ def _transform(e: int, m: int) -> tuple[complex, ...]:
 
 def _laplace_sums(eps: float, pieces=tuple(_PIECES.values())) -> list[float]:
     """Int_0^inf t^(d-1) L_a(t + eps) L_b(t + eps) dt, d = 1 or 2, for each
-    row (e, m, e', m', d, ...) of pieces, a _PIECES row whose coefficient is
-    not applied, L_a and L_b the transforms of p^e j_m(p) and p^e' j_m'(p):
-    the double integral of the two factors times e^{-eps (p+q)} / (p+q)^d
-    over [0, inf)^2.  With u = t + eps and Re X Re Y = Re(X Y + X conj Y) / 2,
-    each term is A_j B_k or A_j conj(B_k) times the exact integral
+    _PIECES row (e, m, e', m', d, c) of pieces, c not applied, L_a and L_b
+    the transforms of p^e j_m(p) and p^e' j_m'(p): the double integral of
+    the two factors times e^{-eps (p+q)} / (p+q)^d over [0, inf)^2.  With
+    u = t + eps and Re X Re Y = Re(X Y + X conj Y) / 2, each term is A_j B_k
+    or A_j conj(B_k) times the exact integral
     J[m][n] = Int_eps^inf (u - i)^-m (u + i)^-n du.  J[1][0] and J[0][1] drop
     the same log of the upper bound, which every convergent sum cancels, and
     1/((u - i)(u + i)) = (1/(u - i) - 1/(u + i)) / 2i fills the interior."""
     rows = [(_transform(pe, pm), _transform(qe, qm), d)
-            for pe, pm, qe, qm, d, *_ in pieces]
+            for pe, pm, qe, qm, d, _ in pieces]
     size = 2 * max(len(t) for p, q, _ in rows for t in (p, q)) + 1
     below, above = complex(eps, -1.0), complex(eps, 1.0)
     J = [[0j] * size for _ in range(size)]

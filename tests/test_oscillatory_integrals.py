@@ -252,8 +252,8 @@ def test_d_form_factor_under_the_two_pole_weight():
     weight, form = osc._KERNELS["D"]
     assert weight == "one_longitudinal"
     pieces, _ = osc._derive({"D": ("two_pole", form)})
-    (a, m, b, n, d, c), = pieces.values()
-    value = c * osc._laplace_sums(0.0, [(a, m, b, n, d)])[0]
+    (*_, c), = pieces.values()
+    value = c * osc._laplace_sums(0.0, pieces.values())[0]
     assert value == 3 * math.pi / 8
     assert eta({**_EXACT_CONSTANTS, "D": value}) == -229 / (9216 * math.pi)
 
@@ -441,7 +441,7 @@ def test_laplace_sums_rejects_other_denominator_powers(d):
     # the t = (u - i) + (i - eps) split holds for d = 2 only; any other d
     # would get d = 2's value
     with pytest.raises(ValueError, match=f"must be 1 or 2, got {d}"):
-        osc._laplace_sums(0.1, [(2, 0, 2, 0, d)])
+        osc._laplace_sums(0.1, [(2, 0, 2, 0, d, 1.0)])
 
 
 def _unregulated_constants():
@@ -510,7 +510,7 @@ E_ISOTROPIC_KERNEL = (3.0, 2, 1, 2, 1)  # isotropic part of the same integrand
 
 def _kernel_bruteforce(kernel):
     c, a, m, b, n = kernel
-    raw = [c * osc._laplace_sums(eps, [(a, m, b, n, 1)])[0]
+    raw = [c * osc._laplace_sums(eps, [(a, m, b, n, 1, c)])[0]
            for eps in DEFAULT_SCHEDULE]
     return _richardson(DEFAULT_SCHEDULE, raw, (0, 1, 3, 5, 7))
 

@@ -25,7 +25,7 @@ from zpmomentum.units_materials import FieldConfig, MaterialSpec, SphereSpec
 
 U = 2.0**-53
 # A scalar times one rotated vector: Q x rounds each component by about
-# 2 ulp and the scalar product by 1 more; worst measured 4.4 ulp.
+# 2 ulp and the scalar product by 1 more; worst measured 4.8 ulp.
 SCALED_TOL = 16 * U
 # Differences of entries of a rotated matrix Q M Q^T, two 3-term products
 # deep, on the scale of max|M| (or of the result for an antisymmetric M);
