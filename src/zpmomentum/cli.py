@@ -244,22 +244,24 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
 
 
 def _cmd_eta(args) -> tuple[RunReport, int]:
-    from .tensor_assembly import _ETA_SIGN_NOTE, eta_consistency
-    rep = eta_consistency()
-    report = RunReport("eta", {"eta_reference": rep.eta_reference})
-    report.add("eta", rep.eta_quadrature, 0.0, "exact")
-    report.add("eta_reference", rep.eta_reference, 0.0, "reference")
-    report.add("D_implied", rep.d_implied, 0.0, "reference")
-    report.add("D_quadrature", rep.d_quadrature, 0.0, "exact")
-    report.add("D_ratio", rep.ratio, 0.0, "derived")
+    from .tensor_assembly import (_ETA_SIGN_NOTE, _EXACT_CONSTANTS,
+                                  REFERENCE_ETA, eta, eta_consistency)
+    d_implied, d_signed = eta_consistency()
+    d_exact, eta_value = _EXACT_CONSTANTS["D"], eta()
+    ratio = d_implied / d_exact
+    report = RunReport("eta", {"eta_reference": REFERENCE_ETA})
+    report.add("eta", eta_value, 0.0, "exact")
+    report.add("eta_reference", REFERENCE_ETA, 0.0, "reference")
+    report.add("D_implied", d_implied, 0.0, "reference")
+    report.add("D_quadrature", d_exact, 0.0, "exact")
+    report.add("D_ratio", ratio, 0.0, "derived")
     report.warnings.append(
-        f"D implied by the reference eta ({rep.d_implied:.2f}) differs from "
-        f"the computed value ({rep.d_quadrature:.4f}) by a factor "
-        f"{rep.ratio:.0f} with the reference signs as printed; with the signs "
+        f"D implied by the reference eta ({d_implied:.2f}) differs from "
+        f"the computed value ({d_exact:.4f}) by a factor "
+        f"{ratio:.0f} with the reference signs as printed; with the signs "
         "the package computes (I0 and eta negative) it is "
-        f"{rep.d_implied_computed_signs:.4f}, "
-        f"{rep.ratio_computed_signs:.3f} times the computed value")
-    if rep.eta_quadrature < 0:
+        f"{d_signed:.4f}, {d_signed / d_exact:.3f} times the computed value")
+    if eta_value < 0:
         report.warnings.append(_ETA_SIGN_NOTE)
     return report, EXIT_OK
 

@@ -28,7 +28,6 @@ from .base import CONSTANTS, _EPS3, _as_vec3, _dot, _eps_dot, _finite, _Record
 __all__ = [
     "ChiTensor",
     "BornMomentumBreakdown",
-    "EtaConsistencyReport",
     "REFERENCE_ETA",
     "solve_D1_D3",
     "axial_vector",
@@ -180,31 +179,6 @@ def eta(constants: dict | None = None) -> float:
     return numerator / (192.0 * math.pi**2)
 
 
-class EtaConsistencyReport(_Record):
-    """Cross-check of the unpublished constant D against the published eta.
-
-    d_implied is the D value that would make the reference eta exact given the
-    reference magnitudes of the other constants taken at face value;
-    d_quadrature is the computed value, 3 pi/16 from the exact constant table
-    (which the regulated quadrature confirms), and eta_quadrature the computed
-    eta.  The field names are kept because the CLI report rows carry them.
-    The ratio is the headline number: order unity would mean the published
-    eta pins D; at face value the result is a factor ~150.  With the signs
-    the package computes instead (I0 < 0, and eta at the sign of eta()),
-    d_implied_computed_signs is 3 pi/8 to within the printed digits, and
-    ratio_computed_signs is 2.000: twice the computed D.
-    """
-
-    eta_reference: float
-    d_implied: float
-    d_quadrature: float
-    discrepancy: float
-    ratio: float
-    eta_quadrature: float
-    d_implied_computed_signs: float
-    ratio_computed_signs: float
-
-
 def _implied_d(constants: dict, eta_value: float) -> float:
     """The D at which eta(constants) equals eta_value.  eta is linear in D,
     so it is (eta_value - eta(D = 0)) over eta at D = 1 and the rest 0."""
@@ -212,33 +186,24 @@ def _implied_d(constants: dict, eta_value: float) -> float:
     return (eta_value - eta({**constants, "D": 0.0})) / eta(unit_d)
 
 
-def eta_consistency() -> EtaConsistencyReport:
-    """Solve the eta formula for D using reference face values and compare.
+def eta_consistency() -> tuple[float, float]:
+    """Solve the eta formula for D: (d_implied, d_implied_computed_signs).
 
-    D_implied takes the other constants at their reference magnitudes (signs
-    as printed) and eta_ref itself; D_implied_computed_signs gives each of
-    them, eta_ref included, the sign the package computes.  Both are compared
-    against the computed D of the exact constant table.  Diagnostic only —
-    never raises on disagreement.
+    D has no published value, so this cross-checks the computed D, 3 pi/16
+    from the exact constant table (which the regulated quadrature confirms),
+    against the published eta.  d_implied takes the other constants at their
+    reference magnitudes, signs as printed, and REFERENCE_ETA itself; it is
+    about 150 times the computed D, where order unity would mean the
+    published eta pins D.  d_implied_computed_signs gives each of them,
+    REFERENCE_ETA included, the sign the package computes (I0 < 0, and eta
+    at the sign of eta()); it is 3 pi/8 to within the printed digits, twice
+    the computed D.  Diagnostic only: never raises on disagreement.
     """
     exact = _EXACT_CONSTANTS
-    eta_value = eta()
-    d_implied = _implied_d(REFERENCE_MAGNITUDES, REFERENCE_ETA)
-    d_signed = _implied_d(
-        {name: math.copysign(mag, exact[name])
-         for name, mag in REFERENCE_MAGNITUDES.items()},
-        math.copysign(REFERENCE_ETA, eta_value))
-    d_quadrature = exact["D"]
-    return EtaConsistencyReport(
-        eta_reference=REFERENCE_ETA,
-        d_implied=d_implied,
-        d_quadrature=d_quadrature,
-        discrepancy=d_implied - d_quadrature,
-        ratio=d_implied / d_quadrature,
-        eta_quadrature=eta_value,
-        d_implied_computed_signs=d_signed,
-        ratio_computed_signs=d_signed / d_quadrature,
-    )
+    return (_implied_d(REFERENCE_MAGNITUDES, REFERENCE_ETA),
+            _implied_d({name: math.copysign(mag, exact[name])
+                        for name, mag in REFERENCE_MAGNITUDES.items()},
+                       math.copysign(REFERENCE_ETA, eta())))
 
 
 def second_born_momentum(sphere: SphereSpec, chi: ChiTensor,

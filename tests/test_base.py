@@ -23,8 +23,7 @@ def _one_of_each():
     public constructors so that each holds the field types callers see."""
     from zpmomentum.point_dipole import DipoleSpec
     from zpmomentum.predictions import moving_sphere
-    from zpmomentum.tensor_assembly import (ChiTensor, eta_consistency,
-                                            second_born_momentum)
+    from zpmomentum.tensor_assembly import ChiTensor, second_born_momentum
     from zpmomentum.base import CONSTANTS
     from zpmomentum.units_materials import (FieldConfig, MaterialSpec,
                                             SphereSpec)
@@ -32,7 +31,7 @@ def _one_of_each():
     chi = ChiTensor.magneto_electric((1.0, 2.0, 0.5), (0.0, 1.0, -1.0), 1e-4)
     records = [CONSTANTS, sphere.material, sphere,
                FieldConfig(e0=[1, 0, 0], b0=(0.0, 1.0, 0.0)), chi,
-               second_born_momentum(sphere, chi), eta_consistency(),
+               second_born_momentum(sphere, chi),
                IntegralResult(1.5, 0.0, "trig_reduction"),
                DipoleSpec(alpha=2e-6, alpha0=1e-6, gamma=1e-3),
                moving_sphere(sphere, (3.0, 0.0, -1.0))]

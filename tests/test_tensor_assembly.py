@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from zpmomentum.oscillatory_integrals import reconciled_constants
 from zpmomentum.base import CONSTANTS, _EPS3 as EPS3_TUPLE
-from zpmomentum.tensor_assembly import (ChiTensor, axial_vector,
+from zpmomentum.tensor_assembly import (_EXACT_CONSTANTS, REFERENCE_ETA,
+                                        ChiTensor, axial_vector,
                                         closed_form_p_rad, eta,
                                         eta_consistency, regularized_K,
                                         second_born_momentum, solve_D1_D3)
@@ -140,26 +141,21 @@ def test_eta_value():
 
 
 def test_eta_consistency_reports_d_discrepancy():
-    rep = eta_consistency()
-    assert rep.eta_reference == 0.007909
-    assert rep.d_quadrature == 3.0 * math.pi / 16.0
+    d_implied, _ = eta_consistency()
+    assert REFERENCE_ETA == 0.007909
+    assert _EXACT_CONSTANTS["D"] == 3.0 * math.pi / 16.0
     # the D value implied by the reference eta is two orders away from the
     # quadrature value: the reference eta does not pin D
-    assert rep.d_implied == pytest.approx(87.6, rel=0.05)
-    assert rep.ratio > 100.0
-    assert rep.discrepancy == pytest.approx(
-        abs(rep.d_implied - rep.d_quadrature), rel=1e-12)
+    assert d_implied == pytest.approx(87.6, rel=0.05)
+    assert d_implied / _EXACT_CONSTANTS["D"] > 100.0
 
 
 def test_eta_consistency_with_computed_signs_implies_twice_d():
     # with I0 < 0 and the reference eta at the computed (negative) sign, the
     # printed values imply 3 pi/8 within their rounding: twice the computed D
-    rep = eta_consistency()
-    assert rep.d_implied_computed_signs == pytest.approx(3.0 * math.pi / 8.0,
-                                                         rel=1e-4)
-    assert rep.ratio_computed_signs == (rep.d_implied_computed_signs
-                                        / rep.d_quadrature)
-    assert f"{rep.ratio_computed_signs:.3f}" == "2.000"
+    _, d_signed = eta_consistency()
+    assert d_signed == pytest.approx(3.0 * math.pi / 8.0, rel=1e-4)
+    assert f"{d_signed / _EXACT_CONSTANTS['D']:.3f}" == "2.000"
 
 
 # --- the tensor path vs the closed form ------------------------------------
