@@ -101,9 +101,10 @@ def _resolve_material(spec: str):
 
 
 def _command(sub, name: str, handler, summary: str) -> argparse.ArgumentParser:
-    """A subcommand parser that runs handler and takes --format."""
+    """A subcommand parser that runs handler, takes --format and names its
+    command by its prog less the program name, as `predict feigel`."""
     parser = sub.add_parser(name, help=summary)
-    parser.set_defaults(handler=handler)
+    parser.set_defaults(handler=handler, command=parser.prog.partition(" ")[2])
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
     return parser
@@ -205,7 +206,7 @@ def _cmd_constants(args) -> tuple[RunReport, int]:
                                         eval_bruteforce, eval_trig)
     from .tensor_assembly import _ETA_SIGN_NOTE, REFERENCE_MAGNITUDES, eta
     schedule = args.eps_schedule or DEFAULT_SCHEDULE
-    report = RunReport("constants", {"eps_schedule": list(schedule)})
+    report = RunReport(args.command, {"eps_schedule": list(schedule)})
     trig = {}
     for name in TRIG_NAMES:
         res = eval_trig(name)
@@ -249,7 +250,7 @@ def _cmd_eta(args) -> tuple[RunReport, int]:
     d_implied, d_signed = eta_consistency()
     d_exact, eta_value = _EXACT_CONSTANTS["D"], eta()
     ratio = d_implied / d_exact
-    report = RunReport("eta", {"eta_reference": REFERENCE_ETA})
+    report = RunReport(args.command, {"eta_reference": REFERENCE_ETA})
     report.add("eta", eta_value, 0.0, "exact")
     report.add("eta_reference", REFERENCE_ETA, 0.0, "reference")
     report.add("D_implied", d_implied, 0.0, "reference")
@@ -290,7 +291,7 @@ def _cmd_freq_check(args) -> tuple[RunReport, int]:
     # numpy raises FloatingPointError rather than carry inf or nan on
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         pairs = freq_check_pairs(args.seed, args.pairs)
-        report = RunReport("freq-check", {
+        report = RunReport(args.command, {
             "pairs": len(pairs), "seed": args.seed, "epsilon": args.epsilon,
             "tol": args.tol})
         worst = 0.0
@@ -326,9 +327,9 @@ def _cmd_dipole(args) -> tuple[RunReport, int]:
             raise ValueError(
                 f"--hbar-omega0-eV = {given} is inconsistent with the value "
                 f"{hbar_omega0_ev:.9g} eV derived from --alpha0/--gamma")
-    report = RunReport("dipole", {"alpha_m3": args.alpha,
-                                  "alpha0_m3": args.alpha0,
-                                  "gamma_m": args.gamma})
+    report = RunReport(args.command, {"alpha_m3": args.alpha,
+                                      "alpha0_m3": args.alpha0,
+                                      "gamma_m": args.gamma})
     report.add("omega0", spec.omega0, 0.0, "derived")
     report.add("hbar_omega0_eV", hbar_omega0_ev, 0.0, "derived")
     report.add("damping_ratio", spec.damping_ratio, 0.0, "derived")
@@ -405,14 +406,14 @@ def _cmd_predict(args) -> tuple[RunReport, int]:
                           mu=args.mu)
         inputs.update({"k_cut": k_cut, "chi_s0": chi_scale, "rho": rho,
                        "mu": args.mu, "mode": args.mode})
-    report = RunReport(f"predict {args.model}", inputs)
+    report = RunReport(args.command, inputs)
     _prediction_rows(report, pred)
     return report, EXIT_OK
 
 
 def _cmd_empty_vacuum(args) -> tuple[RunReport, int]:
     from .predictions import empty_vacuum_momentum
-    report = RunReport("empty-vacuum", {})
+    report = RunReport(args.command, {})
     for axis, val in zip("xyz", empty_vacuum_momentum()):
         report.add(f"momentum_{axis}_kg_m_s", val, 0.0, "exact")
     return report, EXIT_OK
@@ -431,7 +432,6 @@ def main(argv=None) -> int:
             raise
         output, code = help_text.getvalue(), EXIT_OK
     else:
-        command = f"{args.subcommand} {getattr(args, 'model', '')}".rstrip()
         try:
             report, code = args.handler(args)
             output = report.render(args.format) + "\n"
@@ -439,7 +439,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except ArithmeticError as exc:
-            print(f"numerical failure: {command}: {exc}", file=sys.stderr)
+            print(f"numerical failure: {args.command}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
     try:
         sys.stdout.write(output)
