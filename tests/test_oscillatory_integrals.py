@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zpmomentum import oscillatory_integrals as osc
 from zpmomentum.oscillatory_integrals import (DEFAULT_SCHEDULE, TRIG_NAMES,
@@ -434,6 +434,37 @@ def test_regulated_pieces_are_odd_about_eps_0(eps):
                                        osc._laplace_sums(-eps),
                                        osc._laplace_sums(0.0)):
         assert abs(plus + minus - 2.0 * zero) <= 1e-15 * abs(2.0 * zero), name
+
+
+@st.composite
+def _family_rows(draw):
+    """A one-piece row (a, m, b, n, d, 1.0) of the kernel family: m, n in
+    {0, 1, 2}, m < a <= 8, n < b <= 8, and the one d in {1, 2} that makes
+    a + m + b + n + d odd, 441 rows in all."""
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    a, b = draw(st.integers(m + 1, 8)), draw(st.integers(n + 1, 8))
+    return (a, m, b, n, 1 + (a + m + b + n) % 2, 1.0)
+
+
+@given(row=_family_rows())
+@example(row=(3, 0, 4, 2, 2, 1.0))  # F(0) is exactly 0.0 for these two
+@example(row=(4, 2, 3, 0, 2, 1.0))
+def test_every_family_row_is_odd_and_extrapolates_within_its_estimate(row):
+    """The whole family, not only the nine pieces.  F(eps) + F(-eps) - 2 F(0)
+    at eps = 1e-2 is within 3e-14 of max(|F(0)|, |F(eps)|), the scale that
+    stays nonzero where F(0) = 0.0 (worst of the 441 rows: 1.0e-14, at the
+    first example); and the _ODD_POWERS Richardson value on DEFAULT_SCHEDULE
+    lies within its drop-one estimate of F(0) (worst true error 3.3e-5
+    relative, at most 0.4% of the estimate)."""
+    zero, plus, minus = (osc._laplace_sums(eps, [row])[0]
+                         for eps in (0.0, 1e-2, -1e-2))
+    assert abs(plus + minus - 2.0 * zero) <= 3e-14 * max(abs(zero), abs(plus))
+    sched = DEFAULT_SCHEDULE
+    raw = [osc._laplace_sums(eps, [row])[0] for eps in sched]
+    full, no_last, no_first = (
+        _richardson(sched[part], raw[part], osc._ODD_POWERS)
+        for part in (slice(None), slice(-1), slice(1, None)))
+    assert abs(full - zero) <= max(abs(full - no_last), abs(full - no_first))
 
 
 @pytest.mark.parametrize("d", [0, 3])
