@@ -158,9 +158,11 @@ def freq_oracle(kind: str, k: float, kp: float, epsilon: float = 1e-3) -> comple
     either exactly equal wavenumbers or poles the regulator resolves (else
     ConvergenceError; resolving_epsilon gives one that does).  At that
     regulator every pair of the freq-check seeds 0-999 with a relative gap of
-    at least 1e-4 converges for epsilon from 3e-5 to 1e-2; closer pairs
-    converge at no regulator, and below 3e-5 rounding at the degenerate
-    triple pole pushes the error estimate past ORACLE_REL_TOL.
+    at least 1e-4 converges for epsilon from 3e-5 to 1e-2, the domain that
+    tests/test_cli.py::test_freq_check_documented_domain_exits_0 enforces on
+    drawn seeds; closer pairs converge at no regulator, and below 3e-5
+    rounding at the degenerate triple pole pushes the error estimate past
+    ORACLE_REL_TOL.
     """
     _validate(kind, k, kp, epsilon)
     ratio = max(k, kp) / min(k, kp)
