@@ -199,9 +199,8 @@ def eta_consistency() -> tuple[float, float]:
     at the sign of eta()); it is 3 pi/8 to within the printed digits, twice
     the computed D.  Diagnostic only: never raises on disagreement.
     """
-    exact = _EXACT_CONSTANTS
     return (_implied_d(REFERENCE_MAGNITUDES, REFERENCE_ETA),
-            _implied_d({name: math.copysign(mag, exact[name])
+            _implied_d({name: math.copysign(mag, _EXACT_CONSTANTS[name])
                         for name, mag in REFERENCE_MAGNITUDES.items()},
                        math.copysign(REFERENCE_ETA, eta())))
 
